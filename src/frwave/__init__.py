@@ -28,11 +28,11 @@ from .spectral import (SAMPLED, WEIGHTED, EigenSolveError, SemiDiscreteOperator,
                        modified_phase_velocity, ppw)
 from .stability import (RK33, RK44, RK55, RKScheme, StabilityResult, cfl_limit,
                         get_scheme, spectral_radius_sweep, update_matrix)
-from .advect1d import (FDAdvection1D, FDScheme, FRAdvection1D, ScalarField,
+from .advect1d import (FDAdvection1D, FDScheme, FRAdvection1D,
                        StretchedGrid1D, TransferTable, UnstableSolutionError,
                        advance, bin_wavenumbers, build_grid, fd_point_grid,
-                       fd_rhs, fr_rhs, matched_point_expansion, numeric_ppw,
-                       solution_points, wave_transfer_function)
+                       matched_point_expansion, numeric_ppw, solution_points,
+                       wave_transfer_function)
 from .mesh2d import (MeshTangleError, QuadMesh2D, SkewReport, jitter,
                      jitter_factor_for_skew, read_mesh, skew_angle,
                      uniform_quad_mesh, write_mesh)

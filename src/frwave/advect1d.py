@@ -1,8 +1,8 @@
 """Time-domain 1D linear advection (unit speed) on stretched periodic grids.
 
 Holds the element-based upwind solver, finite-difference baselines with
-optional first-order smoothing, a shared low-storage Runge-Kutta stage
-loop, and the transfer-function harness that measures modified
+optional first-order smoothing, the Runge-Kutta march (also used by the
+2D Euler solvers), and the transfer-function harness that measures modified
 wavenumbers by comparing Fourier coefficients of a wave before and after
 convection.
 """
@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .element import derivative_matrix, lagrange_values
-from .stability import RK44, get_scheme
+from .spectral import _first_crossing_ppw, build_operator
+from .stability import RK44, _stage_loop, get_scheme
 
 FD_ORDERS = (2, 3, 4, 6, 8)
 MEASURE_POINTS = 4096
@@ -65,22 +66,13 @@ def solution_points(grid, element):
     return grid.x[:-1, None] + 0.5 * (element.xi + 1.0)[None, :] * grid.delta[:, None]
 
 
-@dataclass
-class ScalarField:
-    """Nodal values of the advected scalar on a grid/element pair."""
-
-    values: np.ndarray
-    grid: StretchedGrid1D
-    element: object
-
-
 class FRAdvection1D:
     """Upwinded element solver for du/dt + du/dx = 0, periodic."""
 
     def __init__(self, grid, element):
         self.grid = grid
         self.element = element
-        self.C0 = element.D - np.outer(element.hl, element.ll)
+        self.C0 = build_operator(element, 1.0).C0
         self.hl = element.hl
         self.lr = element.lr
         self.inv_jac = 1.0 / grid.jacobian
@@ -227,32 +219,17 @@ class FDAdvection1D:
         return out
 
 
-def fr_rhs(field):
-    """Time derivative of an element-solver field (see FRAdvection1D.rhs)."""
-    return FRAdvection1D(field.grid, field.element).rhs(field.values)
-
-
-def fd_rhs(values, solver):
-    """Time derivative of point values under a finite-difference solver."""
-    return solver.rhs(values)
-
-
 def advance(solver, u0, tau, scheme, steps):
-    """March `steps` low-storage RK steps.  The stage loop
-
-        v <- u + (tau / i) * rhs(v),  i = stages..1
-
-    is, for this linear problem, exactly the truncated-exponential update.
+    """March `steps` steps of the low-storage RK stage loop on solver.rhs;
+    for the linear 1D problem each step is exactly the truncated-exponential
+    update of stability.update_matrix.
     """
     scheme = get_scheme(scheme)
     if tau <= 0:
         raise ValueError(f"time step must be positive, got {tau}")
     u = np.array(u0, copy=True)
     for step in range(steps):
-        v = u
-        for i in range(scheme.stages, 0, -1):
-            v = u + (tau / i) * solver.rhs(v)
-        u = v
+        u = _stage_loop(solver.rhs, u, tau, scheme.stages)
         if not np.all(np.isfinite(u)):
             raise UnstableSolutionError(step)
     return u
@@ -411,15 +388,7 @@ def bin_wavenumbers(L, dof, k_hat_max=0.75 * np.pi, k_hat_min=0.0):
 def numeric_ppw(table, epsilon=0.01):
     """Points per wavelength from a measured transfer table, first-crossing
     rule on |Re k_hat'/k_hat - 1| (see spectral.ppw)."""
-    if epsilon <= 0:
-        raise ValueError(f"error level must be positive, got {epsilon}")
     mask = table.k_hat > 0
     k_hat = table.k_hat[mask]
-    ratio = table.re_k_hat_prime[mask] / k_hat
-    err = np.abs(ratio - 1.0)
-    bad = np.nonzero(err >= epsilon)[0]
-    if len(bad) == 0:
-        return 2.0 * np.pi / k_hat[-1]
-    if bad[0] == 0:
-        return math.inf
-    return 2.0 * np.pi / k_hat[bad[0] - 1]
+    err = np.abs(table.re_k_hat_prime[mask] / k_hat - 1.0)
+    return _first_crossing_ppw(k_hat, err, epsilon)

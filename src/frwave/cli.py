@@ -29,7 +29,8 @@ from .advect1d import (FDAdvection1D, FDScheme, FRAdvection1D, TRANSIT, PENCIL,
                        wave_transfer_function)
 from .mesh2d import (jitter, jitter_factor_for_skew, skew_angle,
                      uniform_quad_mesh, write_mesh)
-from .euler2d import (FREulerSolver2D, FVEulerSolver2D, ooa, run_icv)
+from .euler2d import (ErrorReport, FREulerSolver2D, FVEulerSolver2D, ooa,
+                      run_icv)
 
 
 def _fmt(v):
@@ -63,10 +64,14 @@ def parse_float_list(text):
 
 
 def _workers():
+    text = os.environ.get("FRWAVE_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("FRWAVE_WORKERS", "1")))
+        n = int(text)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ValueError(f"FRWAVE_WORKERS must be a positive integer, got {text!r}")
+    return n
 
 
 def _map(fn, items):
@@ -290,7 +295,6 @@ def cmd_icv(args):
 
 def cmd_ooa(args):
     """Order of accuracy from an icv CSV produced by cmd_icv."""
-    from .euler2d import ErrorReport
     rows = []
     with open(args.csv, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
@@ -320,17 +324,28 @@ def _load_config(path):
     return out
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="frwave",
-        description="Wave-resolution analysis and solvers for the upwinded "
-                    "element scheme on stretched and warped meshes.")
-    parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", help="flat key=value config file")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser; remembers the destinations of its own options
+    so that a config file sets defaults for those and nothing else."""
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def __init__(self, *args, **kwargs):
+        self.dests = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.dests.add(action.dest)
+        return action
+
+
+def build_parser():
+    """The top-level parser, which takes the subcommand name and the options
+    before it, and each subcommand's parser by name."""
+    subcommands = {}
+
+    def add(name, fn, help):
+        p = subcommands[name] = _Subcommand(prog=f"frwave {name}",
+                                            description=help)
         p.set_defaults(fn=fn)
         p.add_argument("--outdir", default="out")
         return p
@@ -411,22 +426,30 @@ def build_parser():
     p = add("ooa", cmd_ooa, help="order of accuracy from an icv CSV")
     p.add_argument("--csv", required=True)
 
-    return parser
+    parser = argparse.ArgumentParser(
+        prog="frwave",
+        description="Wave-resolution analysis and solvers for the upwinded "
+                    "element scheme on stretched and warped meshes.")
+    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--config", help="flat key=value config file")
+    parser.add_argument("command", choices=subcommands, metavar="COMMAND",
+                        help="; ".join(f"{name}: {p.description}"
+                                       for name, p in subcommands.items()))
+    parser.add_argument("options", nargs=argparse.REMAINDER,
+                        help="the subcommand's options (frwave COMMAND -h)")
+    return parser, subcommands
 
 
 def main(argv=None):
-    parser = build_parser()
-    args, remaining = parser.parse_known_args(argv)
-    if args.config:
-        defaults = _load_config(args.config)
-        # re-parse with config values as defaults, flags still win
-        parser2 = build_parser()
-        for action in parser2._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in action._actions}
-            action.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-        args = parser2.parse_args(argv)
-    elif remaining:
-        parser.error(f"unrecognized arguments: {' '.join(remaining)}")
+    parser, subcommands = build_parser()
+    top = parser.parse_args(argv)
+    chosen = subcommands[top.command]
+    if top.config:
+        # config values become defaults of the chosen subcommand's own
+        # options; flags still win
+        chosen.set_defaults(**{k: v for k, v in _load_config(top.config).items()
+                               if k in chosen.dests})
+    args = chosen.parse_args(top.options)
     try:
         return args.fn(args)
     except (ValueError, RuntimeError) as exc:

@@ -8,7 +8,7 @@ exact solution:
   exact and a uniform free stream is preserved on arbitrarily jittered
   meshes;
 * a nominally second-order MUSCL finite-volume baseline in the structured
-  style of industrial codes: index-space reconstruction that is exactly
+  style of industrial codes: index-space face extrapolation that is exactly
   second order on smooth meshes and degrades when node placement is not.
 
 States are conserved variables (rho, rho u, rho v, E), gas gamma = 1.4.
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .advect1d import advance
 from .element import reference_element
 
 GAMMA_GAS = 1.4
@@ -168,9 +169,43 @@ def icv_primitive(x, y, t, params=None):
 
 
 # ---------------------------------------------------------------------------
+# pieces shared by both solvers
+
+def _periodic_neighbours(mesh):
+    """East, west, north and south neighbour of every element of the
+    periodic structured mesh."""
+    ids = np.arange(mesh.n_elements).reshape(mesh.ny, mesh.nx)
+    return (np.roll(ids, -1, axis=1).ravel(), np.roll(ids, 1, axis=1).ravel(),
+            np.roll(ids, -1, axis=0).ravel(), np.roll(ids, 1, axis=0).ravel())
+
+
+def _unit(n):
+    """Length and unit components of face vectors n (..., 2)."""
+    s = np.linalg.norm(n, axis=-1)
+    return s, n[..., 0] / s, n[..., 1] / s
+
+
+def _check_physical(rho, p):
+    """Raise NonPhysicalStateError at the first element where rho or p <= 0."""
+    if np.all(rho > 0) and np.all(p > 0):
+        return
+    bad = np.nonzero(~((rho > 0) & (p > 0)))
+    raise NonPhysicalStateError(int(bad[0][0]))
+
+
+class _EulerSolver:
+    """What the element and finite-volume solvers share beyond the mesh."""
+
+    def max_signal_speed(self, U):
+        rho, u, v, p = conserved_to_primitive(U)
+        return float((np.sqrt(u * u + v * v)
+                      + np.sqrt(GAMMA_GAS * p / rho)).max())
+
+
+# ---------------------------------------------------------------------------
 # tensor-product element solver
 
-class FREulerSolver2D:
+class FREulerSolver2D(_EulerSolver):
     """High-order solver on bilinearly mapped quads, periodic structured
     connectivity.  State shape: (n_elem, p+1, p+1, 4) with axes
     (element, xi index, eta index, variable)."""
@@ -180,9 +215,6 @@ class FREulerSolver2D:
         self.element = reference_element(p)
         self.riemann = RIEMANN_SOLVERS[riemann]
         e = self.element
-        n = e.n_points
-        nx, ny = mesh.nx, mesh.ny
-        ne = mesh.n_elements
         X = mesh.corner_coords()          # (ne, 4, 2)
 
         xi = e.xi
@@ -211,28 +243,16 @@ class FREulerSolver2D:
         self.m1 = np.stack([x_eta[..., 1], -x_eta[..., 0]], axis=-1)  # (ne,n,n,2)
         self.m2 = np.stack([-x_xi[..., 1], x_xi[..., 0]], axis=-1)
 
-        # per-face constant edge metrics (edges of a bilinear quad are straight)
+        # per-face constant edge metrics (edges of a bilinear quad are
+        # straight); west and south faces are the neighbours' east and north
         self.ne_edge = np.stack([(X[:, 2, 1] - X[:, 1, 1]) / 2.0,
                                  -(X[:, 2, 0] - X[:, 1, 0]) / 2.0], axis=-1)  # east
-        self.nw_edge = np.stack([(X[:, 3, 1] - X[:, 0, 1]) / 2.0,
-                                 -(X[:, 3, 0] - X[:, 0, 0]) / 2.0], axis=-1)  # west
         self.nn_edge = np.stack([-(X[:, 2, 1] - X[:, 3, 1]) / 2.0,
                                  (X[:, 2, 0] - X[:, 3, 0]) / 2.0], axis=-1)   # north
-        self.ns_edge = np.stack([-(X[:, 1, 1] - X[:, 0, 1]) / 2.0,
-                                 (X[:, 1, 0] - X[:, 0, 0]) / 2.0], axis=-1)   # south
 
-        ids = np.arange(ne).reshape(ny, nx)
-        self.east = np.roll(ids, -1, axis=1).ravel()
-        self.west = np.roll(ids, 1, axis=1).ravel()
-        self.north = np.roll(ids, -1, axis=0).ravel()
-        self.south = np.roll(ids, 1, axis=0).ravel()
-
-        def unit(edge):
-            s = np.linalg.norm(edge, axis=-1)
-            return s, edge[..., 0] / s, edge[..., 1] / s
-
-        self.s_e, self.nx_e, self.ny_e = unit(self.ne_edge)
-        self.s_n, self.nx_n, self.ny_n = unit(self.nn_edge)
+        self.east, self.west, self.north, self.south = _periodic_neighbours(mesh)
+        self.s_e, self.nx_e, self.ny_e = _unit(self.ne_edge)
+        self.s_n, self.nx_n, self.ny_n = _unit(self.nn_edge)
 
         self.D = e.D
         self.ll = e.ll
@@ -249,15 +269,9 @@ class FREulerSolver2D:
         rho, u, v, p = fn(self.x[..., 0], self.x[..., 1], t)
         return primitive_to_conserved(rho, u, v, p)
 
-    def _check_physical(self, rho, p):
-        if np.all(rho > 0) and np.all(p > 0):
-            return
-        bad = np.nonzero(~((rho > 0) & (p > 0)))
-        raise NonPhysicalStateError(int(bad[0][0]))
-
     def rhs(self, U):
         rho, u, v, p = conserved_to_primitive(U)
-        self._check_physical(rho, p)
+        _check_physical(rho, p)
         F = np.stack([U[..., 1],
                       U[..., 1] * u + p,
                       U[..., 2] * u,
@@ -295,11 +309,6 @@ class FREulerSolver2D:
                 + np.einsum("b,eav->eabv", self.hl, Gc_S - GhS))
         return -(div + corr) / self.detJ[..., None]
 
-    def max_signal_speed(self, U):
-        rho, u, v, p = conserved_to_primitive(U)
-        return float((np.sqrt(u * u + v * v)
-                      + np.sqrt(GAMMA_GAS * p / rho)).max())
-
     def length_scale(self):
         """Smallest edge length divided by the points-per-edge count."""
         X = self.mesh.corner_coords()
@@ -310,11 +319,11 @@ class FREulerSolver2D:
 # ---------------------------------------------------------------------------
 # finite-volume baseline
 
-class FVEulerSolver2D:
+class FVEulerSolver2D(_EulerSolver):
     """Nominally second-order MUSCL baseline, periodic structured mesh.
 
-    Everything is done the structured-curvilinear way: reconstruction is
-    index-space central differencing of cell data, and with
+    Everything is done the structured-curvilinear way: face states are
+    extrapolated with index-space central differences of cell data, and with
     metrics="curvilinear" (default) the face area vectors also come from
     index-space central differences of the mesh coordinates.  Both
     assume a smooth node placement: exactly second order on uniform
@@ -325,15 +334,11 @@ class FVEulerSolver2D:
     State shape: (n_cells, 4).
     """
 
-    def __init__(self, mesh, riemann="rusanov", reconstruction="muscl",
-                 metrics="curvilinear"):
-        if reconstruction not in ("muscl", "first-order"):
-            raise ValueError(f"unknown reconstruction {reconstruction!r}")
+    def __init__(self, mesh, riemann="rusanov", metrics="curvilinear"):
         if metrics not in ("curvilinear", "exact"):
             raise ValueError(f"unknown metric mode {metrics!r}")
         self.mesh = mesh
         self.riemann = RIEMANN_SOLVERS[riemann]
-        self.reconstruction = reconstruction
         self.metrics = metrics
         nx, ny = mesh.nx, mesh.ny
         L = mesh.L
@@ -347,11 +352,7 @@ class FVEulerSolver2D:
         cy = ((y + np.roll(y, -1, axis=1)) * cross).sum(axis=1) / (6.0 * self.area * sgn)
         self.centroid = np.stack([cx, cy], axis=-1)
 
-        ids = np.arange(mesh.n_elements).reshape(ny, nx)
-        self.east = np.roll(ids, -1, axis=1).ravel()
-        self.west = np.roll(ids, 1, axis=1).ravel()
-        self.north = np.roll(ids, -1, axis=0).ravel()
-        self.south = np.roll(ids, 1, axis=0).ravel()
+        self.east, self.west, self.north, self.south = _periodic_neighbours(mesh)
 
         if metrics == "exact":
             def edge_normal(a, b):
@@ -384,14 +385,7 @@ class FVEulerSolver2D:
             self.n_n = (wrapped_step(C, 0) - C).reshape(-1, 2)
             self.n_w = -self.n_e[self.west]
             self.n_s = -self.n_n[self.south]
-        self.edge_len_min = float(min(np.linalg.norm(n, axis=1).min()
-                                      for n in (self.n_e, self.n_n)))
-
-        def unit(n):
-            s = np.linalg.norm(n, axis=-1)
-            return s, n[:, 0] / s, n[:, 1] / s
-
-        self.face_geom = {side: unit(n) for side, n in
+        self.face_geom = {side: _unit(n) for side, n in
                           (("e", self.n_e), ("n", self.n_n),
                            ("w", self.n_w), ("s", self.n_s))}
 
@@ -406,18 +400,13 @@ class FVEulerSolver2D:
     def rhs(self, U):
         rho = U[..., 0]
         p = (GAMMA_GAS - 1.0) * (U[..., 3] - 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2) / rho)
-        if not (np.all(rho > 0) and np.all(p > 0)):
-            bad = np.nonzero(~((rho > 0) & (p > 0)))
-            raise NonPhysicalStateError(int(bad[0][0]))
-        if self.reconstruction == "muscl":
-            gx = 0.5 * (U[self.east] - U[self.west])    # per unit index
-            gy = 0.5 * (U[self.north] - U[self.south])
-            uE = U + 0.5 * gx
-            uW = U - 0.5 * gx
-            uN = U + 0.5 * gy
-            uS = U - 0.5 * gy
-        else:
-            uE = uW = uN = uS = U
+        _check_physical(rho, p)
+        gx = 0.5 * (U[self.east] - U[self.west])    # per unit index
+        gy = 0.5 * (U[self.north] - U[self.south])
+        uE = U + 0.5 * gx
+        uW = U - 0.5 * gx
+        uN = U + 0.5 * gy
+        uS = U - 0.5 * gy
 
         def face_flux(Um, Up, side):
             s, nx_, ny_ = self.face_geom[side]
@@ -428,11 +417,6 @@ class FVEulerSolver2D:
                 + face_flux(uW, uE[self.west], "w")
                 + face_flux(uS, uN[self.south], "s"))
         return -flux / self.area[:, None]
-
-    def max_signal_speed(self, U):
-        rho, u, v, p = conserved_to_primitive(U)
-        return float((np.sqrt(u * u + v * v)
-                      + np.sqrt(GAMMA_GAS * p / rho)).max())
 
     def length_scale(self):
         """Smallest cell diameter (largest diagonal per cell)."""
@@ -475,12 +459,6 @@ def ooa(reports):
     return float(-slope)
 
 
-def advance_state(solver, U0, tau, scheme, steps):
-    """Low-storage RK march (same stage loop as the 1D solvers)."""
-    from .advect1d import advance
-    return advance(solver, U0, tau, scheme, steps)
-
-
 def run_icv(solver, steps=500, cfl=0.01, scheme="RK44", params=None):
     """March the convecting vortex and report the error against the exact
     solution at the final time."""
@@ -488,6 +466,6 @@ def run_icv(solver, steps=500, cfl=0.01, scheme="RK44", params=None):
     fn = lambda x, y, t: icv_primitive(x, y, t, pr)
     U0 = solver.project(fn)
     tau = cfl * solver.length_scale() / solver.max_signal_speed(U0)
-    U = advance_state(solver, U0, tau, scheme, steps)
+    U = advance(solver, U0, tau, scheme, steps)
     exact = solver.project(fn, t=steps * tau)
     return error_norm(U, exact)

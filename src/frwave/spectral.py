@@ -37,6 +37,9 @@ CLOSURES = (SAMPLED, WEIGHTED)
 
 #: wavenumber (times delta_j/(p+1)) at which physical-mode tracking is seeded
 SEED_KHAT = 1e-3
+#: fewest samples of a dispersion curve over (0, pi]; pi / MIN_SAMPLES is
+#: also the largest k_hat step of the branch tracking
+MIN_SAMPLES = 64
 
 UNRESOLVABLE = math.inf
 
@@ -172,50 +175,51 @@ def _match(prev, ev):
     return ev[cols]
 
 
+def _track(op, ks, closure):
+    """Eigenvalues at each of the increasing wavenumbers ks, physical first.
+
+    At a tiny seed wavenumber exactly one eigenvalue sits near 1; the
+    branches are ramped geometrically from there to ks[0] and then
+    followed through ks by bipartite matching.
+    """
+    k_seed = SEED_KHAT * (op.p + 1) / op.delta_j
+    ev = _eigvals(op, k_seed, closure)
+    ev = ev[np.argsort(np.abs(ev - 1.0))]
+    for kk in np.geomspace(k_seed, ks[0], 8)[1:-1]:
+        ev = _match(ev, _eigvals(op, kk, closure))
+    tracked = []
+    for k in ks:
+        ev = _match(ev, _eigvals(op, k, closure))
+        tracked.append(ev)
+    return tracked
+
+
 def modified_phase_velocity(op, k, closure=SAMPLED):
     """All complex phase velocities at physical wavenumber k, tracked from k -> 0.
 
-    The physical mode is identified by continuity: at a tiny seed wavenumber
-    exactly one eigenvalue sits near 1; it is followed to the requested k by
-    nearest-neighbour matching along a geometric ladder.
+    The branches are followed in k_hat steps no longer than those of the
+    coarsest dispersion curve (pi / MIN_SAMPLES), so the result is the
+    one dispersion_curve reports at the same k.
     """
     if k <= 0:
         raise ValueError(f"wavenumber must be positive, got {k}")
-    k_seed = SEED_KHAT * (op.p + 1) / op.delta_j
-    if k <= k_seed:
-        ev = _eigvals(op, k, closure)
-        phys = int(np.argmin(np.abs(ev - 1.0)))
-    else:
-        ladder = np.geomspace(k_seed, k, max(8, int(8 * math.log10(k / k_seed) + 1)))
-        ev = _eigvals(op, ladder[0], closure)
-        order = np.argsort(np.abs(ev - 1.0))
-        ev = ev[order]
-        for kk in ladder[1:]:
-            ev = _match(ev, _eigvals(op, kk, closure))
-        phys = 0
     k_hat = k * op.delta_j / (op.p + 1)
-    return SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev, physical=phys)
+    n = math.ceil(MIN_SAMPLES * k_hat / np.pi)
+    ev = _track(op, np.linspace(k / n, k, n), closure)[-1]
+    return SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev, physical=0)
 
 
 def dispersion_curve(p, gamma, correction_kind=HUYNH_G2, n_samples=256,
                      closure=SAMPLED, delta_j=None):
     """Tracked phase-velocity curve over k_hat uniformly sampled in (0, pi]."""
-    if n_samples < 64:
-        raise ValueError(f"need at least 64 samples, got {n_samples}")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     element = reference_element(p, correction_kind)
     op = build_operator(element, gamma, delta_j)
     k_hats = np.linspace(np.pi / n_samples, np.pi, n_samples)
     ks = k_hats * (p + 1) / op.delta_j
-    # seed the branch ordering below the first sample, then march upward
-    k_seed = SEED_KHAT * (p + 1) / op.delta_j
-    ev = _eigvals(op, k_seed, closure)
-    ev = ev[np.argsort(np.abs(ev - 1.0))]
-    for kk in np.geomspace(k_seed, ks[0], 8)[1:-1]:
-        ev = _match(ev, _eigvals(op, kk, closure))
-    samples = []
-    for k_hat, k in zip(k_hats, ks):
-        ev = _match(ev, _eigvals(op, k, closure))
-        samples.append(SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev, physical=0))
+    samples = [SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev, physical=0)
+               for k_hat, k, ev in zip(k_hats, ks, _track(op, ks, closure))]
     return SpectralCurve(samples=samples, p=p, gamma=gamma,
                          correction_kind=correction_kind, closure=closure,
                          delta_j=op.delta_j)
@@ -235,23 +239,24 @@ def filter_kernel(curve, t):
     return curve.k_hat, g / g0
 
 
-def ppw(curve, epsilon=0.01):
-    """Solution points per wavelength keeping dispersion error below epsilon.
-
-    Uses the first-crossing rule: k* is the largest sampled k_hat such that
-    every sample at or below it has |Re(c) - 1| < epsilon.  Returns
-    2*pi/k*, or inf when even the first sample violates the bound.
-    """
+def _first_crossing_ppw(k_hat, err, epsilon):
+    """First-crossing rule: k* is the largest k_hat such that every sample
+    at or below it has err < epsilon.  Returns 2*pi/k*, or inf when even
+    the first sample violates the bound."""
     if epsilon <= 0:
         raise ValueError(f"error level must be positive, got {epsilon}")
-    k_hat = curve.k_hat
-    err = np.abs(curve.c.real - 1.0)
     bad = np.nonzero(err >= epsilon)[0]
     if len(bad) == 0:
         return 2.0 * np.pi / k_hat[-1]
     if bad[0] == 0:
         return UNRESOLVABLE
     return 2.0 * np.pi / k_hat[bad[0] - 1]
+
+
+def ppw(curve, epsilon=0.01):
+    """Solution points per wavelength keeping |Re(c) - 1| below epsilon,
+    by the first-crossing rule over the curve's samples."""
+    return _first_crossing_ppw(curve.k_hat, np.abs(curve.c.real - 1.0), epsilon)
 
 
 def fd_modified_wavenumber(offsets, weights, k):

@@ -59,6 +59,20 @@ class BisectionError(RuntimeError):
     """CFL bisection could not bracket a stability boundary."""
 
 
+def _stage_loop(apply, u, tau, stages):
+    """One step of the low-storage stage loop
+
+        v <- u + (tau / i) * apply(v),  i = stages..1
+
+    which, for a linear apply(v) = A v, is exactly the truncated-exponential
+    update sum_{i=0..stages} (tau A)^i / i! (in Horner form).
+    """
+    v = u
+    for i in range(stages, 0, -1):
+        v = u + (tau / i) * apply(v)
+    return v
+
+
 def update_matrix(Q, tau, scheme):
     """Amplification matrix R = sum_{i=0..stages} (tau Q)^i / i!.
 
@@ -68,17 +82,8 @@ def update_matrix(Q, tau, scheme):
     if tau <= 0:
         raise ValueError(f"time step must be positive, got {tau}")
     Q = np.asarray(Q)
-    n = Q.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=complex), Q.shape)
-    A = tau * Q
-    R = eye.copy()
-    term = eye.copy()
-    factorial = 1.0
-    for i in range(1, scheme.stages + 1):
-        term = term @ A
-        factorial *= i
-        R = R + term / factorial
-    return R
+    eye = np.broadcast_to(np.eye(Q.shape[-1], dtype=complex), Q.shape)
+    return _stage_loop(lambda V: Q @ V, eye, tau, scheme.stages)
 
 
 @dataclass

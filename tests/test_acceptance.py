@@ -16,13 +16,13 @@ from frwave.spectral import (SAMPLED, build_operator, dispersion_curve,
                              modified_phase_velocity)
 from frwave.stability import cfl_limit
 from frwave.advect1d import (PENCIL, TRANSIT, FDAdvection1D, FDScheme,
-                             FRAdvection1D, bin_wavenumbers, build_grid,
-                             fd_point_grid, matched_point_expansion,
-                             wave_transfer_function)
+                             FRAdvection1D, advance, bin_wavenumbers,
+                             build_grid, fd_point_grid,
+                             matched_point_expansion, wave_transfer_function)
 from frwave.mesh2d import jitter, jitter_factor_for_skew, skew_angle, \
     uniform_quad_mesh
-from frwave.euler2d import (FREulerSolver2D, FVEulerSolver2D, advance_state,
-                            error_norm, icv_primitive, ooa, run_icv)
+from frwave.euler2d import (FREulerSolver2D, FVEulerSolver2D, error_norm,
+                            icv_primitive, ooa, run_icv)
 
 # published CFL limits for the acceptance subset gamma in {0.7, 1.0, 1.3}
 PUBLISHED_CFL = {
@@ -279,14 +279,14 @@ def test_criterion_08c_dof_efficiency_at_matched_time():
     U0 = fr.project(fn)
     tau = ICV_CFL * fr.length_scale() / fr.max_signal_speed(U0)
     steps = max(1, round(t_final / tau))
-    U = advance_state(fr, U0, t_final / steps, "RK44", steps)
+    U = advance(fr, U0, t_final / steps, "RK44", steps)
     err_fr = error_norm(U, fr.project(fn, t=t_final)).theta
 
     fv = FVEulerSolver2D(uniform_quad_mesh(800, 800, 10.0))
     V0 = fv.project(fn)
     tau = ICV_CFL * fv.length_scale() / fv.max_signal_speed(V0)
     steps = max(1, round(t_final / tau))
-    V = advance_state(fv, V0, t_final / steps, "RK44", steps)
+    V = advance(fv, V0, t_final / steps, "RK44", steps)
     err_fv = error_norm(V, fv.project(fn, t=t_final)).theta
 
     ratio = fv.dof / fr.dof

@@ -4,9 +4,9 @@ import pytest
 from frwave.element import gauss_weights, reference_element
 from frwave.spectral import build_operator, modified_phase_velocity
 from frwave.advect1d import (PENCIL, TRANSIT, FDAdvection1D, FDScheme,
-                             FRAdvection1D, ScalarField, UnstableSolutionError,
+                             FRAdvection1D, UnstableSolutionError,
                              advance, bin_wavenumbers, build_grid,
-                             fd_point_grid, fd_rhs, fr_rhs,
+                             fd_point_grid,
                              matched_point_expansion, numeric_ppw,
                              solution_points, wave_transfer_function,
                              TransferTable)
@@ -63,8 +63,8 @@ def test_fr_rhs_preserves_constants():
     for gamma in (1.0, 1.3):
         e = reference_element(3)
         g = build_grid(9, gamma, 1.0)
-        field = ScalarField(np.ones((9, 4)), g, e)
-        assert np.max(np.abs(fr_rhs(field))) < 1e-12
+        solver = FRAdvection1D(g, e)
+        assert np.max(np.abs(solver.rhs(np.ones((9, 4))))) < 1e-12
 
 
 def test_fr_rhs_transports_linear_data_exactly():
@@ -107,7 +107,7 @@ def test_fr_rhs_matches_analytic_physical_mode():
 def test_fd_rhs_preserves_constants():
     pts = fd_point_grid(32, 1.05, 1.0)
     fd = FDAdvection1D(pts, 1.0, FDScheme(4, lf_blend=0.01))
-    assert np.max(np.abs(fd_rhs(np.ones(32), fd))) < 1e-11
+    assert np.max(np.abs(fd.rhs(np.ones(32)))) < 1e-11
 
 
 def test_fd_rhs_matches_modified_wavenumber_prediction():

@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from frwave import stability
 from frwave.cli import main
+from frwave.spectral import SemiDiscreteOperator
 
 
 def read_csv(path):
@@ -139,7 +141,8 @@ def test_manifest_contains_version_and_config(tmp_path):
 
 def test_config_file_defaults_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("p = 2\nsamples = 64\n")
+    # keys the subcommand does not define are ignored
+    cfg.write_text("p = 2\nsamples = 64\nfn = boom\ncommand = ppw\ntau = 0.3\n")
     out1 = tmp_path / "a"
     rc = main(["--config", str(cfg), "dispersion", "--gamma", "1.0",
                "--outdir", str(out1)])
@@ -150,3 +153,32 @@ def test_config_file_defaults_flags_win(tmp_path):
                "--p", "3", "--outdir", str(out2)])
     assert rc == 0
     assert (out2 / "dispersion_p3_gamma1.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_invalid_worker_count_rejected(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("FRWAVE_WORKERS", value)
+    rc = main(["cfl-table", "--schemes", "RK33", "--orders", "3",
+               "--gamma", "1.0", "--outdir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "FRWAVE_WORKERS" in err
+
+
+def test_eigen_solve_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol",
+                        lambda self, k, closure="sampled": np.full((4, 4), np.nan))
+    rc = main(["dispersion", "--p", "3", "--samples", "64",
+               "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "error: eigen solve failed at k_hat=" in capsys.readouterr().err
+
+
+def test_bisection_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FRWAVE_WORKERS", raising=False)
+    monkeypatch.setattr(stability, "update_matrix",
+                        lambda Q, tau, scheme: np.zeros_like(Q))
+    rc = main(["cfl-table", "--schemes", "RK44", "--orders", "4",
+               "--gamma", "1.0", "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "error: no stability boundary" in capsys.readouterr().err

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from frwave.advect1d import advance
 from frwave.euler2d import (GAMMA_GAS, ErrorReport, FREulerSolver2D,
                             FVEulerSolver2D, ICVParams, NonPhysicalStateError,
-                            advance_state, conserved_to_primitive, error_norm,
+                            conserved_to_primitive, error_norm,
                             euler_normal_flux, icv_primitive, ooa,
                             primitive_to_conserved, roe_flux, run_icv,
                             rusanov_flux)
@@ -175,7 +176,7 @@ def test_fr_conservation_of_invariants():
     wgt = solver.detJ * w[None, :, None] * w[None, None, :]
     total0 = np.einsum("eab,eabv->v", wgt, U0)
     tau = 0.01 * solver.length_scale() / solver.max_signal_speed(U0)
-    U = advance_state(solver, U0, tau, "RK44", 500)
+    U = advance(solver, U0, tau, "RK44", 500)
     total = np.einsum("eab,eabv->v", wgt, U)
     assert np.max(np.abs(total - total0) / np.abs(total0)) < 1e-9
 
@@ -229,22 +230,14 @@ def test_fv_curvilinear_metrics_lose_closure_on_jitter():
     assert np.max(np.abs(solver.rhs(U))) > 1e-3
 
 
-def test_fv_first_order_option():
-    mesh = uniform_quad_mesh(6, 6, 10.0)
-    solver = FVEulerSolver2D(mesh, reconstruction="first-order")
-    U = solver.project(lambda x, y, t: icv_primitive(x, y, t))
-    assert np.all(np.isfinite(solver.rhs(U)))
-    with pytest.raises(ValueError):
-        FVEulerSolver2D(mesh, reconstruction="weno")
-
-
 def test_fv_nonphysical_state_reported():
     mesh = uniform_quad_mesh(3, 3, 10.0)
     solver = FVEulerSolver2D(mesh)
     U = solver.project(free_stream)
     U[2, 0] = -1.0
-    with pytest.raises(NonPhysicalStateError):
+    with pytest.raises(NonPhysicalStateError) as err:
         solver.rhs(U)
+    assert err.value.where == 2
 
 
 # --- error norms and convergence ------------------------------------------------

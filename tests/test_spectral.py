@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from frwave.element import HUYNH_G2, gauss_points, reference_element
-from frwave.spectral import (SAMPLED, UNRESOLVABLE, WEIGHTED, SpectralCurve,
+from frwave.spectral import (SAMPLED, UNRESOLVABLE, WEIGHTED, EigenSolveError,
+                             SemiDiscreteOperator, SpectralCurve,
                              SpectralSample, build_operator, dispersion_curve,
                              fd_modified_wavenumber, filter_kernel,
                              modified_phase_velocity, ppw)
@@ -115,6 +116,38 @@ def test_contracting_grid_damped_low_band():
 def test_wavenumber_must_be_positive(op3):
     with pytest.raises(ValueError):
         modified_phase_velocity(op3, 0.0)
+
+
+@pytest.mark.parametrize("closure", [SAMPLED, WEIGHTED])
+@pytest.mark.parametrize("gamma", [0.8, 1.0, 1.2])
+@pytest.mark.parametrize("p", [3, 5])
+def test_phase_velocity_follows_the_curve_branch(p, gamma, closure):
+    # a single-wavenumber query and the tracked curve follow the same branch
+    curve = dispersion_curve(p, gamma, n_samples=64, closure=closure)
+    op = build_operator(reference_element(p), gamma)
+    for s in curve.samples:
+        assert modified_phase_velocity(op, s.k, closure).c == s.c, s.k_hat
+
+
+def test_phase_velocity_upper_band_stays_physical():
+    # p=5 at k_hat = 43 pi / 64: the physical branch, not a spurious one
+    # near 0.503 - 0.002i
+    op = build_operator(reference_element(5), 1.0)
+    c = modified_phase_velocity(op, 43 / 64 * np.pi * 6 / op.delta_j).c
+    assert abs(c - (1.0194 - 0.3866j)) < 1e-3
+
+
+def test_eigen_solve_failure_reports_wavenumber(monkeypatch):
+    symbol = SemiDiscreteOperator.wave_symbol
+
+    def failing(self, k, closure=SAMPLED):
+        Q = symbol(self, k, closure)
+        return Q * np.nan if k * self.delta_j / (self.p + 1) > 0.51 * np.pi else Q
+
+    monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol", failing)
+    with pytest.raises(EigenSolveError) as err:
+        dispersion_curve(3, 1.0, n_samples=64)
+    assert err.value.k_hat == pytest.approx(33 * np.pi / 64, rel=1e-12)
 
 
 # --- curves ------------------------------------------------------------------

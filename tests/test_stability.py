@@ -3,9 +3,10 @@ import pytest
 
 from frwave.element import reference_element
 from frwave.spectral import WEIGHTED, build_operator
+from frwave import stability
 from frwave.stability import (EXCEEDS_UNITY, RK33, RK44, RK55, SHARP_INCREASE,
-                              cfl_limit, get_scheme, spectral_radius_sweep,
-                              update_matrix)
+                              BisectionError, cfl_limit, get_scheme,
+                              spectral_radius_sweep, update_matrix)
 
 
 def test_get_scheme_lookup():
@@ -136,3 +137,11 @@ def test_rho_curve_recorded():
     assert len(res.rho_curve) > 5
     cfls = [c for c, _ in res.rho_curve]
     assert cfls == sorted(cfls)
+
+
+def test_cfl_limit_without_boundary_raises(monkeypatch):
+    # an update that never amplifies leaves nothing to bracket below CFL 8
+    monkeypatch.setattr(stability, "update_matrix",
+                        lambda Q, tau, scheme: np.zeros_like(Q))
+    with pytest.raises(BisectionError, match="no stability boundary"):
+        cfl_limit(3, 1.0, "RK44")

@@ -325,16 +325,16 @@ def _load_config(path):
 
 
 class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser; remembers the destinations of its own options
-    so that a config file sets defaults for those and nothing else."""
+    """A subcommand's parser; remembers its own options by destination so
+    that a config file sets defaults for those and nothing else."""
 
     def __init__(self, *args, **kwargs):
-        self.dests = set()
+        self.options = {}
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.dests.add(action.dest)
+        self.options[action.dest] = action
         return action
 
 
@@ -446,9 +446,11 @@ def main(argv=None):
     chosen = subcommands[top.command]
     if top.config:
         # config values become defaults of the chosen subcommand's own
-        # options; flags still win
-        chosen.set_defaults(**{k: v for k, v in _load_config(top.config).items()
-                               if k in chosen.dests})
+        # options, which then need no flag; flags still win
+        for key, value in _load_config(top.config).items():
+            if key in chosen.options:
+                chosen.options[key].default = value
+                chosen.options[key].required = False
     args = chosen.parse_args(top.options)
     try:
         return args.fn(args)

@@ -51,7 +51,11 @@ def conserved_to_primitive(U):
 
 def euler_normal_flux(U, nx, ny):
     """Physical flux of conserved state U through unit normal (nx, ny)."""
-    rho, u, v, p = conserved_to_primitive(U)
+    return _normal_flux(U, *conserved_to_primitive(U), nx, ny)
+
+
+def _normal_flux(U, rho, u, v, p, nx, ny):
+    """euler_normal_flux with the primitives of U already recovered."""
     un = u * nx + v * ny
     return np.stack([
         rho * un,
@@ -70,8 +74,8 @@ def rusanov_flux(UL, UR, nx, ny):
     sL = np.abs(uL * nx + vL * ny) + cL
     sR = np.abs(uR * nx + vR * ny) + cR
     smax = np.maximum(sL, sR)
-    FL = euler_normal_flux(UL, nx, ny)
-    FR = euler_normal_flux(UR, nx, ny)
+    FL = _normal_flux(UL, rhoL, uL, vL, pL, nx, ny)
+    FR = _normal_flux(UR, rhoR, uR, vR, pR, nx, ny)
     return 0.5 * (FL + FR) - 0.5 * smax[..., None] * (UR - UL)
 
 
@@ -122,8 +126,8 @@ def roe_flux(UL, UR, nx, ny):
             + lam[..., 1:2] * a2_[..., None] * K2
             + lam[..., 2:3] * a3[..., None] * K3
             + lam[..., 3:4] * a4[..., None] * K4)
-    FL = euler_normal_flux(UL, nx, ny)
-    FR = euler_normal_flux(UR, nx, ny)
+    FL = _normal_flux(UL, rhoL, uL, vL, pL, nx, ny)
+    FR = _normal_flux(UR, rhoR, uR, vR, pR, nx, ny)
     return 0.5 * (FL + FR) - 0.5 * diss
 
 
@@ -194,7 +198,26 @@ def _check_physical(rho, p):
 
 
 class _EulerSolver:
-    """What the element and finite-volume solvers share beyond the mesh."""
+    """What the element and finite-volume solvers share beyond the mesh,
+    including one Riemann solve per face: an element owns its east and north
+    faces.  n_east, n_north: outward face vectors, shaped (n_elem, ..., 2)
+    to broadcast against a face trace without its variable axis."""
+
+    def __init__(self, mesh, riemann, n_east, n_north):
+        self.mesh = mesh
+        self.riemann = RIEMANN_SOLVERS[riemann]
+        self.east, self.west, self.north, self.south = _periodic_neighbours(mesh)
+        self.s_e, self.nx_e, self.ny_e = _unit(n_east)
+        self.s_n, self.nx_n, self.ny_n = _unit(n_north)
+
+    def _solve_faces(self, UE, UW, UN, US):
+        """Length-weighted fluxes through each element's east and north
+        faces, given the traces on every element's four sides."""
+        FE = self.s_e[..., None] * self.riemann(
+            UE, UW[self.east], self.nx_e, self.ny_e)
+        FN = self.s_n[..., None] * self.riemann(
+            UN, US[self.north], self.nx_n, self.ny_n)
+        return FE, FN
 
     def max_signal_speed(self, U):
         rho, u, v, p = conserved_to_primitive(U)
@@ -211,9 +234,7 @@ class FREulerSolver2D(_EulerSolver):
     (element, xi index, eta index, variable)."""
 
     def __init__(self, mesh, p, riemann="rusanov"):
-        self.mesh = mesh
         self.element = reference_element(p)
-        self.riemann = RIEMANN_SOLVERS[riemann]
         e = self.element
         X = mesh.corner_coords()          # (ne, 4, 2)
 
@@ -244,15 +265,12 @@ class FREulerSolver2D(_EulerSolver):
         self.m2 = np.stack([-x_xi[..., 1], x_xi[..., 0]], axis=-1)
 
         # per-face constant edge metrics (edges of a bilinear quad are
-        # straight); west and south faces are the neighbours' east and north
-        self.ne_edge = np.stack([(X[:, 2, 1] - X[:, 1, 1]) / 2.0,
-                                 -(X[:, 2, 0] - X[:, 1, 0]) / 2.0], axis=-1)  # east
-        self.nn_edge = np.stack([-(X[:, 2, 1] - X[:, 3, 1]) / 2.0,
-                                 (X[:, 2, 0] - X[:, 3, 0]) / 2.0], axis=-1)   # north
-
-        self.east, self.west, self.north, self.south = _periodic_neighbours(mesh)
-        self.s_e, self.nx_e, self.ny_e = _unit(self.ne_edge)
-        self.s_n, self.nx_n, self.ny_n = _unit(self.nn_edge)
+        # straight), one per element, broadcast along the face's points
+        ne_edge = np.stack([(X[:, 2, 1] - X[:, 1, 1]) / 2.0,
+                            -(X[:, 2, 0] - X[:, 1, 0]) / 2.0], axis=-1)  # east
+        nn_edge = np.stack([-(X[:, 2, 1] - X[:, 3, 1]) / 2.0,
+                            (X[:, 2, 0] - X[:, 3, 0]) / 2.0], axis=-1)   # north
+        super().__init__(mesh, riemann, ne_edge[:, None], nn_edge[:, None])
 
         self.D = e.D
         self.ll = e.ll
@@ -295,12 +313,9 @@ class FREulerSolver2D(_EulerSolver):
         GhN = np.einsum("b,eabv->eav", self.lr, Gh)
         GhS = np.einsum("b,eabv->eav", self.ll, Gh)
 
-        # east faces: owner trace vs east neighbour's west trace
-        Fc_E = self.s_e[:, None, None] * self.riemann(
-            UE, UW[self.east], self.nx_e[:, None], self.ny_e[:, None])
-        Fc_W = Fc_E[self.west]     # same face, same transformed value
-        Gc_N = self.s_n[:, None, None] * self.riemann(
-            UN, US[self.north], self.nx_n[:, None], self.ny_n[:, None])
+        # a face's transformed flux is the same value on both sides
+        Fc_E, Gc_N = self._solve_faces(UE, UW, UN, US)
+        Fc_W = Fc_E[self.west]
         Gc_S = Gc_N[self.south]
 
         corr = (np.einsum("a,ebv->eabv", self.hr, Fc_E - FhE)
@@ -331,14 +346,13 @@ class FVEulerSolver2D(_EulerSolver):
     nodes are randomly jittered.  metrics="exact" instead takes face
     vectors from the actual cell geometry, which keeps the scheme
     convergent on rough meshes.  Unlimited (smooth test cases only).
-    State shape: (n_cells, 4).
+    One flux per face, added on one side and subtracted on the other, makes
+    the update conservative by construction.  State shape: (n_cells, 4).
     """
 
     def __init__(self, mesh, riemann="rusanov", metrics="curvilinear"):
         if metrics not in ("curvilinear", "exact"):
             raise ValueError(f"unknown metric mode {metrics!r}")
-        self.mesh = mesh
-        self.riemann = RIEMANN_SOLVERS[riemann]
         self.metrics = metrics
         nx, ny = mesh.nx, mesh.ny
         L = mesh.L
@@ -352,25 +366,20 @@ class FVEulerSolver2D(_EulerSolver):
         cy = ((y + np.roll(y, -1, axis=1)) * cross).sum(axis=1) / (6.0 * self.area * sgn)
         self.centroid = np.stack([cx, cy], axis=-1)
 
-        self.east, self.west, self.north, self.south = _periodic_neighbours(mesh)
-
         if metrics == "exact":
             def edge_normal(a, b):
                 t = X[:, b] - X[:, a]
                 return np.stack([t[:, 1], -t[:, 0]], axis=-1)
-            self.n_e = edge_normal(1, 2)
-            self.n_n = edge_normal(2, 3)
-            self.n_w = edge_normal(3, 0)
-            self.n_s = edge_normal(0, 1)
+            n_e, n_n = edge_normal(1, 2), edge_normal(2, 3)
         else:
             # curvilinear metric shortcut: the mesh is assumed to be a
             # smooth mapping of the index grid, so each face area vector is
             # taken as the centre-to-centre difference across the face
             # (correct length and orientation whenever node placement is
-            # smooth; exact on uniform meshes).  One vector per face keeps
-            # the update conservative, but the vectors of a cell no longer
-            # sum to zero once random jitter breaks the smoothness, which
-            # is what erodes this family of schemes on poor meshes.
+            # smooth; exact on uniform meshes).  The update stays
+            # conservative, but the vectors of a cell no longer sum to
+            # zero once random jitter breaks the smoothness, which is what
+            # erodes this family of schemes on poor meshes.
             C = self.centroid.reshape(ny, nx, 2)
 
             def wrapped_step(A, axis):
@@ -381,13 +390,9 @@ class FVEulerSolver2D(_EulerSolver):
                     B[-1, :, 1] += L
                 return B
 
-            self.n_e = (wrapped_step(C, 1) - C).reshape(-1, 2)
-            self.n_n = (wrapped_step(C, 0) - C).reshape(-1, 2)
-            self.n_w = -self.n_e[self.west]
-            self.n_s = -self.n_n[self.south]
-        self.face_geom = {side: _unit(n) for side, n in
-                          (("e", self.n_e), ("n", self.n_n),
-                           ("w", self.n_w), ("s", self.n_s))}
+            n_e = (wrapped_step(C, 1) - C).reshape(-1, 2)
+            n_n = (wrapped_step(C, 0) - C).reshape(-1, 2)
+        super().__init__(mesh, riemann, n_e, n_n)
 
     @property
     def dof(self):
@@ -403,19 +408,11 @@ class FVEulerSolver2D(_EulerSolver):
         _check_physical(rho, p)
         gx = 0.5 * (U[self.east] - U[self.west])    # per unit index
         gy = 0.5 * (U[self.north] - U[self.south])
-        uE = U + 0.5 * gx
-        uW = U - 0.5 * gx
-        uN = U + 0.5 * gy
-        uS = U - 0.5 * gy
-
-        def face_flux(Um, Up, side):
-            s, nx_, ny_ = self.face_geom[side]
-            return s[:, None] * self.riemann(Um, Up, nx_, ny_)
-
-        flux = (face_flux(uE, uW[self.east], "e")
-                + face_flux(uN, uS[self.north], "n")
-                + face_flux(uW, uE[self.west], "w")
-                + face_flux(uS, uN[self.south], "s"))
+        FE, FN = self._solve_faces(U + 0.5 * gx, U - 0.5 * gx,
+                                   U + 0.5 * gy, U - 0.5 * gy)
+        # a cell's west and south fluxes are its neighbours' east and
+        # north fluxes, leaving through the opposite side
+        flux = ((FE + FN) - FE[self.west]) - FN[self.south]
         return -flux / self.area[:, None]
 
     def length_scale(self):

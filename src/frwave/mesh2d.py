@@ -47,13 +47,10 @@ def uniform_quad_mesh(nx, ny, L=1.0):
     ys = np.linspace(0.0, L, ny + 1)
     X, Y = np.meshgrid(xs, ys)
     nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-    elements = np.empty((nx * ny, 4), dtype=int)
-    e = 0
-    for j in range(ny):
-        for i in range(nx):
-            elements[e] = (_node_id(i, j, nx), _node_id(i + 1, j, nx),
-                           _node_id(i + 1, j + 1, nx), _node_id(i, j + 1, nx))
-            e += 1
+    j, i = np.divmod(np.arange(nx * ny), nx)    # element j*nx + i
+    elements = np.stack([_node_id(i, j, nx), _node_id(i + 1, j, nx),
+                         _node_id(i + 1, j + 1, nx), _node_id(i, j + 1, nx)],
+                        axis=1)
     return QuadMesh2D(nodes=nodes, elements=elements, nx=nx, ny=ny, L=float(L))
 
 

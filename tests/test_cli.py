@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from frwave import stability
+from frwave.advect1d import FRAdvection1D
 from frwave.cli import main
 from frwave.spectral import SemiDiscreteOperator
 
@@ -155,6 +156,20 @@ def test_config_file_defaults_flags_win(tmp_path):
     assert (out2 / "dispersion_p3_gamma1.csv").exists()
 
 
+def test_config_file_supplies_required_option(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau = 0.05\n")
+    args = ["rho-sweep", "--p", "2", "--samples", "128",
+            "--outdir", str(tmp_path)]
+    assert main(["--config", str(cfg), *args]) == 0
+    manifest = json.loads(
+        (tmp_path / "rho_p2_gamma1_tau0.05.csv.manifest.json").read_text())
+    assert manifest["tau"] == 0.05
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_invalid_worker_count_rejected(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("FRWAVE_WORKERS", value)
@@ -182,3 +197,20 @@ def test_bisection_failure_exit_code(tmp_path, capsys, monkeypatch):
                "--gamma", "1.0", "--outdir", str(tmp_path)])
     assert rc == 1
     assert "error: no stability boundary" in capsys.readouterr().err
+
+
+def test_nonphysical_state_exit_code(tmp_path, capsys):
+    # CFL 20 drives the FV vortex negative within the first steps
+    rc = main(["icv", "--solver", "fv", "--resolutions", "8", "--steps", "40",
+               "--cfl", "20", "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "error: non-physical state" in capsys.readouterr().err
+
+
+def test_unstable_solution_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(FRAdvection1D, "rhs",
+                        lambda self, u: np.full_like(u, np.nan))
+    rc = main(["wave-test", "--solver", "fr4", "--dof", "32",
+               "--k-hat-max", "0.4", "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "error: solution became non-finite at step 0" in capsys.readouterr().err

@@ -230,6 +230,22 @@ def test_fv_curvilinear_metrics_lose_closure_on_jitter():
     assert np.max(np.abs(solver.rhs(U))) > 1e-3
 
 
+@pytest.mark.parametrize("riemann", ["rusanov", "roe"])
+@pytest.mark.parametrize("metrics", ["curvilinear", "exact"])
+def test_fv_conservation_of_invariants(metrics, riemann):
+    # every face flux leaves one cell and enters its neighbour, so the
+    # area-weighted totals hold to rounding on any mesh and metric
+    mesh = jitter(uniform_quad_mesh(8, 8, 10.0), 0.3, seed=26)
+    solver = FVEulerSolver2D(mesh, riemann=riemann, metrics=metrics)
+    U0 = solver.project(lambda x, y, t: icv_primitive(x, y, t))
+    total0 = solver.area @ U0
+    tau = 0.2 * solver.length_scale() / solver.max_signal_speed(U0)
+    U = advance(solver, U0, tau, "RK44", 200)
+    assert np.max(np.abs(U - U0)) > 1e-2       # the state really moved
+    total = solver.area @ U
+    assert np.max(np.abs(total - total0) / np.abs(total0)) < 1e-12
+
+
 def test_fv_nonphysical_state_reported():
     mesh = uniform_quad_mesh(3, 3, 10.0)
     solver = FVEulerSolver2D(mesh)

@@ -19,6 +19,10 @@ def test_uniform_mesh_basic_layout():
     assert np.allclose(centre, [0.5, 0.5])
     assert m.n_elements == 4
     assert skew_angle(m).alpha == 0.0
+    # 3 elements across, 2 up, 4 nodes per row; an nx/ny swap changes it
+    m = uniform_quad_mesh(3, 2, 1.0)
+    assert m.elements.tolist() == [[0, 1, 5, 4], [1, 2, 6, 5], [2, 3, 7, 6],
+                                   [4, 5, 9, 8], [5, 6, 10, 9], [6, 7, 11, 10]]
 
 
 def test_uniform_mesh_area_sums():

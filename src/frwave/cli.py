@@ -59,6 +59,13 @@ def write_manifest(out_path, config):
     return path
 
 
+def _emit(path, header, rows, config):
+    """Write a subcommand's CSV and manifest, then print the CSV path."""
+    write_csv(path, header, rows)
+    write_manifest(path, config)
+    print(path)
+
+
 def parse_float_list(text):
     return [float(v) for v in str(text).split(",") if v != ""]
 
@@ -87,7 +94,6 @@ def _map(fn, items):
 
 def cmd_dispersion(args):
     gammas = parse_float_list(args.gamma)
-    outdir = Path(args.outdir)
     for gamma in gammas:
         curve = dispersion_curve(args.p, gamma, args.kind,
                                  n_samples=args.samples, closure=args.closure)
@@ -96,46 +102,38 @@ def cmd_dispersion(args):
             for i, ev in enumerate(s.eigenvalues):
                 rows.append((s.k_hat, ev.real, ev.imag, i, args.p, gamma,
                              args.kind))
-        path = outdir / f"dispersion_p{args.p}_gamma{_fmt(gamma)}.csv"
-        write_csv(path, ["k_hat", "re_c", "im_c", "mode_index", "p", "gamma",
-                         "correction_kind"], rows)
-        write_manifest(path, {"command": "dispersion", "p": args.p,
-                              "gamma": gamma, "kind": args.kind,
-                              "samples": args.samples,
-                              "closure": args.closure})
-        print(path)
+        _emit(args.outdir / f"dispersion_p{args.p}_gamma{_fmt(gamma)}.csv",
+              ["k_hat", "re_c", "im_c", "mode_index", "p", "gamma",
+               "correction_kind"], rows,
+              {"command": "dispersion", "p": args.p, "gamma": gamma,
+               "kind": args.kind, "samples": args.samples,
+               "closure": args.closure})
     return 0
 
 
 def cmd_kernel(args):
-    outdir = Path(args.outdir)
     curve = dispersion_curve(args.p, args.gamma, args.kind,
                              n_samples=args.samples)
     k_hat, g = filter_kernel(curve, args.time)
-    path = outdir / f"kernel_p{args.p}_gamma{_fmt(args.gamma)}_t{_fmt(args.time)}.csv"
-    write_csv(path, ["k_hat", "kernel", "p", "gamma", "t"],
-              [(kh, gv, args.p, args.gamma, args.time) for kh, gv in zip(k_hat, g)])
-    write_manifest(path, {"command": "kernel", "p": args.p, "gamma": args.gamma,
-                          "kind": args.kind, "time": args.time,
-                          "samples": args.samples})
-    print(path)
+    _emit(args.outdir / f"kernel_p{args.p}_gamma{_fmt(args.gamma)}_t{_fmt(args.time)}.csv",
+          ["k_hat", "kernel", "p", "gamma", "t"],
+          [(kh, gv, args.p, args.gamma, args.time) for kh, gv in zip(k_hat, g)],
+          {"command": "kernel", "p": args.p, "gamma": args.gamma,
+           "kind": args.kind, "time": args.time, "samples": args.samples})
     return 0
 
 
 def cmd_ppw(args):
-    outdir = Path(args.outdir)
     gammas = parse_float_list(args.gamma)
     rows = []
     for p in [int(v) for v in str(args.p).split(",")]:
         for gamma in gammas:
             curve = dispersion_curve(p, gamma, args.kind, n_samples=args.samples)
             rows.append((p, gamma, args.epsilon, ppw(curve, args.epsilon)))
-    path = outdir / "ppw.csv"
-    write_csv(path, ["p", "gamma", "epsilon", "ppw"], rows)
-    write_manifest(path, {"command": "ppw", "p": args.p, "gamma": args.gamma,
-                          "epsilon": args.epsilon, "kind": args.kind,
-                          "samples": args.samples})
-    print(path)
+    _emit(args.outdir / "ppw.csv", ["p", "gamma", "epsilon", "ppw"], rows,
+          {"command": "ppw", "p": args.p, "gamma": args.gamma,
+           "epsilon": args.epsilon, "kind": args.kind,
+           "samples": args.samples})
     return 0
 
 
@@ -146,34 +144,28 @@ def _one_cfl(job):
 
 
 def cmd_cfl_table(args):
-    outdir = Path(args.outdir)
     schemes = [s.strip() for s in args.schemes.split(",")]
     orders = [int(v) for v in args.orders.split(",")]
     gammas = parse_float_list(args.gamma)
     jobs = [(s, o, g, args.kind) for s in schemes for o in orders for g in gammas]
     rows = _map(_one_cfl, jobs)
-    path = outdir / "cfl_table.csv"
-    write_csv(path, ["scheme", "spatial_order", "gamma", "cfl_limit",
-                     "detection_rule"], rows)
-    write_manifest(path, {"command": "cfl-table", "schemes": args.schemes,
-                          "orders": args.orders, "gamma": args.gamma,
-                          "kind": args.kind})
-    print(path)
+    _emit(args.outdir / "cfl_table.csv",
+          ["scheme", "spatial_order", "gamma", "cfl_limit", "detection_rule"],
+          rows, {"command": "cfl-table", "schemes": args.schemes,
+                 "orders": args.orders, "gamma": args.gamma,
+                 "kind": args.kind})
     return 0
 
 
 def cmd_rho_sweep(args):
-    outdir = Path(args.outdir)
     k_hat, rho = spectral_radius_sweep(args.p, args.gamma, args.scheme,
                                        args.tau, k_samples=args.samples)
-    path = outdir / f"rho_p{args.p}_gamma{_fmt(args.gamma)}_tau{_fmt(args.tau)}.csv"
-    write_csv(path, ["k_hat", "rho", "p", "gamma", "scheme", "tau"],
-              [(kh, r, args.p, args.gamma, args.scheme, args.tau)
-               for kh, r in zip(k_hat, rho)])
-    write_manifest(path, {"command": "rho-sweep", "p": args.p,
-                          "gamma": args.gamma, "scheme": args.scheme,
-                          "tau": args.tau, "samples": args.samples})
-    print(path)
+    _emit(args.outdir / f"rho_p{args.p}_gamma{_fmt(args.gamma)}_tau{_fmt(args.tau)}.csv",
+          ["k_hat", "rho", "p", "gamma", "scheme", "tau"],
+          [(kh, r, args.p, args.gamma, args.scheme, args.tau)
+           for kh, r in zip(k_hat, rho)],
+          {"command": "rho-sweep", "p": args.p, "gamma": args.gamma,
+           "scheme": args.scheme, "tau": args.tau, "samples": args.samples})
     return 0
 
 
@@ -195,7 +187,6 @@ def _build_1d_solver(spec_text, gamma, dof):
 
 
 def cmd_wave_test(args):
-    outdir = Path(args.outdir)
     solver = _build_1d_solver(args.solver, args.gamma, args.dof)
     explicit = parse_float_list(args.k)
     if explicit:
@@ -207,27 +198,23 @@ def cmd_wave_test(args):
     rows = [(kh, re, im, args.solver, args.gamma, args.cfl, args.mode)
             for kh, re, im in zip(table.k_hat, table.re_k_hat_prime,
                                   table.im_k_hat_prime)]
-    path = outdir / f"wave_{args.solver}_gamma{_fmt(args.gamma)}.csv"
-    write_csv(path, ["k_hat", "re_k_prime", "im_k_prime", "scheme", "gamma",
-                     "cfl", "mode"], rows)
-    write_manifest(path, {"command": "wave-test", "solver": args.solver,
-                          "gamma": args.gamma, "dof": args.dof,
-                          "cfl": args.cfl, "mode": args.mode,
-                          "window": args.window,
-                          "k_hat_max": args.k_hat_max})
     if args.ppw_epsilon is not None:
         print(f"numeric ppw (eps={args.ppw_epsilon}): "
               f"{numeric_ppw(table, args.ppw_epsilon):.4f}")
-    print(path)
+    _emit(args.outdir / f"wave_{args.solver}_gamma{_fmt(args.gamma)}.csv",
+          ["k_hat", "re_k_prime", "im_k_prime", "scheme", "gamma", "cfl",
+           "mode"], rows,
+          {"command": "wave-test", "solver": args.solver, "gamma": args.gamma,
+           "dof": args.dof, "cfl": args.cfl, "mode": args.mode,
+           "window": args.window, "k_hat_max": args.k_hat_max})
     return 0
 
 
 def cmd_mesh_gen(args):
-    outdir = Path(args.outdir)
     mesh = uniform_quad_mesh(args.nx, args.ny, args.length)
     if args.jitter > 0:
         mesh = jitter(mesh, args.jitter, args.seed)
-    path = outdir / f"mesh_{args.nx}x{args.ny}_j{_fmt(args.jitter)}_s{args.seed}.txt"
+    path = args.outdir / f"mesh_{args.nx}x{args.ny}_j{_fmt(args.jitter)}_s{args.seed}.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
     write_mesh(mesh, path)
     write_manifest(path, {"command": "mesh-gen", "nx": args.nx, "ny": args.ny,
@@ -238,19 +225,16 @@ def cmd_mesh_gen(args):
 
 
 def cmd_skew(args):
-    outdir = Path(args.outdir)
     mesh = uniform_quad_mesh(args.nx, args.ny, args.length)
     rows = []
     for factor in parse_float_list(args.factors):
         jm = jitter(mesh, factor, args.seed)
         rows.append((args.nx, args.ny, factor, args.seed,
                      skew_angle(jm).alpha))
-    path = outdir / "skew.csv"
-    write_csv(path, ["nx", "ny", "jitter_factor", "seed", "alpha_deg"], rows)
-    write_manifest(path, {"command": "skew", "nx": args.nx, "ny": args.ny,
-                          "length": args.length, "factors": args.factors,
-                          "seed": args.seed})
-    print(path)
+    _emit(args.outdir / "skew.csv",
+          ["nx", "ny", "jitter_factor", "seed", "alpha_deg"], rows,
+          {"command": "skew", "nx": args.nx, "ny": args.ny,
+           "length": args.length, "factors": args.factors, "seed": args.seed})
     return 0
 
 
@@ -266,7 +250,6 @@ def _icv_solver(args, n):
 
 
 def cmd_icv(args):
-    outdir = Path(args.outdir)
     resolutions = [int(v) for v in args.resolutions.split(",")]
     reports = []
     rows = []
@@ -278,18 +261,16 @@ def cmd_icv(args):
                      n, rep.dof, args.alpha, args.jitter, args.seed,
                      args.steps, args.cfl, rep.theta,
                      *rep.per_variable))
-    path = outdir / f"icv_{args.solver}.csv"
-    write_csv(path, ["solver", "order_or_p", "n", "dof", "alpha", "jitter",
-                     "seed", "steps", "cfl", "theta", "err_rho", "err_rhou",
-                     "err_rhov", "err_E"], rows)
-    write_manifest(path, {"command": "icv", "solver": args.solver,
-                          "p": args.p, "resolutions": args.resolutions,
-                          "alpha": args.alpha, "jitter": args.jitter,
-                          "seed": args.seed, "steps": args.steps,
-                          "cfl": args.cfl, "riemann": args.riemann})
     if len(reports) >= 2:
         print(f"ooa: {ooa(reports):.4f}")
-    print(path)
+    _emit(args.outdir / f"icv_{args.solver}.csv",
+          ["solver", "order_or_p", "n", "dof", "alpha", "jitter", "seed",
+           "steps", "cfl", "theta", "err_rho", "err_rhou", "err_rhov", "err_E"],
+          rows, {"command": "icv", "solver": args.solver, "p": args.p,
+                 "resolutions": args.resolutions, "alpha": args.alpha,
+                 "jitter": args.jitter, "seed": args.seed,
+                 "steps": args.steps, "cfl": args.cfl,
+                 "riemann": args.riemann})
     return 0
 
 
@@ -347,7 +328,7 @@ def build_parser():
         p = subcommands[name] = _Subcommand(prog=f"frwave {name}",
                                             description=help)
         p.set_defaults(fn=fn)
-        p.add_argument("--outdir", default="out")
+        p.add_argument("--outdir", type=Path, default="out")
         return p
 
     p = add("dispersion", cmd_dispersion, help="dispersion/dissipation curves")

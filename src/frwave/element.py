@@ -48,23 +48,32 @@ def gauss_weights(p):
     return w
 
 
+def _differences(xi, diagonal):
+    """xi[..., n] - xi[..., m] over all node pairs, `diagonal` where n == m."""
+    d = xi[..., :, None] - xi[..., None, :]
+    i = np.arange(xi.shape[-1])
+    d[..., i, i] = diagonal
+    return d
+
+
 def barycentric_weights(xi):
+    """Weights 1 / prod_{m != n} (xi[n] - xi[m]) of the barycentric form.
+
+    `xi` may be one node set (n,) or a stack of them (..., n).
+    """
     xi = np.asarray(xi, dtype=float)
-    n = len(xi)
-    w = np.ones(n)
-    for i in range(n):
-        d = xi[i] - np.delete(xi, i)
-        if np.any(d == 0.0):
-            raise ValueError("interpolation points must be distinct")
-        w[i] = 1.0 / np.prod(d)
-    return w
+    d = _differences(xi, 1.0)
+    if np.any(d == 0.0):
+        raise ValueError("interpolation points must be distinct")
+    return 1.0 / np.prod(d, axis=-1)
 
 
 def lagrange_values(xi, x):
     """Values of the p+1 cardinal (Lagrange) functions on nodes `xi` at `x`.
 
     Barycentric form; `x` may be scalar or array.  Result has shape
-    x.shape + (p+1,).
+    x.shape + (p+1,).  `xi` may also be a stack (..., p+1) of node sets
+    whose leading shape broadcasts against x.shape.
     """
     xi = np.asarray(xi, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -82,17 +91,17 @@ def lagrange_values(xi, x):
 
 
 def derivative_matrix(xi):
-    """Nodal derivative matrix: D[n, m] = dl_m/dxi evaluated at xi[n]."""
+    """Nodal derivative matrix: D[n, m] = dl_m/dxi evaluated at xi[n].
+
+    `xi` may be a stack (..., n) of node sets; the result is then (..., n, n).
+    """
     xi = np.asarray(xi, dtype=float)
-    n = len(xi)
     w = barycentric_weights(xi)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = (w[j] / w[i]) / (xi[i] - xi[j])
+    # an infinite difference on the diagonal makes it 0 before the sum
+    D = (w[..., None, :] / w[..., :, None]) / _differences(xi, np.inf)
     # diagonal from the row-sum identity: D @ const = 0
-    D[np.diag_indices(n)] = -D.sum(axis=1)
+    i = np.arange(xi.shape[-1])
+    D[..., i, i] = -D.sum(axis=-1)
     return D
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from frwave.element import gauss_weights, reference_element
 from frwave.spectral import build_operator, modified_phase_velocity
+from frwave.stability import update_matrix
 from frwave.advect1d import (PENCIL, TRANSIT, FDAdvection1D, FDScheme,
                              FRAdvection1D, UnstableSolutionError,
                              advance, bin_wavenumbers, build_grid,
@@ -102,6 +104,29 @@ def test_fr_rhs_matches_analytic_physical_mode():
     assert np.max(np.abs(u1 - expect)) / np.max(np.abs(u0)) < 1e-6
 
 
+def test_fr_operator_eigenvalues_are_the_wave_symbols():
+    # on a uniform periodic grid the assembled operator is block circulant:
+    # its spectrum is that of the analysis's wave symbol at every grid wave
+    p, N, L = 3, 10, 2.0
+    e = reference_element(p)
+    solver = FRAdvection1D(build_grid(N, 1.0, L), e)
+    op = build_operator(e, 1.0, L / N)
+    analysis = np.concatenate([np.linalg.eigvals(op.wave_symbol(2 * np.pi * m / L))
+                               for m in range(N)])
+    assembled = np.linalg.eigvals(solver.A)
+    dist = np.abs(assembled[:, None] - analysis[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    assert dist[rows, cols].max() < 1e-12 * np.abs(analysis).max()
+    # the spectrum is the same for downwind coupling; the action on a grid
+    # wave is not
+    w = np.random.default_rng(3).standard_normal(p + 1)
+    for m in (1, 4):
+        k = 2 * np.pi * m / L
+        phase = np.exp(1j * k * solver.grid.x[:-1])[:, None]
+        expect = phase * (op.wave_symbol(k) @ w)[None, :]
+        assert np.max(np.abs(solver.rhs(phase * w) - expect)) < 1e-12 * np.max(np.abs(expect))
+
+
 # --- finite-difference right-hand side ----------------------------------------
 
 def test_fd_rhs_preserves_constants():
@@ -154,6 +179,29 @@ def test_fd_blend_adds_dissipation_mid_band():
 
 
 # --- time marching -----------------------------------------------------------
+
+def _fr_solver(gamma):
+    return FRAdvection1D(build_grid(12, gamma, 1.0), reference_element(3))
+
+
+def _fd_solver(order):
+    pts = fd_point_grid(48, matched_point_expansion(1.1, order), 1.0)
+    return FDAdvection1D(pts, 1.0, FDScheme(order, lf_blend=0.01))
+
+
+@pytest.mark.parametrize("scheme", ["RK33", "RK44", "RK55"])
+@pytest.mark.parametrize("make, arg", [(_fr_solver, 0.9), (_fr_solver, 1.2),
+                                       (_fd_solver, 3), (_fd_solver, 4)])
+def test_step_is_the_update_matrix(make, arg, scheme):
+    solver = make(arg)
+    rng = np.random.default_rng(5)
+    u0 = np.exp(2j * np.pi * 5 * solver.coords) + rng.standard_normal(solver.coords.shape)
+    tau = 0.3 * solver.min_spacing
+    stepped = advance(solver, u0, tau, scheme, 1)
+    expect = update_matrix(solver.A, tau, scheme) @ u0.ravel()
+    assert stepped.shape == u0.shape
+    assert np.max(np.abs(stepped.ravel() - expect)) < 1e-13 * np.max(np.abs(expect))
+
 
 def test_advance_zero_steps_identity():
     e = reference_element(2)

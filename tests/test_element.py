@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from frwave.element import (DG, HUYNH_G2, REDUCED_ORDER, correction_derivatives,
-                            derivative_matrix, gauss_points, gauss_weights,
+from frwave.element import (DG, HUYNH_G2, REDUCED_ORDER, barycentric_weights,
+                            correction_derivatives, derivative_matrix,
+                            gauss_points, gauss_weights,
                             lagrange_values, left_correction_legendre,
                             reference_element)
 
@@ -148,6 +149,35 @@ def test_derivative_matrix_exact_for_monomials():
 def test_derivative_matrix_rejects_duplicates():
     with pytest.raises(ValueError):
         derivative_matrix(np.array([0.0, 0.5, 0.5]))
+
+
+# --- stacked node sets -------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_batched_kernels_equal_per_set_calls(n):
+    rng = np.random.default_rng(n)
+    stack = np.sort(rng.uniform(-3, 3, (3, 4, n)), axis=-1)
+    stack[0, 0] = np.linspace(-1, 1, n)
+    x = rng.uniform(-3, 3, (3, 4))
+    x[1, 2] = stack[1, 2, n // 2]          # hits a node exactly
+    w = barycentric_weights(stack)
+    D = derivative_matrix(stack)
+    vals = lagrange_values(stack, x)
+    assert w.shape == (3, 4, n) and D.shape == (3, 4, n, n)
+    assert vals.shape == (3, 4, n)
+    for i in np.ndindex(3, 4):
+        assert np.array_equal(w[i], barycentric_weights(stack[i]))
+        assert np.array_equal(D[i], derivative_matrix(stack[i]))
+        assert np.array_equal(vals[i], lagrange_values(stack[i], x[i]))
+
+
+def test_batched_kernels_reject_a_duplicate_anywhere():
+    stack = np.tile(np.linspace(-1, 1, 4), (5, 1))
+    stack[3, 2] = stack[3, 1]
+    for fn in (barycentric_weights, derivative_matrix,
+               lambda xi: lagrange_values(xi, 0.3)):
+        with pytest.raises(ValueError):
+            fn(stack)
 
 
 # --- Lagrange basis ----------------------------------------------------------

@@ -4,16 +4,14 @@ Every subcommand writes RFC-4180-style CSV (UTF-8, '.' decimal) plus a
 manifest file holding the fully resolved configuration and the toolkit
 version, so a rerun with the same flags is byte-identical.  Config
 precedence: built-in defaults < config file (flat key=value lines) <
-command-line flags.  FRWAVE_WORKERS sets the process count for the
-parameter sweeps that fan out.
+command-line flags.  Every sweep runs serially in this one process.
 """
 
 import argparse
 import json
 import math
-import os
 import sys
-from multiprocessing import Pool
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -70,25 +68,6 @@ def parse_float_list(text):
     return [float(v) for v in str(text).split(",") if v != ""]
 
 
-def _workers():
-    text = os.environ.get("FRWAVE_WORKERS", "1")
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"FRWAVE_WORKERS must be a positive integer, got {text!r}")
-    return n
-
-
-def _map(fn, items):
-    n = _workers()
-    if n == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with Pool(n) as pool:
-        return pool.map(fn, items)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -137,18 +116,14 @@ def cmd_ppw(args):
     return 0
 
 
-def _one_cfl(job):
-    scheme, order, gamma, kind = job
-    res = cfl_limit(order - 1, gamma, scheme, correction_kind=kind)
-    return (scheme, order, gamma, res.cfl_limit, res.detection)
-
-
 def cmd_cfl_table(args):
     schemes = [s.strip() for s in args.schemes.split(",")]
     orders = [int(v) for v in args.orders.split(",")]
     gammas = parse_float_list(args.gamma)
-    jobs = [(s, o, g, args.kind) for s in schemes for o in orders for g in gammas]
-    rows = _map(_one_cfl, jobs)
+    rows = []
+    for scheme, order, gamma in product(schemes, orders, gammas):
+        res = cfl_limit(order - 1, gamma, scheme, correction_kind=args.kind)
+        rows.append((scheme, order, gamma, res.cfl_limit, res.detection))
     _emit(args.outdir / "cfl_table.csv",
           ["scheme", "spatial_order", "gamma", "cfl_limit", "detection_rule"],
           rows, {"command": "cfl-table", "schemes": args.schemes,

@@ -79,7 +79,6 @@ def lagrange_values(xi, x):
     x = np.asarray(x, dtype=float)
     w = barycentric_weights(xi)
     diff = x[..., None] - xi
-    out = np.zeros(diff.shape)
     exact = np.abs(diff) < 1e-14
     hit = exact.any(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -25,9 +25,9 @@ Two neighbour closures are provided:
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .element import HUYNH_G2, ReferenceElement, reference_element
 
@@ -83,14 +83,16 @@ class SemiDiscreteOperator:
         return d_up + 0.5 * (xi + 1.0) * (self.delta_j - d_up)
 
     def wave_symbol(self, k, closure=SAMPLED):
-        """The (p+1)x(p+1) generator Q(k) of du_j/dt = Q u_j for one wave."""
+        """The (p+1)x(p+1) generator Q(k) of du_j/dt = Q u_j for one wave;
+        an array of k gives the stack (..., p+1, p+1)."""
+        k = np.asarray(k)[..., None]
         if closure == SAMPLED:
             phase = np.exp(-1j * k * self.node_shifts())
-            coupling = self.Cm1 * phase[None, :]
+            coupling = self.Cm1 * phase[..., None, :]
             return -(self.C0 + coupling) / self.Jj
         if closure == WEIGHTED:
-            return -(self.C0 / self.Jj
-                     + self.Cm1 * (np.exp(-1j * k * self.delta_j) / self.Jjm1))
+            factor = np.exp(-1j * k * self.delta_j) / self.Jjm1
+            return -(self.C0 / self.Jj + self.Cm1 * factor[..., None])
         raise ValueError(f"unknown closure {closure!r}; expected one of {CLOSURES}")
 
 
@@ -157,19 +159,29 @@ class SpectralCurve:
         return np.array([s.k for s in self.samples])
 
 
-def _eigvals(op, k, closure):
-    M = op.wave_symbol(k, closure)
+def _eigvals(op, ks, closure):
+    """Eigenvalues of i Q(k) / k at every wavenumber of ks, in one stacked
+    solve.  A stacked solve cannot say which matrix failed, so on failure
+    the matrices are solved one by one to name the first that does."""
+    M = 1j * op.wave_symbol(ks, closure) / ks[:, None, None]
     try:
-        ev = np.linalg.eigvals(1j * M / k)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(k * op.delta_j / (op.p + 1), str(exc)) from exc
-    if not np.all(np.isfinite(ev)):
-        raise EigenSolveError(k * op.delta_j / (op.p + 1), "non-finite eigenvalues")
-    return ev
+        ev = np.linalg.eigvals(M)
+        if np.all(np.isfinite(ev)):
+            return ev
+    except np.linalg.LinAlgError:
+        pass
+    for k_hat, m in zip(ks * op.delta_j / (op.p + 1), M):
+        try:
+            if not np.all(np.isfinite(np.linalg.eigvals(m))):
+                raise EigenSolveError(k_hat, "non-finite eigenvalues")
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolveError(k_hat, str(exc)) from exc
 
 
 def _match(prev, ev):
     """Permute ev so entry i continues branch i of prev (bipartite matching)."""
+    # imported here: SciPy is most of frwave's import time and memory
+    from scipy.optimize import linear_sum_assignment
     cost = np.abs(prev[:, None] - ev[None, :])
     _, cols = linear_sum_assignment(cost)
     return ev[cols]
@@ -180,18 +192,14 @@ def _track(op, ks, closure):
 
     At a tiny seed wavenumber exactly one eigenvalue sits near 1; the
     branches are ramped geometrically from there to ks[0] and then
-    followed through ks by bipartite matching.
+    followed through ks by bipartite matching.  All eigenvalues come from
+    one stacked solve; only the matching is sequential.
     """
     k_seed = SEED_KHAT * (op.p + 1) / op.delta_j
-    ev = _eigvals(op, k_seed, closure)
-    ev = ev[np.argsort(np.abs(ev - 1.0))]
-    for kk in np.geomspace(k_seed, ks[0], 8)[1:-1]:
-        ev = _match(ev, _eigvals(op, kk, closure))
-    tracked = []
-    for k in ks:
-        ev = _match(ev, _eigvals(op, k, closure))
-        tracked.append(ev)
-    return tracked
+    ramp = np.geomspace(k_seed, ks[0], 8)[1:-1]
+    seed, *rest = _eigvals(op, np.concatenate([[k_seed], ramp, ks]), closure)
+    seed = seed[np.argsort(np.abs(seed - 1.0))]
+    return list(accumulate(rest, _match, initial=seed))[1 + len(ramp):]
 
 
 def modified_phase_velocity(op, k, closure=SAMPLED):

@@ -6,6 +6,11 @@ explicit scheme of the low-storage families used here reduces to exactly
 that polynomial.  Stability sweeps use the transformed-flux ("weighted")
 wave symbol, which is the form the published CFL table is built on.
 
+R = P(tau Q) for a polynomial P, so by spectral mapping its eigenvalues
+are P(tau lam) for the eigenvalues lam of Q: the sweeps solve for lam once
+and evaluate P on it at every time step probed.  update_matrix forms R
+itself, as the reference the sweeps are tested against.
+
 On expanding grids the semi-discrete operator itself carries a weak
 exponential growth, so the spectral radius exceeds one for every time
 step.  The usable limit is then the sharp rise above that growth envelope
@@ -97,14 +102,23 @@ class StabilityResult:
 
 
 def _wave_symbols(p, gamma, k_samples, correction_kind):
-    """Stacked weighted-closure symbols on the k_hat sweep, plus growth rate."""
+    """The k_hat sweep, the eigenvalues of the weighted-closure symbol at
+    each k_hat, and the semi-discrete growth rate."""
     element = reference_element(p, correction_kind)
     op = build_operator(element, gamma, delta_j=1.0)  # CFL == tau when delta_j = 1
     k_hats = np.linspace(np.pi / k_samples, np.pi, k_samples)
-    ks = k_hats * (p + 1)
-    Qs = np.stack([op.wave_symbol(k, WEIGHTED) for k in ks])
-    growth = float(np.max(np.linalg.eigvals(Qs).real))
-    return k_hats, Qs, max(0.0, growth)
+    lam = np.linalg.eigvals(op.wave_symbol(k_hats * (p + 1), WEIGHTED))
+    return k_hats, lam, max(0.0, float(np.max(lam.real)))
+
+
+def _radii(lam, tau, scheme):
+    """Spectral radius of R = P(tau Q) for each row of symbol eigenvalues
+    lam, which by spectral mapping is max |P(tau lam)|."""
+    if tau <= 0:
+        raise ValueError(f"time step must be positive, got {tau}")
+    amplification = _stage_loop(lambda v: lam * v, np.ones_like(lam), tau,
+                                scheme.stages)
+    return np.max(np.abs(amplification), axis=-1)
 
 
 def spectral_radius_sweep(p, gamma, scheme, tau, k_samples=K_SAMPLES,
@@ -117,10 +131,8 @@ def spectral_radius_sweep(p, gamma, scheme, tau, k_samples=K_SAMPLES,
     if k_samples < 128:
         raise ValueError(f"need at least 128 wavenumber samples, got {k_samples}")
     scheme = get_scheme(scheme)
-    k_hats, Qs, _ = _wave_symbols(p, gamma, k_samples, correction_kind)
-    R = update_matrix(Qs, tau, scheme)
-    rho = np.max(np.abs(np.linalg.eigvals(R)), axis=-1)
-    return k_hats, rho
+    k_hats, lam, _ = _wave_symbols(p, gamma, k_samples, correction_kind)
+    return k_hats, _radii(lam, tau, scheme)
 
 
 def cfl_limit(p, gamma, scheme, k_samples=K_SAMPLES, correction_kind=HUYNH_G2,
@@ -134,13 +146,12 @@ def cfl_limit(p, gamma, scheme, k_samples=K_SAMPLES, correction_kind=HUYNH_G2,
     which rule produced it.
     """
     scheme = get_scheme(scheme)
-    _, Qs, growth = _wave_symbols(p, gamma, k_samples, correction_kind)
+    _, lam, growth = _wave_symbols(p, gamma, k_samples, correction_kind)
     trace = {}
 
     def g(cfl):
         if cfl not in trace:
-            R = update_matrix(Qs, cfl, scheme)
-            trace[cfl] = float(np.max(np.abs(np.linalg.eigvals(R))))
+            trace[cfl] = float(np.max(_radii(lam, cfl, scheme)))
         return trace[cfl]
 
     def last_below(bound):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from frwave.element import HUYNH_G2, gauss_points, reference_element
-from frwave.spectral import (SAMPLED, UNRESOLVABLE, WEIGHTED, EigenSolveError,
-                             SemiDiscreteOperator, SpectralCurve,
-                             SpectralSample, build_operator, dispersion_curve,
-                             fd_modified_wavenumber, filter_kernel,
-                             modified_phase_velocity, ppw)
+from frwave.spectral import (CLOSURES, SAMPLED, UNRESOLVABLE, WEIGHTED,
+                             EigenSolveError, SemiDiscreteOperator,
+                             SpectralCurve, SpectralSample, build_operator,
+                             dispersion_curve, fd_modified_wavenumber,
+                             filter_kernel, modified_phase_velocity, ppw)
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +142,8 @@ def test_eigen_solve_failure_reports_wavenumber(monkeypatch):
 
     def failing(self, k, closure=SAMPLED):
         Q = symbol(self, k, closure)
-        return Q * np.nan if k * self.delta_j / (self.p + 1) > 0.51 * np.pi else Q
+        bad = np.asarray(k) * self.delta_j / (self.p + 1) > 0.51 * np.pi
+        return np.where(bad[..., None, None], Q * np.nan, Q)
 
     monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol", failing)
     with pytest.raises(EigenSolveError) as err:
@@ -223,6 +224,18 @@ def test_locality_same_parameters_identical_symbols():
     k = 2.31
     assert np.array_equal(a.wave_symbol(k), b.wave_symbol(k))
     assert np.array_equal(a.wave_symbol(k, WEIGHTED), b.wave_symbol(k, WEIGHTED))
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+def test_wave_symbol_broadcasts_over_wavenumbers(closure):
+    # an array of k gives the stack of the per-k symbols, bit for bit
+    op = build_operator(reference_element(3), 1.2, delta_j=0.9)
+    ks = np.linspace(0.01, 3.5, 12).reshape(3, 4)
+    stack = op.wave_symbol(ks, closure)
+    assert stack.shape == (3, 4, 4, 4)
+    for idx in np.ndindex(ks.shape):
+        assert np.array_equal(stack[idx], op.wave_symbol(ks[idx], closure))
+    assert op.wave_symbol(float(ks[0, 0]), closure).shape == (4, 4)
 
 
 # --- filter kernel -----------------------------------------------------------

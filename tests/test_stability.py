@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from frwave.element import reference_element
-from frwave.spectral import WEIGHTED, build_operator
+from frwave.spectral import WEIGHTED, SemiDiscreteOperator, build_operator
 from frwave import stability
 from frwave.stability import (EXCEEDS_UNITY, RK33, RK44, RK55, SHARP_INCREASE,
                               BisectionError, cfl_limit, get_scheme,
@@ -79,6 +79,30 @@ def test_sweep_needs_enough_samples():
         spectral_radius_sweep(2, 1.0, RK44, tau=0.1, k_samples=32)
 
 
+def test_sweep_rejects_bad_tau():
+    with pytest.raises(ValueError, match="time step must be positive"):
+        spectral_radius_sweep(2, 1.0, RK44, tau=0.0)
+
+
+def _symbols(p, gamma, k_hats):
+    """The weighted-closure symbols the stability layer sweeps (delta_j = 1)."""
+    op = build_operator(reference_element(p), gamma, delta_j=1.0)
+    return op.wave_symbol(k_hats * (p + 1), WEIGHTED)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+@pytest.mark.parametrize("gamma", [0.8, 1.0, 1.2])
+def test_sweep_is_the_update_matrix_radius(p, gamma):
+    # spectral mapping: max |P(tau lam)| equals the spectral radius of the
+    # update matrix P(tau Q) formed and solved directly
+    for scheme in (RK33, RK44, RK55):
+        for tau in (0.05, 0.2):
+            k_hats, rho = spectral_radius_sweep(p, gamma, scheme, tau)
+            R = update_matrix(_symbols(p, gamma, k_hats), tau, scheme)
+            expect = np.max(np.abs(np.linalg.eigvals(R)), axis=-1)
+            assert np.max(np.abs(rho - expect) / expect) < 1e-12
+
+
 def test_radius_periodic_in_element_wavenumber():
     # rho depends on k only through exp(-i k delta_j)
     op = build_operator(reference_element(3), 1.1, delta_j=1.0)
@@ -122,8 +146,8 @@ def test_detection_tag_for_expanding_grid():
 
 def test_rho_curve_monotone_beyond_limit():
     res = cfl_limit(2, 1.0, RK44)
-    from frwave.stability import K_SAMPLES, _wave_symbols
-    _, Qs, _ = _wave_symbols(2, 1.0, K_SAMPLES, "huynh-g2")
+    k_hats = np.linspace(np.pi / stability.K_SAMPLES, np.pi, stability.K_SAMPLES)
+    Qs = _symbols(2, 1.0, k_hats)
     gs = []
     for factor in (1.05, 1.2, 1.5):
         R = update_matrix(Qs, factor * res.cfl_limit, RK44)
@@ -140,8 +164,9 @@ def test_rho_curve_recorded():
 
 
 def test_cfl_limit_without_boundary_raises(monkeypatch):
-    # an update that never amplifies leaves nothing to bracket below CFL 8
-    monkeypatch.setattr(stability, "update_matrix",
-                        lambda Q, tau, scheme: np.zeros_like(Q))
+    # a zero symbol has eigenvalues 0 and an update P(0) = 1 that never
+    # amplifies, which leaves nothing to bracket below CFL 8
+    monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol",
+                        lambda self, k, closure: np.zeros(np.shape(k) + self.C0.shape))
     with pytest.raises(BisectionError, match="no stability boundary"):
         cfl_limit(3, 1.0, "RK44")

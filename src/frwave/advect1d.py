@@ -237,7 +237,9 @@ class FDAdvection1D:
 def advance(solver, u0, tau, scheme, steps):
     """March `steps` steps of the low-storage RK stage loop on solver.rhs;
     for the linear 1D problem each step is exactly the truncated-exponential
-    update of stability.update_matrix.
+    update of stability.update_matrix.  "RK44" is 4th order in time only on
+    linear right-hand sides; on nonlinear ones (the Euler equations) the
+    loop is 2nd order.
     """
     scheme = get_scheme(scheme)
     if tau <= 0:

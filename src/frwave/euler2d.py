@@ -21,6 +21,7 @@ import numpy as np
 
 from .advect1d import advance
 from .element import reference_element
+from .mesh2d import _corner_jacobians
 
 GAMMA_GAS = 1.4
 
@@ -200,13 +201,26 @@ def _check_physical(rho, p):
 class _EulerSolver:
     """What the element and finite-volume solvers share beyond the mesh,
     including one Riemann solve per face: an element owns its east and north
-    faces.  n_east, n_north: outward face vectors, shaped (n_elem, ..., 2)
-    to broadcast against a face trace without its variable axis."""
+    faces.  A subclass passes _faces the outward face vectors n_east and
+    n_north, scaled by face length (per unit reference length for the
+    elements) and shaped (n_elem, ..., 2) to broadcast against a face trace
+    without its variable axis: (n_elem, 2) for the finite-volume cells,
+    (n_elem, 1, 2) for the elements, whose straight faces have one vector
+    along all p+1 points.
 
-    def __init__(self, mesh, riemann, n_east, n_north):
+    The mesh must be made of convex counterclockwise quads, checked before
+    any geometry is built: a bilinear map's Jacobian is affine in
+    (xi, eta), so positive corner Jacobians make it positive everywhere in
+    the element."""
+
+    def __init__(self, mesh, riemann):
+        if np.any(_corner_jacobians(mesh.corner_coords()) <= 0):
+            raise ValueError("non-convex or inverted quad; mesh is tangled")
         self.mesh = mesh
         self.riemann = RIEMANN_SOLVERS[riemann]
         self.east, self.west, self.north, self.south = _periodic_neighbours(mesh)
+
+    def _faces(self, n_east, n_north):
         self.s_e, self.nx_e, self.ny_e = _unit(n_east)
         self.s_n, self.nx_n, self.ny_n = _unit(n_north)
 
@@ -228,55 +242,51 @@ class _EulerSolver:
 # ---------------------------------------------------------------------------
 # tensor-product element solver
 
+def _along(M, X, axis):
+    """Apply the matrix M along one axis of X (a reference direction)."""
+    return np.moveaxis(np.tensordot(M, X, axes=(1, axis)), 0, axis)
+
+
 class FREulerSolver2D(_EulerSolver):
     """High-order solver on bilinearly mapped quads, periodic structured
     connectivity.  State shape: (n_elem, p+1, p+1, 4) with axes
-    (element, xi index, eta index, variable)."""
+    (element, xi index, eta index, variable).
+
+    The residual is the 1D scheme applied along each reference axis to the
+    transformed fluxes Fhat = m1 . (F, G) and Ghat = m2 . (F, G), the
+    fluxes through the unnormalised normals m1 = (y_eta, -x_eta) and
+    m2 = (-y_xi, x_xi):
+
+        detJ dU/dt = -sum over axes [D Fhat + H (Fc - T Fhat)]
+
+    with D the nodal derivative matrix, T = [ll; lr] the traces at xi = -1
+    and +1, H = [hl, hr] the correction derivatives and Fc the common
+    transformed flux on the two faces.  The bilinear map applies the shape
+    functions N = [(1 - xi)/2, (1 + xi)/2] along both axes of the corners,
+    so m1 depends on xi only and m2 on eta only (shapes (n_elem, p+1, 1, 2)
+    and (n_elem, 1, p+1, 2)), and the east and north face vectors are m1 at
+    xi = +1 and m2 at eta = +1."""
 
     def __init__(self, mesh, p, riemann="rusanov"):
-        self.element = reference_element(p)
-        e = self.element
-        X = mesh.corner_coords()          # (ne, 4, 2)
-
-        xi = e.xi
-        A, B = np.meshgrid(xi, xi, indexing="ij")   # A: xi at (a,b), B: eta
-
-        def bilinear(coeff_xi, coeff_eta):
-            "Map corner data through shape functions on the (a, b) tensor grid."
-            N0 = (1 - coeff_xi) * (1 - coeff_eta) / 4.0
-            N1 = (1 + coeff_xi) * (1 - coeff_eta) / 4.0
-            N2 = (1 + coeff_xi) * (1 + coeff_eta) / 4.0
-            N3 = (1 - coeff_xi) * (1 + coeff_eta) / 4.0
-            return np.stack([N0, N1, N2, N3], axis=-1)
-
-        Nsol = bilinear(A, B)                       # (n, n, 4)
-        self.x = np.einsum("abc,ecd->eabd", Nsol, X)  # (ne, n, n, 2)
-
-        # map derivatives at solution points (each linear in one variable)
-        x_xi = (np.einsum("ab,ed->eabd", (1 - B) / 4.0, X[:, 1] - X[:, 0])
-                + np.einsum("ab,ed->eabd", (1 + B) / 4.0, X[:, 2] - X[:, 3]))
-        x_eta = (np.einsum("ab,ed->eabd", (1 - A) / 4.0, X[:, 3] - X[:, 0])
-                 + np.einsum("ab,ed->eabd", (1 + A) / 4.0, X[:, 2] - X[:, 1]))
-        self.detJ = x_xi[..., 0] * x_eta[..., 1] - x_xi[..., 1] * x_eta[..., 0]
-        if np.any(self.detJ <= 0):
-            raise ValueError("non-positive mapping Jacobian; mesh is tangled")
-        # transformed-flux metric rows: Fhat = m1 . (F, G), Ghat = m2 . (F, G)
-        self.m1 = np.stack([x_eta[..., 1], -x_eta[..., 0]], axis=-1)  # (ne,n,n,2)
-        self.m2 = np.stack([-x_xi[..., 1], x_xi[..., 0]], axis=-1)
-
-        # per-face constant edge metrics (edges of a bilinear quad are
-        # straight), one per element, broadcast along the face's points
-        ne_edge = np.stack([(X[:, 2, 1] - X[:, 1, 1]) / 2.0,
-                            -(X[:, 2, 0] - X[:, 1, 0]) / 2.0], axis=-1)  # east
-        nn_edge = np.stack([-(X[:, 2, 1] - X[:, 3, 1]) / 2.0,
-                            (X[:, 2, 0] - X[:, 3, 0]) / 2.0], axis=-1)   # north
-        super().__init__(mesh, riemann, ne_edge[:, None], nn_edge[:, None])
-
-        self.D = e.D
-        self.ll = e.ll
-        self.lr = e.lr
-        self.hl = e.hl
-        self.hr = e.hr
+        super().__init__(mesh, riemann)
+        self.element = e = reference_element(p)
+        self.T = np.stack([e.ll, e.lr])
+        self.H = np.stack([e.hl, e.hr], axis=1)
+        # corners as (n_elem, xi end, eta end, coordinate)
+        X = mesh.corner_coords()[:, [0, 3, 1, 2]].reshape(-1, 2, 2, 2)
+        N = np.stack([1 - e.xi, 1 + e.xi], axis=1) / 2.0
+        dN = np.array([[-0.5, 0.5]])
+        self.x = _along(N, _along(N, X, 1), 2)
+        # metric rows on the element edges: m1 at xi = -1, +1 (a rotated
+        # x_eta) and m2 at eta = -1, +1 (a rotated x_xi)
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        m1 = _along(dN, X, 2) @ rot
+        m2 = _along(dN, X, 1) @ rot.T
+        self.m1 = _along(N, m1, 1)
+        self.m2 = _along(N, m2, 2)
+        self.detJ = (self.m1[..., 0] * self.m2[..., 1]
+                     - self.m1[..., 1] * self.m2[..., 0])
+        self._faces(m1[:, 1], m2[:, :, 1])
 
     @property
     def dof(self):
@@ -290,39 +300,18 @@ class FREulerSolver2D(_EulerSolver):
     def rhs(self, U):
         rho, u, v, p = conserved_to_primitive(U)
         _check_physical(rho, p)
-        F = np.stack([U[..., 1],
-                      U[..., 1] * u + p,
-                      U[..., 2] * u,
-                      (U[..., 3] + p) * u], axis=-1)
-        G = np.stack([U[..., 2],
-                      U[..., 1] * v,
-                      U[..., 2] * v + p,
-                      (U[..., 3] + p) * v], axis=-1)
-        Fh = self.m1[..., 0, None] * F + self.m1[..., 1, None] * G
-        Gh = self.m2[..., 0, None] * F + self.m2[..., 1, None] * G
-        div = (np.einsum("ia,eabv->eibv", self.D, Fh)
-               + np.einsum("jb,eabv->eajv", self.D, Gh))
-
-        # interface corrections, one pair of faces per reference direction
-        UE = np.einsum("a,eabv->ebv", self.lr, U)
-        UW = np.einsum("a,eabv->ebv", self.ll, U)
-        UN = np.einsum("b,eabv->eav", self.lr, U)
-        US = np.einsum("b,eabv->eav", self.ll, U)
-        FhE = np.einsum("a,eabv->ebv", self.lr, Fh)
-        FhW = np.einsum("a,eabv->ebv", self.ll, Fh)
-        GhN = np.einsum("b,eabv->eav", self.lr, Gh)
-        GhS = np.einsum("b,eabv->eav", self.ll, Gh)
-
+        Fh = _normal_flux(U, rho, u, v, p, self.m1[..., 0], self.m1[..., 1])
+        Gh = _normal_flux(U, rho, u, v, p, self.m2[..., 0], self.m2[..., 1])
+        UW, UE = np.moveaxis(_along(self.T, U, 1), 1, 0)
+        US, UN = np.moveaxis(_along(self.T, U, 2), 2, 0)
         # a face's transformed flux is the same value on both sides
         Fc_E, Gc_N = self._solve_faces(UE, UW, UN, US)
-        Fc_W = Fc_E[self.west]
-        Gc_S = Gc_N[self.south]
-
-        corr = (np.einsum("a,ebv->eabv", self.hr, Fc_E - FhE)
-                + np.einsum("a,ebv->eabv", self.hl, Fc_W - FhW)
-                + np.einsum("b,eav->eabv", self.hr, Gc_N - GhN)
-                + np.einsum("b,eav->eabv", self.hl, Gc_S - GhS))
-        return -(div + corr) / self.detJ[..., None]
+        Fc = np.stack([Fc_E[self.west], Fc_E], axis=1)
+        Gc = np.stack([Gc_N[self.south], Gc_N], axis=2)
+        D, T, H = self.element.D, self.T, self.H
+        div = (_along(D, Fh, 1) + _along(H, Fc - _along(T, Fh, 1), 1)
+               + _along(D, Gh, 2) + _along(H, Gc - _along(T, Gh, 2), 2))
+        return -div / self.detJ[..., None]
 
     def length_scale(self):
         """Smallest edge length divided by the points-per-edge count."""
@@ -353,6 +342,7 @@ class FVEulerSolver2D(_EulerSolver):
     def __init__(self, mesh, riemann="rusanov", metrics="curvilinear"):
         if metrics not in ("curvilinear", "exact"):
             raise ValueError(f"unknown metric mode {metrics!r}")
+        super().__init__(mesh, riemann)
         self.metrics = metrics
         nx, ny = mesh.nx, mesh.ny
         L = mesh.L
@@ -360,10 +350,9 @@ class FVEulerSolver2D(_EulerSolver):
 
         x = X[..., 0]; y = X[..., 1]
         cross = (x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y)
-        self.area = 0.5 * np.abs(cross.sum(axis=1))
-        sgn = np.sign(cross.sum(axis=1))
-        cx = ((x + np.roll(x, -1, axis=1)) * cross).sum(axis=1) / (6.0 * self.area * sgn)
-        cy = ((y + np.roll(y, -1, axis=1)) * cross).sum(axis=1) / (6.0 * self.area * sgn)
+        self.area = 0.5 * cross.sum(axis=1)
+        cx = ((x + np.roll(x, -1, axis=1)) * cross).sum(axis=1) / (6.0 * self.area)
+        cy = ((y + np.roll(y, -1, axis=1)) * cross).sum(axis=1) / (6.0 * self.area)
         self.centroid = np.stack([cx, cy], axis=-1)
 
         if metrics == "exact":
@@ -392,7 +381,7 @@ class FVEulerSolver2D(_EulerSolver):
 
             n_e = (wrapped_step(C, 1) - C).reshape(-1, 2)
             n_n = (wrapped_step(C, 0) - C).reshape(-1, 2)
-        super().__init__(mesh, riemann, n_e, n_n)
+        self._faces(n_e, n_n)
 
     @property
     def dof(self):
@@ -458,7 +447,8 @@ def ooa(reports):
 
 def run_icv(solver, steps=500, cfl=0.01, scheme="RK44", params=None):
     """March the convecting vortex and report the error against the exact
-    solution at the final time."""
+    solution at the final time.  On the nonlinear Euler equations the stage
+    loop is 2nd order in time, "RK44" included (see advect1d.advance)."""
     pr = params or ICVParams()
     fn = lambda x, y, t: icv_primitive(x, y, t, pr)
     U0 = solver.project(fn)

@@ -159,18 +159,18 @@ class SpectralCurve:
         return np.array([s.k for s in self.samples])
 
 
-def _eigvals(op, ks, closure):
-    """Eigenvalues of i Q(k) / k at every wavenumber of ks, in one stacked
-    solve.  A stacked solve cannot say which matrix failed, so on failure
-    the matrices are solved one by one to name the first that does."""
-    M = 1j * op.wave_symbol(ks, closure) / ks[:, None, None]
+def _eigvals(M, k_hats):
+    """Eigenvalues of every matrix of the stack M (..., n, n), in one
+    stacked solve; k_hats labels the matrices.  A stacked solve cannot say
+    which matrix failed, so on failure the matrices are solved one by one
+    and EigenSolveError names the first that fails."""
     try:
         ev = np.linalg.eigvals(M)
         if np.all(np.isfinite(ev)):
             return ev
     except np.linalg.LinAlgError:
         pass
-    for k_hat, m in zip(ks * op.delta_j / (op.p + 1), M):
+    for k_hat, m in zip(k_hats, M):
         try:
             if not np.all(np.isfinite(np.linalg.eigvals(m))):
                 raise EigenSolveError(k_hat, "non-finite eigenvalues")
@@ -197,7 +197,9 @@ def _track(op, ks, closure):
     """
     k_seed = SEED_KHAT * (op.p + 1) / op.delta_j
     ramp = np.geomspace(k_seed, ks[0], 8)[1:-1]
-    seed, *rest = _eigvals(op, np.concatenate([[k_seed], ramp, ks]), closure)
+    ks = np.concatenate([[k_seed], ramp, ks])
+    M = 1j * op.wave_symbol(ks, closure) / ks[:, None, None]
+    seed, *rest = _eigvals(M, ks * op.delta_j / (op.p + 1))
     seed = seed[np.argsort(np.abs(seed - 1.0))]
     return list(accumulate(rest, _match, initial=seed))[1 + len(ramp):]
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -242,6 +244,21 @@ def test_expanding_grid_slice_grows_recovers_decays():
     assert ratio[peak] > 1.0            # transient growth
     assert 0 < peak < len(ratio) - 1    # strictly interior
     assert ratio[-4:].mean() < 0.5 * ratio[peak]   # decay on the sparse end
+
+
+@pytest.mark.parametrize("rhs, exact, window", [
+    (lambda u: -u, np.exp(-1.0), (3.9, 4.1)),
+    (lambda u: -u * u, 0.5, (1.9, 2.1)),
+], ids=["linear", "nonlinear"])
+def test_rk44_stage_loop_temporal_order(rhs, exact, window):
+    # the low-storage loop is 4th order on a linear right-hand side but
+    # only 2nd order on a nonlinear one (u' = -u^2, u(1) = 1/2)
+    ode = SimpleNamespace(rhs=rhs)
+    steps = np.array([10, 20, 40, 80])
+    err = [abs(advance(ode, np.array([1.0]), 1.0 / n, "RK44", n)[0] - exact)
+           for n in steps]
+    order = -np.polyfit(np.log(steps), np.log(err), 1)[0]
+    assert window[0] <= order <= window[1], order
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

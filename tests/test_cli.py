@@ -180,11 +180,16 @@ def test_cli_import_does_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_eigen_solve_failure_exit_code(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["dispersion", "--p", "3", "--samples", "64"],
+    ["cfl-table", "--schemes", "RK44", "--orders", "4", "--gamma", "1.0"],
+    ["rho-sweep", "--p", "3", "--tau", "0.1"],
+], ids=["dispersion", "cfl-table", "rho-sweep"])
+def test_eigen_solve_failure_exit_code(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol",
-                        lambda self, k, closure="sampled": np.full((4, 4), np.nan))
-    rc = main(["dispersion", "--p", "3", "--samples", "64",
-               "--outdir", str(tmp_path)])
+                        lambda self, k, closure="sampled":
+                        np.full(np.shape(k) + self.C0.shape, np.nan))
+    rc = main(argv + ["--outdir", str(tmp_path)])
     assert rc == 1
     assert "error: eigen solve failed at k_hat=" in capsys.readouterr().err
 

@@ -157,14 +157,46 @@ def test_fr_mapping_corner_consistency():
     assert np.all(solver.detJ > 0)
 
 
-def test_fr_rejects_tangled_mesh():
-    mesh = uniform_quad_mesh(3, 3, 1.0)
-    nodes = mesh.nodes.copy()
-    nodes[5] = [0.9, 0.9]   # drag an interior node far out
+@pytest.mark.parametrize("make", [lambda m: FREulerSolver2D(m, p=2),
+                                  lambda m: FREulerSolver2D(m, p=4),
+                                  FVEulerSolver2D], ids=["fr2", "fr4", "fv"])
+@pytest.mark.parametrize("L, node", [(1.0, (0.9, 0.9)), (3.0, (1.51, 1.51)),
+                                     (3.0, (2.0, 2.0))],
+                         ids=["inverted", "mildly-nonconvex", "collapsed"])
+def test_fr_rejects_tangled_mesh(make, L, node):
+    # on the 3x3 mesh of side 3, node 5 at (1.51, 1.51) makes one corner
+    # Jacobian -0.02 while every Gauss point of p <= 4 still sees detJ > 0;
+    # at (2, 2) it lands on node 10 and one quad has zero area
     from frwave.mesh2d import QuadMesh2D
-    bad = QuadMesh2D(nodes=nodes, elements=mesh.elements, nx=3, ny=3, L=1.0)
-    with pytest.raises(ValueError):
-        FREulerSolver2D(bad, p=2)
+    mesh = uniform_quad_mesh(3, 3, L)
+    nodes = mesh.nodes.copy()
+    nodes[5] = node
+    bad = QuadMesh2D(nodes=nodes, elements=mesh.elements, nx=3, ny=3, L=L)
+    with pytest.raises(ValueError, match="tangled"):
+        make(bad)
+
+
+@pytest.mark.parametrize("riemann", ["rusanov", "roe"])
+def test_fr_reference_axes_are_one_operator(riemann):
+    # the vortex moving along (-1, 1) is the default one, moving along
+    # (1, 1), turned by 90 degrees about the domain centre: (x, y) -> (10 - y, x)
+    # and (rho u, rho v) -> (-rho v, rho u)
+    solver = FREulerSolver2D(uniform_quad_mesh(6, 6, 10.0), p=3,
+                             riemann=riemann)
+    turned = ICVParams(u_inf=-1.0, v_inf=1.0)
+    R0 = solver.rhs(solver.project(lambda x, y, t: icv_primitive(x, y, t)))
+    R1 = solver.rhs(solver.project(
+        lambda x, y, t: icv_primitive(x, y, t, turned)))
+    x = solver.x.reshape(-1, 2)
+    key = lambda pts: np.lexsort(np.round(pts, 9).T)
+    at0 = key(np.stack([10.0 - x[:, 1], x[:, 0]], axis=-1))
+    at1 = key(x)
+    R0 = R0.reshape(-1, 4)[at0]
+    R1 = R1.reshape(-1, 4)[at1]
+    expected = np.stack([R0[:, 0], -R0[:, 2], R0[:, 1], R0[:, 3]], axis=-1)
+    assert np.allclose(np.stack([10.0 - x[at0, 1], x[at0, 0]], axis=-1),
+                       x[at1], atol=1e-9)
+    assert np.max(np.abs(R1 - expected)) < 1e-12 * np.max(np.abs(R0))
 
 
 def test_fr_conservation_of_invariants():

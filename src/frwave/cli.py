@@ -146,19 +146,19 @@ def cmd_rho_sweep(args):
 
 def _build_1d_solver(spec_text, gamma, dof):
     """solver spec: 'frN' (element solver, order N) or 'fdN' (stencil order N)."""
-    kind = spec_text[:2]
-    order = int(spec_text[2:])
+    kind, digits = spec_text[:2], spec_text[2:]
+    if kind not in ("fr", "fd") or not digits.isdecimal():
+        raise ValueError(f"unknown solver spec {spec_text!r} (want frN or fdN)")
+    order = int(digits)
     if kind == "fr":
-        p = order - 1
-        n_cells = dof // (p + 1)
-        if n_cells * (p + 1) != dof:
-            raise ValueError(f"DoF {dof} not divisible by p+1={p + 1}")
-        return FRAdvection1D(build_grid(n_cells, gamma, 1.0), reference_element(p))
-    if kind == "fd":
-        gamma_pt = matched_point_expansion(gamma, order) if gamma != 1.0 else 1.0
-        points = fd_point_grid(dof, gamma_pt, 1.0)
-        return FDAdvection1D(points, 1.0, FDScheme(order, lf_blend=0.01))
-    raise ValueError(f"unknown solver spec {spec_text!r} (want frN or fdN)")
+        element = reference_element(order - 1)
+        n_cells = dof // element.n_points
+        if n_cells * element.n_points != dof:
+            raise ValueError(f"DoF {dof} not divisible by p+1={element.n_points}")
+        return FRAdvection1D(build_grid(n_cells, gamma, 1.0), element)
+    scheme = FDScheme(order, lf_blend=0.01)
+    gamma_pt = matched_point_expansion(gamma, order) if gamma != 1.0 else 1.0
+    return FDAdvection1D(fd_point_grid(dof, gamma_pt, 1.0), 1.0, scheme)
 
 
 def cmd_wave_test(args):
@@ -256,7 +256,7 @@ def cmd_ooa(args):
         header = f.readline().strip().split(",")
         idx_dof = header.index("dof")
         idx_theta = header.index("theta")
-        for line in f:
+        for line in filter(str.strip, f):   # blank lines carry no row
             parts = line.strip().split(",")
             rows.append(ErrorReport(theta=float(parts[idx_theta]),
                                     per_variable=np.zeros(4),
@@ -400,17 +400,17 @@ def main(argv=None):
     parser, subcommands = build_parser()
     top = parser.parse_args(argv)
     chosen = subcommands[top.command]
-    if top.config:
-        # config values become defaults of the chosen subcommand's own
-        # options, which then need no flag; flags still win
-        for key, value in _load_config(top.config).items():
-            if key in chosen.options:
-                chosen.options[key].default = value
-                chosen.options[key].required = False
-    args = chosen.parse_args(top.options)
     try:
+        if top.config:
+            # config values become defaults of the chosen subcommand's own
+            # options, which then need no flag; flags still win
+            for key, value in _load_config(top.config).items():
+                if key in chosen.options:
+                    chosen.options[key].default = value
+                    chosen.options[key].required = False
+        args = chosen.parse_args(top.options)
         return args.fn(args)
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -123,16 +123,16 @@ def build_operator(element, gamma, delta_j=None):
 
 @dataclass
 class SpectralSample:
-    """Eigenvalues of the phase-velocity problem at one wavenumber."""
+    """Eigenvalues of the phase-velocity problem at one wavenumber, the
+    physical branch first."""
 
     k: float
     k_hat: float
     eigenvalues: np.ndarray
-    physical: int
 
     @property
     def c(self):
-        return self.eigenvalues[self.physical]
+        return self.eigenvalues[0]
 
 
 @dataclass
@@ -216,7 +216,7 @@ def modified_phase_velocity(op, k, closure=SAMPLED):
     k_hat = k * op.delta_j / (op.p + 1)
     n = math.ceil(MIN_SAMPLES * k_hat / np.pi)
     ev = _track(op, np.linspace(k / n, k, n), closure)[-1]
-    return SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev, physical=0)
+    return SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev)
 
 
 def dispersion_curve(p, gamma, correction_kind=HUYNH_G2, n_samples=256,
@@ -228,7 +228,7 @@ def dispersion_curve(p, gamma, correction_kind=HUYNH_G2, n_samples=256,
     op = build_operator(element, gamma, delta_j)
     k_hats = np.linspace(np.pi / n_samples, np.pi, n_samples)
     ks = k_hats * (p + 1) / op.delta_j
-    samples = [SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev, physical=0)
+    samples = [SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev)
                for k_hat, k, ev in zip(k_hats, ks, _track(op, ks, closure))]
     return SpectralCurve(samples=samples, p=p, gamma=gamma,
                          correction_kind=correction_kind, closure=closure,

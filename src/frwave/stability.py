@@ -83,13 +83,14 @@ def _stage_loop(apply, u, tau, stages):
 def update_matrix(Q, tau, scheme):
     """Amplification matrix R = sum_{i=0..stages} (tau Q)^i / i!.
 
-    Q may be a single matrix or a stacked batch (..., n, n).
+    Q may be a single matrix or a stacked batch (..., n, n); R is real
+    when Q is.
     """
     scheme = get_scheme(scheme)
     if tau <= 0:
         raise ValueError(f"time step must be positive, got {tau}")
     Q = np.asarray(Q)
-    eye = np.broadcast_to(np.eye(Q.shape[-1], dtype=complex), Q.shape)
+    eye = np.eye(Q.shape[-1], dtype=np.result_type(Q, float))
     return _stage_loop(lambda V: Q @ V, eye, tau, scheme.stages)
 
 

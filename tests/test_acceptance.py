@@ -173,6 +173,7 @@ def _transit_ppw(solver, epsilon=0.01, cfl=0.05, window=0.5):
 
 
 def test_criterion_06_measured_ppw_orderings():
+    t0 = time.time()
     dof = 180
     values = {}
     for p in (2, 3, 4, 5):
@@ -193,12 +194,15 @@ def test_criterion_06_measured_ppw_orderings():
 
     fr_beats_fd = all(fr < fd for fr, fd in fr_fd.values())
     third = fr_fd[1.2][0] <= fr_fd[1.2][1] / 3.0
-    ok = decreasing and fr_beats_fd and third
+    elapsed = time.time() - t0
+    ok = decreasing and fr_beats_fd and third and elapsed < 60.0
     report(6, ok, f"uniform PPW {[round(values[p], 2) for p in (2, 3, 4, 5)]}; "
-                  f"order-4 FR vs FD: g1.0 {fr_fd[1.0]}, g1.2 {fr_fd[1.2]}")
+                  f"order-4 FR vs FD: g1.0 {fr_fd[1.0]}, g1.2 {fr_fd[1.2]}, "
+                  f"{elapsed:.0f}s")
     assert decreasing, values
     assert fr_beats_fd, fr_fd
     assert third, fr_fd
+    assert elapsed < 60.0
 
 
 @pytest.fixture(scope="module")

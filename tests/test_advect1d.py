@@ -7,10 +7,11 @@ from scipy.optimize import linear_sum_assignment
 from frwave.element import gauss_weights, reference_element
 from frwave.spectral import build_operator, modified_phase_velocity
 from frwave.stability import update_matrix
-from frwave.advect1d import (PENCIL, TRANSIT, FDAdvection1D, FDScheme,
+from frwave.advect1d import (MEASURE_POINTS, PENCIL, PENCIL_SNAPSHOTS,
+                             PENCIL_SPAN, TRANSIT, FDAdvection1D, FDScheme,
                              FRAdvection1D, UnstableSolutionError,
-                             advance, bin_wavenumbers, build_grid,
-                             fd_point_grid,
+                             _modal_wavenumber, advance, bin_wavenumbers,
+                             build_grid, fd_point_grid,
                              matched_point_expansion, numeric_ppw,
                              solution_points, wave_transfer_function,
                              TransferTable)
@@ -344,6 +345,39 @@ def test_pencil_mode_matches_analysis_on_uniform_grid():
         c = modified_phase_velocity(op, kh * (p + 1) / op.delta_j).c
         assert abs(re - c.real * kh) < 1e-4
         assert abs(im - c.imag * kh) < 1e-4
+
+
+@pytest.mark.parametrize("mode", [TRANSIT, PENCIL])
+@pytest.mark.parametrize("make, m, cfl", [
+    (lambda: FRAdvection1D(build_grid(45, 1.2, 1.0), reference_element(3)), 45, 0.1),
+    (lambda: _fd_solver(4), 12, 0.01),
+], ids=["fr", "fd"])
+def test_harness_is_the_stepwise_march(make, m, cfl, mode):
+    # the harness powers the update matrix; `advance` step by step, the
+    # resampler and the FFT give the same bins
+    solver = make()
+    k, window = 2 * np.pi * m, 0.02
+    if mode == TRANSIT:
+        dt, intervals = window, 1
+    else:
+        dt, intervals = PENCIL_SPAN * 2 * np.pi / k, PENCIL_SNAPSHOTS - 1
+    steps = int(np.ceil(dt / (cfl * solver.min_spacing)))
+    xs = np.arange(MEASURE_POINTS) / MEASURE_POINTS
+    u = np.exp(1j * k * solver.coords)
+    bins = [np.fft.fft(solver.resample(u, xs))[m]]
+    for _ in range(intervals):
+        u = advance(solver, u, dt / steps, "RK44", steps)
+        bins.append(np.fft.fft(solver.resample(u, xs))[m])
+    if mode == TRANSIT:
+        k_prime = k + 1j * np.log(bins[1] / bins[0] * np.exp(1j * k * dt)) / dt
+    else:
+        k_prime = _modal_wavenumber(bins, dt, k)
+    table = wave_transfer_function(solver, [k], cfl=cfl, mode=mode,
+                                   window=window)
+    transfer = bins[-1] / bins[0]
+    measured = (table.re_k_hat_prime[0] + 1j * table.im_k_hat_prime[0]) * solver.dof
+    assert abs(table.transfer[0] - transfer) < 1e-9 * abs(transfer)
+    assert abs(measured - k_prime) < 1e-9 * abs(k_prime)
 
 
 def test_transit_mode_reports_extra_attenuation():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import frwave
-from frwave.advect1d import FRAdvection1D
 from frwave.cli import main
 from frwave.spectral import SemiDiscreteOperator
 
@@ -212,10 +211,47 @@ def test_nonphysical_state_exit_code(tmp_path, capsys):
     assert "error: non-physical state" in capsys.readouterr().err
 
 
-def test_unstable_solution_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(FRAdvection1D, "rhs",
-                        lambda self, u: np.full_like(u, np.nan))
-    rc = main(["wave-test", "--solver", "fr4", "--dof", "32",
-               "--k-hat-max", "0.4", "--outdir", str(tmp_path)])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_unstable_solution_exit_code(tmp_path, capsys):
+    # CFL 3 is far beyond the RK44 limit: the march overflows
+    rc = main(["wave-test", "--solver", "fr4", "--dof", "40", "--cfl", "3",
+               "--window", "50", "--k", "6.283185307179586",
+               "--outdir", str(tmp_path)])
     assert rc == 1
-    assert "error: solution became non-finite at step 0" in capsys.readouterr().err
+    assert "error: solution became non-finite at step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ooa", "--csv", "missing.csv"],
+    ["--config", "missing.cfg", "ppw"],
+], ids=["ooa-csv", "config"])
+def test_missing_file_exit_code(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "error: [Errno 2] No such file or directory: 'missing." \
+        in capsys.readouterr().err
+
+
+def test_ooa_skips_blank_lines(tmp_path, capsys):
+    assert main(["icv", "--solver", "fv", "--resolutions", "4,8", "--steps",
+                 "5", "--outdir", str(tmp_path)]) == 0
+    expect = capsys.readouterr().out.splitlines()[0]
+    csv = tmp_path / "icv_fv.csv"
+    csv.write_text(csv.read_text() + "\n")
+    assert main(["ooa", "--csv", str(csv)]) == 0
+    assert capsys.readouterr().out.splitlines() == [expect]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("fr0", "order p must be in"),
+    ("fd0", "order must be one of"),
+    ("fr", "unknown solver spec 'fr'"),
+    ("frx", "unknown solver spec 'frx'"),
+    ("xx4", "unknown solver spec 'xx4'"),
+])
+def test_bad_solver_spec_exit_code(tmp_path, capsys, spec, message):
+    rc = main(["wave-test", "--solver", spec, "--gamma", "1.1",
+               "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err

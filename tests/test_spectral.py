@@ -279,7 +279,7 @@ def test_kernel_requires_positive_time():
 
 def _synthetic_curve(k_hats, c_values, p=3):
     samples = [SpectralSample(k=kh * (p + 1), k_hat=kh,
-                              eigenvalues=np.array([c]), physical=0)
+                              eigenvalues=np.array([c]))
                for kh, c in zip(k_hats, c_values)]
     return SpectralCurve(samples=samples, p=p, gamma=1.0,
                          correction_kind=HUYNH_G2, closure=SAMPLED,

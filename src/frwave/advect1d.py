@@ -311,8 +311,9 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
     -> Im k'.  Every snapshot interval dt is marched as R^steps, with
     steps = ceil(dt / (cfl * solver.min_spacing)) and R the step matrix
     stability.update_matrix(solver.A, dt / steps, scheme), formed directly
-    (not by eigen-expansion: A is strongly non-normal on stretched meshes).
-    A non-finite state raises UnstableSolutionError.
+    (not by eigen-expansion: A is strongly non-normal on stretched meshes);
+    bins with the same dt (every transit bin) share one power.  A
+    non-finite state raises UnstableSolutionError.
 
     mode="transit" (default) compares the coefficient after convecting for
     `window` domain lengths against the prescribed input: the end-user
@@ -333,6 +334,7 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
     xs = np.arange(n_measure) * (L / n_measure)
     raw_tau = cfl * solver.min_spacing
     k_hats, res, ims, trans = [], [], [], []
+    P_dt = None     # the snapshot interval P marches; transit bins share it
     for k in k_values:
         if k == 0:
             k_hats.append(0.0); res.append(0.0); ims.append(0.0)
@@ -351,7 +353,10 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
         else:
             dt, intervals = PENCIL_SPAN * 2.0 * np.pi / k, PENCIL_SNAPSHOTS - 1
         steps = max(1, int(math.ceil(dt / raw_tau)))
-        P = np.linalg.matrix_power(update_matrix(solver.A, dt / steps, scheme), steps)
+        if dt != P_dt:
+            P = None    # hold one power at a time
+            P = np.linalg.matrix_power(update_matrix(solver.A, dt / steps, scheme), steps)
+            P_dt = dt
         u = np.exp(1j * k * solver.coords)
         bins = [np.fft.fft(solver.resample(u, xs))[m_int]]
         for interval in range(1, intervals + 1):

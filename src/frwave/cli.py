@@ -281,8 +281,8 @@ def _load_config(path):
 
 
 class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser; remembers its own options by destination so
-    that a config file sets defaults for those and nothing else."""
+    """A subcommand's parser; maps its value-taking options' destinations
+    to their flags, so that a config file sets those and nothing else."""
 
     def __init__(self, *args, **kwargs):
         self.options = {}
@@ -290,7 +290,8 @@ class _Subcommand(argparse.ArgumentParser):
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.options[action.dest] = action
+        if action.nargs != 0:           # -h takes no value
+            self.options[action.dest] = action.option_strings[-1]
         return action
 
 
@@ -401,14 +402,15 @@ def main(argv=None):
     top = parser.parse_args(argv)
     chosen = subcommands[top.command]
     try:
+        options = top.options
         if top.config:
-            # config values become defaults of the chosen subcommand's own
-            # options, which then need no flag; flags still win
-            for key, value in _load_config(top.config).items():
-                if key in chosen.options:
-                    chosen.options[key].default = value
-                    chosen.options[key].required = False
-        args = chosen.parse_args(top.options)
+            # config values go in front of the flags, so the parser checks
+            # them like flags and a flag still wins (the last one counts)
+            config = _load_config(top.config)
+            options = [f"{flag}={config[key]}"
+                       for key, flag in chosen.options.items()
+                       if key in config] + options
+        args = chosen.parse_args(options)
         return args.fn(args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,12 @@
 
 Meshes are structured (nx by ny quads on a periodic square) but stored
 with explicit nodes and counterclockwise corner connectivity so the
-solvers never rely on smoothness of the node placement.  Jitter uses a
-counter-based generator (Philox) keyed by the seed, so a given
-(nx, ny, factor, seed) always reproduces the same mesh on any platform.
+solvers never rely on smoothness of the node placement.  Jitter draws all
+interior displacements in one block from a counter-based generator (Philox)
+keyed by the seed, so a given (nx, ny, factor, seed) always reproduces the
+same mesh on any platform.  Below factor 0.5 no element can tangle; above
+it, rounds redraw the nodes of tangled elements, so such meshes differ from
+those of versions that redrew one node at a time.
 """
 
 from dataclasses import dataclass
@@ -35,10 +38,6 @@ class QuadMesh2D:
         return self.nodes[self.elements]
 
 
-def _node_id(i, j, nx):
-    return j * (nx + 1) + i
-
-
 def uniform_quad_mesh(nx, ny, L=1.0):
     """Axis-aligned nx-by-ny quadrilateral mesh of the square [0, L]^2."""
     if nx < 2 or ny < 2:
@@ -48,8 +47,8 @@ def uniform_quad_mesh(nx, ny, L=1.0):
     X, Y = np.meshgrid(xs, ys)
     nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
     j, i = np.divmod(np.arange(nx * ny), nx)    # element j*nx + i
-    elements = np.stack([_node_id(i, j, nx), _node_id(i + 1, j, nx),
-                         _node_id(i + 1, j + 1, nx), _node_id(i, j + 1, nx)],
+    first = j * (nx + 1) + i                    # node (i, j)
+    elements = np.stack([first, first + 1, first + nx + 2, first + nx + 1],
                         axis=1)
     return QuadMesh2D(nodes=nodes, elements=elements, nx=nx, ny=ny, L=float(L))
 
@@ -68,48 +67,36 @@ def _corner_jacobians(corners):
 def jitter(mesh, factor, seed):
     """Displace interior nodes by factor*cell_size*uniform[-0.5, 0.5]^2.
 
-    Boundary nodes stay fixed so the periodic domain is preserved.  Nodes
-    are visited in row-major order; a displacement that inverts one of the
-    touching elements is redrawn (up to 100 times) before giving up.
-    Deterministic for a fixed seed.
+    Boundary nodes stay fixed so the periodic domain is preserved.  Every
+    interior displacement is drawn in one block, nodes in row-major order.
+    Below factor 0.5 no element can tangle: scaled to the unit square, each
+    corner moves by at most factor/2 per axis, so every corner Jacobian is
+    at least (1 - 2 factor) times the cell area.  Above it, each round
+    redraws, again in one block, every interior node of every element with
+    a non-positive corner Jacobian; MeshTangleError after 100 rounds.
+    Meshes that needed a redraw differ from those of earlier versions,
+    which redrew one node at a time.  Deterministic for a fixed seed.
     """
     if factor < 0:
         raise ValueError(f"jitter factor must be non-negative, got {factor}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    nodes = mesh.nodes.copy()
-    if factor == 0.0:
-        return QuadMesh2D(nodes=nodes, elements=mesh.elements.copy(),
-                          nx=mesh.nx, ny=mesh.ny, L=mesh.L,
-                          jitter_factor=factor, seed=int(seed))
     nx, ny = mesh.nx, mesh.ny
-    cell = np.array([mesh.L / nx, mesh.L / ny])
-    # elements touching node (i, j): all (ei, ej) with ei in {i-1, i}, ...
-    def touching(i, j):
-        out = []
-        for ej in (j - 1, j):
-            for ei in (i - 1, i):
-                if 0 <= ei < nx and 0 <= ej < ny:
-                    out.append(ej * nx + ei)
-        return out
-
-    for j in range(1, ny):
-        for i in range(1, nx):
-            nid = _node_id(i, j, nx)
-            elems = touching(i, j)
-            base = nodes[nid].copy()
-            for attempt in range(100):
-                disp = factor * cell * rng.uniform(-0.5, 0.5, size=2)
-                nodes[nid] = base + disp
-                jac = _corner_jacobians(nodes[mesh.elements[elems]])
-                if np.all(jac > 0.0):
-                    break
-            else:
-                raise MeshTangleError(
-                    f"could not place node ({i}, {j}) after 100 draws "
-                    f"(factor={factor})")
-    return QuadMesh2D(nodes=nodes, elements=mesh.elements.copy(),
-                      nx=nx, ny=ny, L=mesh.L,
-                      jitter_factor=factor, seed=int(seed))
+    step = factor * np.array([mesh.L / nx, mesh.L / ny])
+    nodes = mesh.nodes.copy()
+    interior = nodes.reshape(ny + 1, nx + 1, 2)[1:-1, 1:-1]   # a view
+    base = interior.copy()
+    redo = np.ones(base.shape[:2], dtype=bool)
+    for _ in range(101):    # the first draw, then up to 100 redraw rounds
+        interior[redo] = base[redo] + step * rng.uniform(-0.5, 0.5, size=(redo.sum(), 2))
+        bad = np.any(_corner_jacobians(nodes[mesh.elements]) <= 0.0, axis=1)
+        if not bad.any():
+            return QuadMesh2D(nodes=nodes, elements=mesh.elements.copy(),
+                              nx=nx, ny=ny, L=mesh.L,
+                              jitter_factor=factor, seed=int(seed))
+        redo = np.isin(np.arange(len(nodes)), mesh.elements[bad])
+        redo = redo.reshape(ny + 1, nx + 1)[1:-1, 1:-1]
+    raise MeshTangleError(f"{bad.sum()} elements still tangled after 100 "
+                          f"redraw rounds (factor={factor})")
 
 
 @dataclass

@@ -380,6 +380,26 @@ def test_harness_is_the_stepwise_march(make, m, cfl, mode):
     assert abs(measured - k_prime) < 1e-9 * abs(k_prime)
 
 
+
+@pytest.mark.parametrize("mode, powers", [(TRANSIT, 1), (PENCIL, 3)])
+def test_bins_with_one_interval_share_one_power(monkeypatch, mode, powers):
+    # every transit bin marches window * L, so one power serves them all;
+    # a pencil interval is a fixed fraction of each wave's period
+    solver = FRAdvection1D(build_grid(12, 1.0, 1.0), reference_element(3))
+    ks = 2 * np.pi * np.array([3.0, 5.0, 7.0])
+    alone = [wave_transfer_function(solver, [k], cfl=0.05, mode=mode)
+             for k in ks]
+    calls = []
+    matrix_power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda M, n: calls.append(n) or matrix_power(M, n))
+    table = wave_transfer_function(solver, ks, cfl=0.05, mode=mode)
+    assert len(calls) == powers
+    assert np.array_equal(table.transfer, [t.transfer[0] for t in alone])
+    assert np.array_equal(table.re_k_hat_prime,
+                          [t.re_k_hat_prime[0] for t in alone])
+
+
 def test_transit_mode_reports_extra_attenuation():
     # accumulated dissipation makes the apparent dispersion worse than the
     # propagating-mode value at mid band

@@ -172,6 +172,29 @@ def test_config_file_supplies_required_option(tmp_path):
     assert exc.value.code == 2
 
 
+
+@pytest.mark.parametrize("line", ["solver = fvx", "riemann = hllc"])
+def test_config_value_outside_choices_rejected(tmp_path, capsys, line):
+    # a config value is checked like the flag it stands for
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "icv", "--resolutions", "4",
+              "--steps", "1", "--outdir", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_help_key_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("help = yes\np = 2\nsamples = 64\n")
+    assert main(["--config", str(cfg), "dispersion", "--outdir",
+                 str(tmp_path)]) == 0
+    assert (tmp_path / "dispersion_p2_gamma1.csv").exists()
+
+
 def test_cli_import_does_not_load_scipy():
     # SciPy is most of the CLI's start-up time; only tracked curves need it
     env = dict(os.environ, PYTHONPATH=str(Path(frwave.__file__).parents[1]))

@@ -80,12 +80,45 @@ def test_jitter_pins_boundary_nodes():
     assert not np.array_equal(jm.nodes[~on_boundary], m.nodes[~on_boundary])
 
 
+def _one_block(mesh, factor, seed):
+    """Every interior node displaced by one block draw in row-major order,
+    with no redraw."""
+    nx, ny = mesh.nx, mesh.ny
+    interior = [j * (nx + 1) + i for j in range(1, ny) for i in range(1, nx)]
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    cell = np.array([mesh.L / nx, mesh.L / ny])
+    nodes = mesh.nodes.copy()
+    nodes[interior] += factor * cell * rng.uniform(-0.5, 0.5,
+                                                   size=(len(interior), 2))
+    return nodes
+
+
 def test_jitter_keeps_elements_untangled():
     from frwave.mesh2d import _corner_jacobians
     m = uniform_quad_mesh(10, 10, 1.0)
-    jm = jitter(m, 0.45, seed=11)
-    jac = _corner_jacobians(jm.corner_coords())
-    assert np.all(jac > 0)
+    for factor in (0.45, 0.95):
+        jm = jitter(m, factor, seed=11)
+        jac = _corner_jacobians(jm.corner_coords())
+        assert np.all(jac > 0)
+    # at 0.95 the one block tangles elements, so redraw rounds ran
+    tangled = _corner_jacobians(_one_block(m, 0.95, 11)[m.elements])
+    assert np.any(tangled <= 0)
+
+
+@pytest.mark.parametrize("nx, ny, L, factor, seed", [
+    (4, 4, 1.0, 0.2, 12345), (10, 10, 1.0, 0.45, 11), (7, 3, 2.0, 0.49, 5),
+    (32, 32, 10.0, 0.4, 2031), (200, 200, 10.0, 0.3, 2024)])
+def test_jitter_below_half_is_one_block(nx, ny, L, factor, seed):
+    # below factor 0.5 no element can tangle, so no node is redrawn
+    m = uniform_quad_mesh(nx, ny, L)
+    assert np.array_equal(jitter(m, factor, seed).nodes,
+                          _one_block(m, factor, seed))
+
+
+def test_jitter_raises_when_rounds_run_out():
+    # displacements of up to ten cells cannot be untangled
+    with pytest.raises(MeshTangleError, match="after 100 redraw rounds"):
+        jitter(uniform_quad_mesh(4, 4, 1.0), 20.0, seed=0)
 
 
 def test_jitter_rejects_negative_factor():

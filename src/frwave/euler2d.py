@@ -58,12 +58,12 @@ def euler_normal_flux(U, nx, ny):
 def _normal_flux(U, rho, u, v, p, nx, ny):
     """euler_normal_flux with the primitives of U already recovered."""
     un = u * nx + v * ny
-    return np.stack([
-        rho * un,
-        U[..., 1] * un + p * nx,
-        U[..., 2] * un + p * ny,
-        (U[..., 3] + p) * un,
-    ], axis=-1)
+    F = np.empty_like(U)    # U's memory order: the element state is not C-ordered
+    F[..., 0] = rho * un
+    F[..., 1] = U[..., 1] * un + p * nx
+    F[..., 2] = U[..., 2] * un + p * ny
+    F[..., 3] = (U[..., 3] + p) * un
+    return F
 
 
 def rusanov_flux(UL, UR, nx, ny):
@@ -75,9 +75,14 @@ def rusanov_flux(UL, UR, nx, ny):
     sL = np.abs(uL * nx + vL * ny) + cL
     sR = np.abs(uR * nx + vR * ny) + cR
     smax = np.maximum(sL, sR)
-    FL = _normal_flux(UL, rhoL, uL, vL, pL, nx, ny)
-    FR = _normal_flux(UR, rhoR, uR, vR, pR, nx, ny)
-    return 0.5 * (FL + FR) - 0.5 * smax[..., None] * (UR - UL)
+    # 0.5 * (FL + FR) - 0.5 * smax * (UR - UL), in place
+    F = _normal_flux(UL, rhoL, uL, vL, pL, nx, ny)
+    F += _normal_flux(UR, rhoR, uR, vR, pR, nx, ny)
+    F *= 0.5
+    jump = UR - UL
+    jump *= (0.5 * smax)[..., None]
+    F -= jump
+    return F
 
 
 def roe_flux(UL, UR, nx, ny):
@@ -201,12 +206,13 @@ def _check_physical(rho, p):
 class _EulerSolver:
     """What the element and finite-volume solvers share beyond the mesh,
     including one Riemann solve per face: an element owns its east and north
-    faces.  A subclass passes _faces the outward face vectors n_east and
-    n_north, scaled by face length (per unit reference length for the
-    elements) and shaped (n_elem, ..., 2) to broadcast against a face trace
-    without its variable axis: (n_elem, 2) for the finite-volume cells,
-    (n_elem, 1, 2) for the elements, whose straight faces have one vector
-    along all p+1 points.
+    faces, and reads its neighbours' rows through the periodic east, west,
+    north and south tables with np.take.  A subclass passes _faces the
+    outward face vectors n_east and n_north, scaled by face length (per unit
+    reference length for the elements) and shaped (n_elem, ..., 2) to
+    broadcast against a face trace without its variable axis: (n_elem, 2)
+    for the finite-volume cells, (n_elem, 1, 2) for the elements, whose
+    straight faces have one vector along all p+1 points.
 
     The mesh must be made of convex counterclockwise quads, checked before
     any geometry is built: a bilinear map's Jacobian is affine in
@@ -227,10 +233,10 @@ class _EulerSolver:
     def _solve_faces(self, UE, UW, UN, US):
         """Length-weighted fluxes through each element's east and north
         faces, given the traces on every element's four sides."""
-        FE = self.s_e[..., None] * self.riemann(
-            UE, UW[self.east], self.nx_e, self.ny_e)
-        FN = self.s_n[..., None] * self.riemann(
-            UN, US[self.north], self.nx_n, self.ny_n)
+        FE = self.riemann(UE, np.take(UW, self.east, axis=0), self.nx_e, self.ny_e)
+        FN = self.riemann(UN, np.take(US, self.north, axis=0), self.nx_n, self.ny_n)
+        FE *= self.s_e[..., None]
+        FN *= self.s_n[..., None]
         return FE, FN
 
     def max_signal_speed(self, U):
@@ -306,8 +312,8 @@ class FREulerSolver2D(_EulerSolver):
         US, UN = np.moveaxis(_along(self.T, U, 2), 2, 0)
         # a face's transformed flux is the same value on both sides
         Fc_E, Gc_N = self._solve_faces(UE, UW, UN, US)
-        Fc = np.stack([Fc_E[self.west], Fc_E], axis=1)
-        Gc = np.stack([Gc_N[self.south], Gc_N], axis=2)
+        Fc = np.stack([np.take(Fc_E, self.west, axis=0), Fc_E], axis=1)
+        Gc = np.stack([np.take(Gc_N, self.south, axis=0), Gc_N], axis=2)
         D, T, H = self.element.D, self.T, self.H
         div = (_along(D, Fh, 1) + _along(H, Fc - _along(T, Fh, 1), 1)
                + _along(D, Gh, 2) + _along(H, Gc - _along(T, Gh, 2), 2))
@@ -395,14 +401,21 @@ class FVEulerSolver2D(_EulerSolver):
         rho = U[..., 0]
         p = (GAMMA_GAS - 1.0) * (U[..., 3] - 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2) / rho)
         _check_physical(rho, p)
-        gx = 0.5 * (U[self.east] - U[self.west])    # per unit index
-        gy = 0.5 * (U[self.north] - U[self.south])
-        FE, FN = self._solve_faces(U + 0.5 * gx, U - 0.5 * gx,
-                                   U + 0.5 * gy, U - 0.5 * gy)
+        # half a cell of the central differences, in place
+        hx = np.take(U, self.east, axis=0) - np.take(U, self.west, axis=0)
+        hy = np.take(U, self.north, axis=0) - np.take(U, self.south, axis=0)
+        for h in (hx, hy):
+            h *= 0.5        # the difference per unit index
+            h *= 0.5        # half a cell of it
+        # each west and south state overwrites its half after the east and north one
+        FE, FN = self._solve_faces(U + hx, np.subtract(U, hx, out=hx),
+                                   U + hy, np.subtract(U, hy, out=hy))
         # a cell's west and south fluxes are its neighbours' east and
         # north fluxes, leaving through the opposite side
-        flux = ((FE + FN) - FE[self.west]) - FN[self.south]
-        return -flux / self.area[:, None]
+        flux = FE + FN
+        flux -= np.take(FE, self.west, axis=0)
+        flux -= np.take(FN, self.south, axis=0)
+        return np.divide(flux, -self.area[:, None], out=flux)
 
     def length_scale(self):
         """Smallest cell diameter (largest diagonal per cell)."""

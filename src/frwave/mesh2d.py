@@ -35,7 +35,7 @@ class QuadMesh2D:
 
     def corner_coords(self):
         """Element corner coordinates, shape (n_elem, 4, 2)."""
-        return self.nodes[self.elements]
+        return np.take(self.nodes, self.elements, axis=0)
 
 
 def uniform_quad_mesh(nx, ny, L=1.0):
@@ -56,12 +56,9 @@ def uniform_quad_mesh(nx, ny, L=1.0):
 def _corner_jacobians(corners):
     """Cross products at the four corners of each element (positive for a
     convex, counterclockwise quad).  corners: (..., 4, 2)."""
-    out = np.empty(corners.shape[:-2] + (4,))
-    for c in range(4):
-        a = corners[..., (c + 1) % 4, :] - corners[..., c, :]
-        b = corners[..., (c + 3) % 4, :] - corners[..., c, :]
-        out[..., c] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
+    a = np.roll(corners, -1, axis=-2) - corners     # to the next corner
+    b = np.roll(corners, 1, axis=-2) - corners      # to the previous one
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def jitter(mesh, factor, seed):
@@ -88,7 +85,7 @@ def jitter(mesh, factor, seed):
     redo = np.ones(base.shape[:2], dtype=bool)
     for _ in range(101):    # the first draw, then up to 100 redraw rounds
         interior[redo] = base[redo] + step * rng.uniform(-0.5, 0.5, size=(redo.sum(), 2))
-        bad = np.any(_corner_jacobians(nodes[mesh.elements]) <= 0.0, axis=1)
+        bad = np.any(_corner_jacobians(np.take(nodes, mesh.elements, axis=0)) <= 0.0, axis=1)
         if not bad.any():
             return QuadMesh2D(nodes=nodes, elements=mesh.elements.copy(),
                               nx=nx, ny=ny, L=mesh.L,
@@ -143,16 +140,15 @@ def jitter_factor_for_skew(mesh, target_alpha, seed, tol=0.1, max_factor=0.95):
 
 
 def write_mesh(mesh, path):
-    """Plain-text mesh file: header, node lines 'x y', element lines of
-    four counterclockwise corner indices."""
+    """Plain-text mesh file: header, node lines 'x y' (repr of each float),
+    element lines of four counterclockwise corner indices; one block each."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"quadmesh {mesh.nx} {mesh.ny} {float(mesh.L)!r} "
                 f"{float(mesh.jitter_factor)!r} {mesh.seed}\n")
         f.write(f"{len(mesh.nodes)} {len(mesh.elements)}\n")
-        for x, y in mesh.nodes:
-            f.write(f"{float(x)!r} {float(y)!r}\n")
-        for quad in mesh.elements:
-            f.write(" ".join(str(c) for c in quad) + "\n")
+        f.write(("%r %r\n" * len(mesh.nodes)) % tuple(mesh.nodes.ravel().tolist()))
+        f.write(("%d %d %d %d\n" * len(mesh.elements))
+                % tuple(mesh.elements.ravel().tolist()))
 
 
 def read_mesh(path):

@@ -89,6 +89,78 @@ def test_riemann_solvers_conservative_antisymmetry():
         assert np.allclose(f1, -f2, atol=1e-12)
 
 
+def _stacked_normal_flux(U, nx, ny):
+    rho, u, v, p = conserved_to_primitive(U)
+    un = u * nx + v * ny
+    return np.stack([rho * un, U[..., 1] * un + p * nx,
+                     U[..., 2] * un + p * ny, (U[..., 3] + p) * un], axis=-1)
+
+
+def _stacked_rusanov(UL, UR, nx, ny):
+    rhoL, uL, vL, pL = conserved_to_primitive(UL)
+    rhoR, uR, vR, pR = conserved_to_primitive(UR)
+    sL = np.abs(uL * nx + vL * ny) + np.sqrt(GAMMA_GAS * pL / rhoL)
+    sR = np.abs(uR * nx + vR * ny) + np.sqrt(GAMMA_GAS * pR / rhoR)
+    smax = np.maximum(sL, sR)
+    FL, FR = _stacked_normal_flux(UL, nx, ny), _stacked_normal_flux(UR, nx, ny)
+    return 0.5 * (FL + FR) - 0.5 * smax[..., None] * (UR - UL)
+
+
+def _stacked_roe(UL, UR, nx, ny):
+    rhoL, uL, vL, pL = conserved_to_primitive(UL)
+    rhoR, uR, vR, pR = conserved_to_primitive(UR)
+    nx = np.broadcast_to(nx, rhoL.shape)
+    ny = np.broadcast_to(ny, rhoL.shape)
+    sqL, sqR = np.sqrt(rhoL), np.sqrt(rhoR)
+    w = sqL / (sqL + sqR)
+    u, v = w * uL + (1 - w) * uR, w * vL + (1 - w) * vR
+    H = w * ((UL[..., 3] + pL) / rhoL) + (1 - w) * ((UR[..., 3] + pR) / rhoR)
+    q2 = u * u + v * v
+    a2 = (GAMMA_GAS - 1.0) * (H - 0.5 * q2)
+    a = np.sqrt(np.maximum(a2, 1e-300))
+    un, ut = u * nx + v * ny, -u * ny + v * nx
+    dp = pR - pL
+    dun = (uR * nx + vR * ny) - (uL * nx + vL * ny)
+    dut = (-uR * ny + vR * nx) - (-uL * ny + vL * nx)
+    eps = 0.05 * a
+    fix = lambda l: np.where(l < eps, (l * l / eps + eps) * 0.5, l)
+    lam = [fix(np.abs(un - a)), np.abs(un), fix(np.abs(un + a)), np.abs(un)]
+    rho_roe = np.sqrt(rhoL * rhoR)
+    alpha = [(dp - rho_roe * a * dun) / (2.0 * a2), (rhoR - rhoL) - dp / a2,
+             (dp + rho_roe * a * dun) / (2.0 * a2), rho_roe * dut]
+    one = np.ones_like(u)
+    K = [np.stack([one, u - a * nx, v - a * ny, H - un * a], axis=-1),
+         np.stack([one, u, v, 0.5 * q2], axis=-1),
+         np.stack([one, u + a * nx, v + a * ny, H + un * a], axis=-1),
+         np.stack([np.zeros_like(u), -ny, nx, ut], axis=-1)]
+    diss = sum(l[..., None] * al[..., None] * k
+               for l, al, k in zip(lam, alpha, K))
+    FL, FR = _stacked_normal_flux(UL, nx, ny), _stacked_normal_flux(UR, nx, ny)
+    return 0.5 * (FL + FR) - 0.5 * diss
+
+
+@pytest.mark.parametrize("shape, normal_shape", [((40,), (40,)),
+                                                 ((9, 5), (9, 1)),
+                                                 ((3, 4, 6), (3, 1, 6))])
+def test_flux_kernels_keep_their_arithmetic(shape, normal_shape):
+    # the kernels fill their outputs in place; every entry must still be
+    # the one the stacked formulas give, bit for bit
+    rng = np.random.default_rng(31)
+    def state():
+        return primitive_to_conserved(
+            rng.uniform(0.3, 2.0, shape), rng.normal(0.0, 1.5, shape),
+            rng.normal(0.0, 1.5, shape), rng.uniform(0.3, 2.0, shape))
+    UL, UR = state(), state()
+    theta = rng.uniform(0.0, 2.0 * np.pi, normal_shape)
+    nx, ny = np.cos(theta), np.sin(theta)
+    assert np.array_equal(euler_normal_flux(UL, nx, ny),
+                          _stacked_normal_flux(UL, nx, ny))
+    assert np.array_equal(rusanov_flux(UL, UR, nx, ny),
+                          _stacked_rusanov(UL, UR, nx, ny))
+    assert np.array_equal(roe_flux(UL, UR, nx, ny),
+                          _stacked_roe(UL, UR, nx, ny))
+
+
 # --- vortex ------------------------------------------------------------------
 
 def test_icv_far_field_is_free_stream():
@@ -286,6 +358,60 @@ def test_fv_nonphysical_state_reported():
     with pytest.raises(NonPhysicalStateError) as err:
         solver.rhs(U)
     assert err.value.where == 2
+
+
+# --- neighbour reads on a non-square mesh --------------------------------------
+
+def _explicit_neighbours(mesh):
+    """East, west, north, south of element j*nx + i, by index arithmetic."""
+    nx, ny = mesh.nx, mesh.ny
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    return (j * nx + (i + 1) % nx, j * nx + (i - 1) % nx,
+            ((j + 1) % ny) * nx + i, ((j - 1) % ny) * nx + i)
+
+
+def _fv_reference(solver, U, flux):
+    east, west, north, south = _explicit_neighbours(solver.mesh)
+    gx = 0.5 * (U[east] - U[west])
+    gy = 0.5 * (U[north] - U[south])
+    UE, UW, UN, US = U + 0.5 * gx, U - 0.5 * gx, U + 0.5 * gy, U - 0.5 * gy
+    FE = solver.s_e[:, None] * flux(UE, UW[east], solver.nx_e, solver.ny_e)
+    FN = solver.s_n[:, None] * flux(UN, US[north], solver.nx_n, solver.ny_n)
+    return -(((FE + FN) - FE[west]) - FN[south]) / solver.area[:, None]
+
+
+def _fr_reference(solver, U, flux):
+    from frwave.euler2d import _along
+    east, west, north, south = _explicit_neighbours(solver.mesh)
+    m1, m2, T, H = solver.m1, solver.m2, solver.T, solver.H
+    Fh = euler_normal_flux(U, m1[..., 0], m1[..., 1])
+    Gh = euler_normal_flux(U, m2[..., 0], m2[..., 1])
+    UW, UE = np.moveaxis(_along(T, U, 1), 1, 0)
+    US, UN = np.moveaxis(_along(T, U, 2), 2, 0)
+    FE = solver.s_e[..., None] * flux(UE, UW[east], solver.nx_e, solver.ny_e)
+    GN = solver.s_n[..., None] * flux(UN, US[north], solver.nx_n, solver.ny_n)
+    Fc = np.stack([FE[west], FE], axis=1)
+    Gc = np.stack([GN[south], GN], axis=2)
+    D = solver.element.D
+    div = (_along(D, Fh, 1) + _along(H, Fc - _along(T, Fh, 1), 1)
+           + _along(D, Gh, 2) + _along(H, Gc - _along(T, Gh, 2), 2))
+    return -div / solver.detJ[..., None]
+
+
+@pytest.mark.parametrize("riemann", ["rusanov", "roe"])
+def test_rhs_neighbours_on_non_square_mesh(riemann):
+    # with nx != ny an east/north (x/y) mix-up in the neighbour reads moves
+    # the result; the reference reads every neighbour by index arithmetic
+    mesh = jitter(uniform_quad_mesh(7, 5, 10.0), 0.3, seed=27)
+    flux = {"rusanov": rusanov_flux, "roe": roe_flux}[riemann]
+    vortex = lambda x, y, t: icv_primitive(x, y, t)
+    for metrics in ("curvilinear", "exact"):
+        fv = FVEulerSolver2D(mesh, riemann=riemann, metrics=metrics)
+        U = fv.project(vortex)
+        assert np.array_equal(fv.rhs(U), _fv_reference(fv, U, flux))
+    fr = FREulerSolver2D(mesh, p=3, riemann=riemann)
+    U = fr.project(vortex)
+    assert np.array_equal(fr.rhs(U), _fr_reference(fr, U, flux))
 
 
 # --- error norms and convergence ------------------------------------------------

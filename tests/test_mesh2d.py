@@ -105,6 +105,18 @@ def test_jitter_keeps_elements_untangled():
     assert np.any(tangled <= 0)
 
 
+def test_corner_jacobians_are_the_corner_cross_products():
+    # corner c: (next corner - c) x (previous corner - c)
+    from frwave.mesh2d import _corner_jacobians
+    X = jitter(uniform_quad_mesh(5, 3, 2.0), 0.4, seed=6).corner_coords()
+    want = np.empty(X.shape[:2])
+    for c in range(4):
+        a = X[:, (c + 1) % 4] - X[:, c]
+        b = X[:, (c + 3) % 4] - X[:, c]
+        want[:, c] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    assert np.array_equal(_corner_jacobians(X), want)
+
+
 @pytest.mark.parametrize("nx, ny, L, factor, seed", [
     (4, 4, 1.0, 0.2, 12345), (10, 10, 1.0, 0.45, 11), (7, 3, 2.0, 0.49, 5),
     (32, 32, 10.0, 0.4, 2031), (200, 200, 10.0, 0.3, 2024)])
@@ -185,6 +197,23 @@ def test_mesh_file_roundtrip(tmp_path):
     assert np.array_equal(back.elements, m.elements)
     assert back.nx == 5 and back.ny == 4 and back.L == 2.0
     assert back.jitter_factor == 0.2 and back.seed == 8
+
+
+@pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (-1.5, 1e-7)],
+                         ids=["jittered", "signed-tiny"])
+def test_write_mesh_matches_line_by_line_format(tmp_path, shift, scale):
+    # the block write must give the file the per-line format gave
+    from frwave.mesh2d import QuadMesh2D
+    m = jitter(uniform_quad_mesh(6, 4, 3.0), 0.3, seed=9)
+    m = QuadMesh2D(nodes=(m.nodes + shift) * scale, elements=m.elements,
+                   nx=6, ny=4, L=3.0, jitter_factor=0.3, seed=9)
+    lines = [f"quadmesh {m.nx} {m.ny} {float(m.L)!r} "
+             f"{float(m.jitter_factor)!r} {m.seed}\n",
+             f"{len(m.nodes)} {len(m.elements)}\n"]
+    lines += [f"{float(x)!r} {float(y)!r}\n" for x, y in m.nodes]
+    lines += [" ".join(str(c) for c in quad) + "\n" for quad in m.elements]
+    write_mesh(m, tmp_path / "mesh.txt")
+    assert (tmp_path / "mesh.txt").read_text(encoding="utf-8") == "".join(lines)
 
 
 def test_read_mesh_rejects_other_files(tmp_path):

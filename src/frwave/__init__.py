@@ -7,8 +7,8 @@ element    : reference-interval nodal machinery (points, derivative
              matrix, boundary extraction, correction derivatives)
 spectral   : wavenumber-domain dispersion/dissipation analysis, PPW,
              filter kernels, finite-difference modified wavenumbers
-stability  : Runge-Kutta update matrices, spectral-radius sweeps, CFL
-             limits on stretched grids
+stability  : the Runge-Kutta march of every solver, update matrices,
+             spectral-radius sweeps, CFL limits on stretched grids
 advect1d   : 1D linear advection solvers (element and finite-difference)
              plus the transfer-function measurement harness
 mesh2d     : quadrilateral meshes, seeded jitter, skew-angle metric
@@ -26,13 +26,13 @@ from .spectral import (SAMPLED, WEIGHTED, EigenSolveError, SemiDiscreteOperator,
                        SpectralCurve, SpectralSample, build_operator,
                        dispersion_curve, fd_modified_wavenumber, filter_kernel,
                        modified_phase_velocity, ppw)
-from .stability import (RK33, RK44, RK55, RKScheme, StabilityResult, cfl_limit,
-                        get_scheme, spectral_radius_sweep, update_matrix)
+from .stability import (RK33, RK44, RK55, RKScheme, StabilityResult,
+                        UnstableSolutionError, advance, cfl_limit, get_scheme,
+                        spectral_radius_sweep, update_matrix)
 from .advect1d import (FDAdvection1D, FDScheme, FRAdvection1D,
-                       StretchedGrid1D, TransferTable, UnstableSolutionError,
-                       advance, bin_wavenumbers, build_grid, fd_point_grid,
-                       matched_point_expansion, numeric_ppw, solution_points,
-                       wave_transfer_function)
+                       StretchedGrid1D, TransferTable, bin_wavenumbers,
+                       build_grid, fd_point_grid, matched_point_expansion,
+                       numeric_ppw, solution_points, wave_transfer_function)
 from .mesh2d import (MeshTangleError, QuadMesh2D, SkewReport, jitter,
                      jitter_factor_for_skew, read_mesh, skew_angle,
                      uniform_quad_mesh, write_mesh)

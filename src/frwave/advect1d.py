@@ -3,32 +3,25 @@
 Holds the element-based upwind solver and finite-difference baselines with
 optional first-order smoothing, each assembled as one dof x dof operator A
 (the element solver's from the cell matrices of spectral.build_operator, so
-the solver and the wavenumber analysis share one operator), the Runge-Kutta
-march (also used by the 2D Euler solvers), and the transfer-function harness
-that measures modified wavenumbers by comparing Fourier coefficients of a
-wave before and after convection; the harness marches with powers of the
-fully discrete step, the matrix stability.update_matrix(A, tau, scheme).
+the solver and the wavenumber analysis share one operator), and the
+transfer-function harness that measures modified wavenumbers by comparing
+Fourier coefficients of a wave before and after convection.  The harness
+marches with powers of the fully discrete step, the matrix
+stability.update_matrix(A, tau, RK44); stability.advance marches the same
+step on a solver's rhs.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .element import derivative_matrix, lagrange_values
 from .spectral import _first_crossing_ppw, build_operator
-from .stability import RK44, _stage_loop, get_scheme, update_matrix
+from .stability import RK44, UnstableSolutionError, update_matrix
 
 FD_ORDERS = (2, 3, 4, 6, 8)
 MEASURE_POINTS = 4096
-
-
-class UnstableSolutionError(RuntimeError):
-    """Non-finite values appeared during time stepping."""
-
-    def __init__(self, step):
-        self.step = step
-        super().__init__(f"solution became non-finite at step {step}")
 
 
 @dataclass
@@ -229,24 +222,6 @@ class FDAdvection1D:
         return np.einsum("im,im->i", lagrange_values(xw, xs), u[idx])
 
 
-def advance(solver, u0, tau, scheme, steps):
-    """March `steps` steps of the low-storage RK stage loop on solver.rhs;
-    for the linear 1D problem each step is exactly the truncated-exponential
-    update of stability.update_matrix.  "RK44" is 4th order in time only on
-    linear right-hand sides; on nonlinear ones (the Euler equations) the
-    loop is 2nd order.
-    """
-    scheme = get_scheme(scheme)
-    if tau <= 0:
-        raise ValueError(f"time step must be positive, got {tau}")
-    u = np.array(u0, copy=True)
-    for step in range(steps):
-        u = _stage_loop(solver.rhs, u, tau, scheme.stages)
-        if not np.all(np.isfinite(u)):
-            raise UnstableSolutionError(step)
-    return u
-
-
 @dataclass
 class TransferTable:
     """Measured modified wavenumbers, Nyquist-normalised."""
@@ -256,7 +231,6 @@ class TransferTable:
     im_k_hat_prime: np.ndarray
     k: np.ndarray
     transfer: np.ndarray
-    meta: dict = field(default_factory=dict)
 
 
 TRANSIT = "transit"
@@ -268,14 +242,14 @@ PENCIL_SNAPSHOTS = 16
 PENCIL_MAX_MODES = 4
 
 
-def _modal_wavenumber(bins, dt, k, max_modes=PENCIL_MAX_MODES, svd_tol=1e-7):
+def _modal_wavenumber(bins, dt, k):
     """Dominant-mode wavenumber from a bin time series (SVD matrix pencil).
 
     The prescribed wave excites every branch of the discrete system; the
     series is fit as a short sum of exponentials and the mode contributing
     most over the window is reported.  Exact when the dynamics really are
     a low-rank exponential sum (uniform grids).  When no mode dominates the
-    bin (stretched meshes, upper band), the fit of at most `max_modes`
+    bin (stretched meshes, upper band), the fit of at most PENCIL_MAX_MODES
     exponentials to a richer spectrum may return a frequency that is not an
     eigenvalue of the discrete operator.
     """
@@ -285,7 +259,8 @@ def _modal_wavenumber(bins, dt, k, max_modes=PENCIL_MAX_MODES, svd_tol=1e-7):
     H = np.array([b[i:i + cols] for i in range(n - cols + 1)])
     H0, H1 = H[:-1], H[1:]
     U, s, Vh = np.linalg.svd(H0, full_matrices=False)
-    rank = max(1, min(int(np.sum(s > svd_tol * s[0])), max_modes))
+    # singular values below 1e-7 of the largest are noise
+    rank = max(1, min(int(np.sum(s > 1e-7 * s[0])), PENCIL_MAX_MODES))
     U, s, Vh = U[:, :rank], s[:rank], Vh[:rank]
     G = (U.conj().T @ H1 @ Vh.conj().T) / s[:, None]
     z = np.linalg.eigvals(G)
@@ -301,7 +276,7 @@ def _modal_wavenumber(bins, dt, k, max_modes=PENCIL_MAX_MODES, svd_tol=1e-7):
 
 
 def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
-                           window=0.5, scheme=RK44, n_measure=MEASURE_POINTS):
+                           window=0.5):
     """Convect single waves and measure the complex transfer per wavenumber.
 
     Each wave k (an integer number of wavelengths must fit the domain) is
@@ -310,7 +285,7 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
     give the modified wavenumber: phase drift -> Re k', amplitude change
     -> Im k'.  Every snapshot interval dt is marched as R^steps, with
     steps = ceil(dt / (cfl * solver.min_spacing)) and R the step matrix
-    stability.update_matrix(solver.A, dt / steps, scheme), formed directly
+    stability.update_matrix(solver.A, dt / steps, RK44), formed directly
     (not by eigen-expansion: A is strongly non-normal on stretched meshes);
     bins with the same dt (every transit bin) share one power.  A
     non-finite state raises UnstableSolutionError.
@@ -331,7 +306,7 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
         raise ValueError(f"unknown measurement mode {mode!r}")
     L = solver.L
     dof = solver.dof
-    xs = np.arange(n_measure) * (L / n_measure)
+    xs = np.arange(MEASURE_POINTS) * (L / MEASURE_POINTS)
     raw_tau = cfl * solver.min_spacing
     k_hats, res, ims, trans = [], [], [], []
     P_dt = None     # the snapshot interval P marches; transit bins share it
@@ -346,7 +321,7 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
             raise ValueError(
                 f"wavenumber {k} does not fit an integer number of "
                 f"wavelengths in a domain of length {L}")
-        if 2 * m_int >= n_measure:
+        if 2 * m_int >= MEASURE_POINTS:
             raise ValueError(f"wavenumber {k} above the measurement Nyquist")
         if mode == TRANSIT:
             dt, intervals = window * L, 1
@@ -355,7 +330,7 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
         steps = max(1, int(math.ceil(dt / raw_tau)))
         if dt != P_dt:
             P = None    # hold one power at a time
-            P = np.linalg.matrix_power(update_matrix(solver.A, dt / steps, scheme), steps)
+            P = np.linalg.matrix_power(update_matrix(solver.A, dt / steps, RK44), steps)
             P_dt = dt
         u = np.exp(1j * k * solver.coords)
         bins = [np.fft.fft(solver.resample(u, xs))[m_int]]
@@ -379,14 +354,12 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
         im_k_hat_prime=np.array(ims),
         k=np.array(k_values, dtype=float),
         transfer=np.array(trans),
-        meta={"cfl": cfl, "mode": mode, "window": window, "dof": dof,
-              "scheme": get_scheme(scheme).name},
     )
 
 
-def bin_wavenumbers(L, dof, k_hat_max=0.75 * np.pi, k_hat_min=0.0):
+def bin_wavenumbers(L, dof, k_hat_max=0.75 * np.pi):
     """All wavenumbers with integer wavelength count whose normalised value
-    lies in (k_hat_min, k_hat_max]."""
+    lies in (0, k_hat_max]."""
     ks = []
     m = 1
     while True:
@@ -394,8 +367,7 @@ def bin_wavenumbers(L, dof, k_hat_max=0.75 * np.pi, k_hat_min=0.0):
         k_hat = k * L / dof
         if k_hat > k_hat_max:
             break
-        if k_hat > k_hat_min:
-            ks.append(k)
+        ks.append(k)
         m += 1
     return np.array(ks)
 

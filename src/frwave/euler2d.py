@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .advect1d import advance
 from .element import reference_element
 from .mesh2d import _corner_jacobians
+from .stability import RK44, advance
 
 GAMMA_GAS = 1.4
 
@@ -204,15 +204,17 @@ def _check_physical(rho, p):
 
 
 class _EulerSolver:
-    """What the element and finite-volume solvers share beyond the mesh,
-    including one Riemann solve per face: an element owns its east and north
-    faces, and reads its neighbours' rows through the periodic east, west,
-    north and south tables with np.take.  A subclass passes _faces the
-    outward face vectors n_east and n_north, scaled by face length (per unit
-    reference length for the elements) and shaped (n_elem, ..., 2) to
-    broadcast against a face trace without its variable axis: (n_elem, 2)
-    for the finite-volume cells, (n_elem, 1, 2) for the elements, whose
-    straight faces have one vector along all p+1 points.
+    """What the element and finite-volume solvers share beyond the mesh:
+    projection and the DoF count, from the solution points a subclass
+    stores as self.x (n_elem, ..., 2), and one Riemann solve per face: an
+    element owns its east and north faces, and reads its neighbours' rows
+    through the periodic east, west, north and south tables with np.take.
+    A subclass passes _faces the outward face vectors n_east and n_north,
+    scaled by face length (per unit reference length for the elements) and
+    shaped (n_elem, ..., 2) to broadcast against a face trace without its
+    variable axis: (n_elem, 2) for the finite-volume cells, (n_elem, 1, 2)
+    for the elements, whose straight faces have one vector along all p+1
+    points.
 
     The mesh must be made of convex counterclockwise quads, checked before
     any geometry is built: a bilinear map's Jacobian is affine in
@@ -238,6 +240,15 @@ class _EulerSolver:
         FE *= self.s_e[..., None]
         FN *= self.s_n[..., None]
         return FE, FN
+
+    @property
+    def dof(self):
+        return self.x[..., 0].size
+
+    def project(self, fn, t=0.0):
+        """Collocate a primitive-state function (x, y, t) -> (rho,u,v,p)."""
+        rho, u, v, p = fn(self.x[..., 0], self.x[..., 1], t)
+        return primitive_to_conserved(rho, u, v, p)
 
     def max_signal_speed(self, U):
         rho, u, v, p = conserved_to_primitive(U)
@@ -294,15 +305,6 @@ class FREulerSolver2D(_EulerSolver):
                      - self.m1[..., 1] * self.m2[..., 0])
         self._faces(m1[:, 1], m2[:, :, 1])
 
-    @property
-    def dof(self):
-        return self.mesh.n_elements * self.element.n_points ** 2
-
-    def project(self, fn, t=0.0):
-        """Collocate a primitive-state function (x, y, t) -> (rho,u,v,p)."""
-        rho, u, v, p = fn(self.x[..., 0], self.x[..., 1], t)
-        return primitive_to_conserved(rho, u, v, p)
-
     def rhs(self, U):
         rho, u, v, p = conserved_to_primitive(U)
         _check_physical(rho, p)
@@ -342,7 +344,8 @@ class FVEulerSolver2D(_EulerSolver):
     vectors from the actual cell geometry, which keeps the scheme
     convergent on rough meshes.  Unlimited (smooth test cases only).
     One flux per face, added on one side and subtracted on the other, makes
-    the update conservative by construction.  State shape: (n_cells, 4).
+    the update conservative by construction.  State shape: (n_cells, 4);
+    the solution points are the cell centroids.
     """
 
     def __init__(self, mesh, riemann="rusanov", metrics="curvilinear"):
@@ -359,7 +362,7 @@ class FVEulerSolver2D(_EulerSolver):
         self.area = 0.5 * cross.sum(axis=1)
         cx = ((x + np.roll(x, -1, axis=1)) * cross).sum(axis=1) / (6.0 * self.area)
         cy = ((y + np.roll(y, -1, axis=1)) * cross).sum(axis=1) / (6.0 * self.area)
-        self.centroid = np.stack([cx, cy], axis=-1)
+        self.x = centroid = np.stack([cx, cy], axis=-1)
 
         if metrics == "exact":
             def edge_normal(a, b):
@@ -375,7 +378,7 @@ class FVEulerSolver2D(_EulerSolver):
             # conservative, but the vectors of a cell no longer sum to
             # zero once random jitter breaks the smoothness, which is what
             # erodes this family of schemes on poor meshes.
-            C = self.centroid.reshape(ny, nx, 2)
+            C = centroid.reshape(ny, nx, 2)
 
             def wrapped_step(A, axis):
                 B = np.roll(A, -1, axis=axis).copy()
@@ -388,14 +391,6 @@ class FVEulerSolver2D(_EulerSolver):
             n_e = (wrapped_step(C, 1) - C).reshape(-1, 2)
             n_n = (wrapped_step(C, 0) - C).reshape(-1, 2)
         self._faces(n_e, n_n)
-
-    @property
-    def dof(self):
-        return self.mesh.n_elements
-
-    def project(self, fn, t=0.0):
-        rho, u, v, p = fn(self.centroid[:, 0], self.centroid[:, 1], t)
-        return primitive_to_conserved(rho, u, v, p)
 
     def rhs(self, U):
         rho = U[..., 0]
@@ -458,14 +453,12 @@ def ooa(reports):
     return float(-slope)
 
 
-def run_icv(solver, steps=500, cfl=0.01, scheme="RK44", params=None):
-    """March the convecting vortex and report the error against the exact
-    solution at the final time.  On the nonlinear Euler equations the stage
-    loop is 2nd order in time, "RK44" included (see advect1d.advance)."""
-    pr = params or ICVParams()
-    fn = lambda x, y, t: icv_primitive(x, y, t, pr)
-    U0 = solver.project(fn)
+def run_icv(solver, steps=500, cfl=0.01):
+    """March the default convecting vortex with RK44 and report the error
+    against the exact solution at the final time: on the nonlinear Euler
+    equations the stage loop is 2nd order in time (see stability.advance)."""
+    U0 = solver.project(icv_primitive)
     tau = cfl * solver.length_scale() / solver.max_signal_speed(U0)
-    U = advance(solver, U0, tau, scheme, steps)
-    exact = solver.project(fn, t=steps * tau)
+    U = advance(solver, U0, tau, RK44, steps)
+    exact = solver.project(icv_primitive, t=steps * tau)
     return error_norm(U, exact)

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: largest jitter factor the skew bisection tries
+MAX_SKEW_FACTOR = 0.95
+
 
 class MeshTangleError(RuntimeError):
     """Node displacement produced a non-convex/inverted element."""
@@ -119,13 +122,13 @@ def skew_angle(mesh):
     return SkewReport(alpha=float(per_element.mean()), per_element=per_element)
 
 
-def jitter_factor_for_skew(mesh, target_alpha, seed, tol=0.1, max_factor=0.95):
+def jitter_factor_for_skew(mesh, target_alpha, seed, tol=0.1):
     """Bisect the jitter factor until the mesh-average skew angle lands
     within tol degrees of target_alpha.  Returns (factor, jittered mesh)."""
-    lo, hi = 0.0, max_factor
+    lo, hi = 0.0, MAX_SKEW_FACTOR
     if skew_angle(jitter(mesh, hi, seed)).alpha < target_alpha:
         raise ValueError(f"target skew {target_alpha} deg unreachable below "
-                         f"factor {max_factor}")
+                         f"factor {MAX_SKEW_FACTOR}")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         m = jitter(mesh, mid, seed)
@@ -159,9 +162,8 @@ def read_mesh(path):
         nx, ny = int(header[1]), int(header[2])
         L, factor, seed = float(header[3]), float(header[4]), int(header[5])
         n_nodes, n_elem = map(int, f.readline().split())
-        nodes = np.array([[float(v) for v in f.readline().split()]
-                          for _ in range(n_nodes)])
-        elements = np.array([[int(v) for v in f.readline().split()]
-                             for _ in range(n_elem)], dtype=int)
+        tokens = f.read().split()
+    nodes = np.array(tokens[:2 * n_nodes], dtype=float).reshape(n_nodes, 2)
+    elements = np.array(tokens[2 * n_nodes:], dtype=int).reshape(n_elem, 4)
     return QuadMesh2D(nodes=nodes, elements=elements, nx=nx, ny=ny, L=L,
                       jitter_factor=factor, seed=seed)

@@ -162,20 +162,23 @@ class SpectralCurve:
 def _eigvals(M, k_hats):
     """Eigenvalues of every matrix of the stack M (..., n, n), in one
     stacked solve; k_hats labels the matrices.  A stacked solve cannot say
-    which matrix failed, so on failure the matrices are solved one by one
-    and EigenSolveError names the first that fails."""
+    which matrix failed, so on failure they are solved one by one, and
+    EigenSolveError names the first that fails."""
     try:
         ev = np.linalg.eigvals(M)
         if np.all(np.isfinite(ev)):
             return ev
     except np.linalg.LinAlgError:
         pass
+    out = []
     for k_hat, m in zip(k_hats, M):
         try:
-            if not np.all(np.isfinite(np.linalg.eigvals(m))):
-                raise EigenSolveError(k_hat, "non-finite eigenvalues")
+            out.append(np.linalg.eigvals(m))
         except np.linalg.LinAlgError as exc:
             raise EigenSolveError(k_hat, str(exc)) from exc
+        if not np.all(np.isfinite(out[-1])):
+            raise EigenSolveError(k_hat, "non-finite eigenvalues")
+    return np.stack(out)
 
 
 def _match(prev, ev):
@@ -220,12 +223,12 @@ def modified_phase_velocity(op, k, closure=SAMPLED):
 
 
 def dispersion_curve(p, gamma, correction_kind=HUYNH_G2, n_samples=256,
-                     closure=SAMPLED, delta_j=None):
+                     closure=SAMPLED):
     """Tracked phase-velocity curve over k_hat uniformly sampled in (0, pi]."""
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     element = reference_element(p, correction_kind)
-    op = build_operator(element, gamma, delta_j)
+    op = build_operator(element, gamma)
     k_hats = np.linspace(np.pi / n_samples, np.pi, n_samples)
     ks = k_hats * (p + 1) / op.delta_j
     samples = [SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev)

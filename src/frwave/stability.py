@@ -1,15 +1,15 @@
-"""Coupled space-time stability: update-matrix spectral radii and CFL limits.
+"""Time integration and coupled space-time stability.
 
-The fully discrete update over one step is R = sum_i (tau Q)^i / i! with
-the series truncated at the stage count; for the linear problem every
-explicit scheme of the low-storage families used here reduces to exactly
-that polynomial.  Stability sweeps use the transformed-flux ("weighted")
-wave symbol, which is the form the published CFL table is built on.
+advance marches the one low-storage Runge-Kutta stage loop on any solver's
+rhs, 1D or 2D.  For the linear problem one step is R = sum_i (tau Q)^i / i!
+with the series truncated at the stage count; update_matrix forms it, and
+the 1D transfer harness marches its powers.  Stability sweeps use the
+transformed-flux ("weighted") wave symbol, which is the form the published
+CFL table is built on.
 
 R = P(tau Q) for a polynomial P, so by spectral mapping its eigenvalues
-are P(tau lam) for the eigenvalues lam of Q: the sweeps solve for lam once
-and evaluate P on it at every time step probed.  update_matrix forms R
-itself, as the reference the sweeps are tested against.
+are P(tau lam) for the eigenvalues lam of Q: the sweeps solve for lam once,
+evaluate P on it at every time step probed, and are tested against R.
 
 On expanding grids the semi-discrete operator itself carries a weak
 exponential growth, so the spectral radius exceeds one for every time
@@ -64,6 +64,14 @@ class BisectionError(RuntimeError):
     """CFL bisection could not bracket a stability boundary."""
 
 
+class UnstableSolutionError(RuntimeError):
+    """Non-finite values appeared during time stepping."""
+
+    def __init__(self, step):
+        self.step = step
+        super().__init__(f"solution became non-finite at step {step}")
+
+
 def _stage_loop(apply, u, tau, stages):
     """One step of the low-storage stage loop
 
@@ -81,7 +89,8 @@ def _stage_loop(apply, u, tau, stages):
 
 
 def update_matrix(Q, tau, scheme):
-    """Amplification matrix R = sum_{i=0..stages} (tau Q)^i / i!.
+    """Amplification matrix R = sum_{i=0..stages} (tau Q)^i / i!: the step
+    the 1D transfer harness marches, and the sweeps' reference.
 
     Q may be a single matrix or a stacked batch (..., n, n); R is real
     when Q is.
@@ -92,6 +101,23 @@ def update_matrix(Q, tau, scheme):
     Q = np.asarray(Q)
     eye = np.eye(Q.shape[-1], dtype=np.result_type(Q, float))
     return _stage_loop(lambda V: Q @ V, eye, tau, scheme.stages)
+
+
+def advance(solver, u0, tau, scheme, steps):
+    """March `steps` steps of the stage loop on solver.rhs; for a linear rhs
+    each step is exactly update_matrix's.  "RK44" is 4th order in time only
+    on linear right-hand sides; on nonlinear ones (the Euler equations) the
+    loop is 2nd order.  A non-finite state raises UnstableSolutionError.
+    """
+    scheme = get_scheme(scheme)
+    if tau <= 0:
+        raise ValueError(f"time step must be positive, got {tau}")
+    u = np.array(u0, copy=True)
+    for step in range(steps):
+        u = _stage_loop(solver.rhs, u, tau, scheme.stages)
+        if not np.all(np.isfinite(u)):
+            raise UnstableSolutionError(step)
+    return u
 
 
 @dataclass
@@ -124,8 +150,7 @@ def _radii(lam, tau, scheme):
     return np.max(np.abs(amplification), axis=-1)
 
 
-def spectral_radius_sweep(p, gamma, scheme, tau, k_samples=K_SAMPLES,
-                          correction_kind=HUYNH_G2):
+def spectral_radius_sweep(p, gamma, scheme, tau, k_samples=K_SAMPLES):
     """Per-wavenumber spectral radius of R at a fixed time step.
 
     Returns (k_hat array, rho array); the max over the sweep is the
@@ -134,12 +159,11 @@ def spectral_radius_sweep(p, gamma, scheme, tau, k_samples=K_SAMPLES,
     if k_samples < 128:
         raise ValueError(f"need at least 128 wavenumber samples, got {k_samples}")
     scheme = get_scheme(scheme)
-    k_hats, lam, _ = _wave_symbols(p, gamma, k_samples, correction_kind)
+    k_hats, lam, _ = _wave_symbols(p, gamma, k_samples, HUYNH_G2)
     return k_hats, _radii(lam, tau, scheme)
 
 
-def cfl_limit(p, gamma, scheme, k_samples=K_SAMPLES, correction_kind=HUYNH_G2,
-              tol=CFL_TOL):
+def cfl_limit(p, gamma, scheme, correction_kind=HUYNH_G2):
     """Largest stable CFL = tau/delta_j (unit convection speed).
 
     Two detection rules run on g(CFL) = max over k_hat of rho(R):
@@ -149,7 +173,7 @@ def cfl_limit(p, gamma, scheme, k_samples=K_SAMPLES, correction_kind=HUYNH_G2,
     which rule produced it.
     """
     scheme = get_scheme(scheme)
-    _, lam, growth = _wave_symbols(p, gamma, k_samples, correction_kind)
+    _, lam, growth = _wave_symbols(p, gamma, K_SAMPLES, correction_kind)
     trace = {}
 
     def g(cfl):
@@ -165,7 +189,7 @@ def cfl_limit(p, gamma, scheme, k_samples=K_SAMPLES, correction_kind=HUYNH_G2,
                 raise BisectionError(
                     f"no stability boundary below CFL=8 for {scheme.name}, "
                     f"p={p}, gamma={gamma}")
-        while hi - lo > tol:
+        while hi - lo > CFL_TOL:
             mid = 0.5 * (lo + hi)
             if g(mid) <= bound(mid):
                 lo = mid
@@ -176,7 +200,7 @@ def cfl_limit(p, gamma, scheme, k_samples=K_SAMPLES, correction_kind=HUYNH_G2,
     rule_a = last_below(lambda cfl: 1.0 + WEAK_ALLOWANCE)
     rule_b = last_below(lambda cfl: SHARP_RISE_MARGIN * np.exp(cfl * growth))
     limit = max(rule_a, rule_b)
-    detection = SHARP_INCREASE if rule_b > rule_a + 2 * tol else EXCEEDS_UNITY
+    detection = SHARP_INCREASE if rule_b > rule_a + 2 * CFL_TOL else EXCEEDS_UNITY
     return StabilityResult(
         cfl_limit=limit,
         detection=detection,

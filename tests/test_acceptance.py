@@ -14,11 +14,11 @@ import pytest
 from frwave.element import gauss_points, gauss_weights, reference_element
 from frwave.spectral import (SAMPLED, build_operator, dispersion_curve,
                              modified_phase_velocity)
-from frwave.stability import cfl_limit
+from frwave.stability import advance, cfl_limit
 from frwave.advect1d import (PENCIL, TRANSIT, FDAdvection1D, FDScheme,
-                             FRAdvection1D, advance, bin_wavenumbers,
-                             build_grid, fd_point_grid,
-                             matched_point_expansion, wave_transfer_function)
+                             FRAdvection1D, bin_wavenumbers, build_grid,
+                             fd_point_grid, matched_point_expansion,
+                             wave_transfer_function)
 from frwave.mesh2d import jitter, jitter_factor_for_skew, skew_angle, \
     uniform_quad_mesh
 from frwave.euler2d import (FREulerSolver2D, FVEulerSolver2D, error_norm,
@@ -323,7 +323,6 @@ def test_criterion_09_property_suite_anchors():
     s1d = FRAdvection1D(grid, e)
     u0 = 1.0 + np.sin(2 * np.pi * 3 * s1d.coords)
     w = gauss_weights(3)
-    from frwave.advect1d import advance
     u = advance(s1d, u0, 0.01 * s1d.min_spacing, "RK44", 1000)
     drift = abs(np.sum(grid.jacobian[:, None] * w * u)
                 - np.sum(grid.jacobian[:, None] * w * u0))

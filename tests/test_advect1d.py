@@ -6,12 +6,11 @@ from scipy.optimize import linear_sum_assignment
 
 from frwave.element import gauss_weights, reference_element
 from frwave.spectral import build_operator, modified_phase_velocity
-from frwave.stability import update_matrix
+from frwave.stability import UnstableSolutionError, advance, update_matrix
 from frwave.advect1d import (MEASURE_POINTS, PENCIL, PENCIL_SNAPSHOTS,
                              PENCIL_SPAN, TRANSIT, FDAdvection1D, FDScheme,
-                             FRAdvection1D, UnstableSolutionError,
-                             _modal_wavenumber, advance, bin_wavenumbers,
-                             build_grid, fd_point_grid,
+                             FRAdvection1D, _modal_wavenumber,
+                             bin_wavenumbers, build_grid, fd_point_grid,
                              matched_point_expansion, numeric_ppw,
                              solution_points, wave_transfer_function,
                              TransferTable)
@@ -320,7 +319,7 @@ def test_transfer_rejects_above_measurement_nyquist():
     e = reference_element(2)
     solver = FRAdvection1D(build_grid(8, 1.0, 1.0), e)
     with pytest.raises(ValueError):
-        wave_transfer_function(solver, [2.0 * np.pi * 3000], n_measure=512)
+        wave_transfer_function(solver, [2.0 * np.pi * 3000])
 
 
 def test_transfer_cfl_invariance():

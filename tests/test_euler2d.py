@@ -1,7 +1,12 @@
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from frwave.advect1d import advance
 from frwave.euler2d import (GAMMA_GAS, ErrorReport, FREulerSolver2D,
                             FVEulerSolver2D, ICVParams, NonPhysicalStateError,
                             conserved_to_primitive, error_norm,
@@ -9,6 +14,7 @@ from frwave.euler2d import (GAMMA_GAS, ErrorReport, FREulerSolver2D,
                             primitive_to_conserved, roe_flux, run_icv,
                             rusanov_flux)
 from frwave.mesh2d import jitter, uniform_quad_mesh
+from frwave.stability import advance
 
 
 def free_stream(x, y, t):
@@ -465,6 +471,18 @@ def test_run_icv_smoke_and_dof_accounting():
     assert 0 < rep_fr.theta < 1.0
     rep_fv = run_icv(FVEulerSolver2D(mesh), steps=10, cfl=0.01)
     assert rep_fv.dof == 16
+
+
+def test_euler2d_does_not_import_advect1d():
+    # the package __init__ imports every module, so the package is stood up
+    # without it and only euler2d's own imports run
+    src = Path(importlib.util.find_spec("frwave").origin).parents[1]
+    code = ("import sys, types; pkg = types.ModuleType('frwave'); "
+            f"pkg.__path__ = [{str(src / 'frwave')!r}]; "
+            "sys.modules['frwave'] = pkg; import frwave.euler2d; "
+            "sys.exit(int('frwave.advect1d' in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_mesh_error_monotone_with_skew():

@@ -197,6 +197,11 @@ def test_mesh_file_roundtrip(tmp_path):
     assert np.array_equal(back.elements, m.elements)
     assert back.nx == 5 and back.ny == 4 and back.L == 2.0
     assert back.jitter_factor == 0.2 and back.seed == 8
+    big = jitter(uniform_quad_mesh(200, 200, 10.0), 0.3, seed=2024)
+    write_mesh(big, tmp_path / "big.txt")
+    back = read_mesh(tmp_path / "big.txt")
+    assert np.array_equal(back.nodes, big.nodes)
+    assert np.array_equal(back.elements, big.elements)
 
 
 @pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (-1.5, 1e-7)],

@@ -151,6 +151,24 @@ def test_eigen_solve_failure_reports_wavenumber(monkeypatch):
     assert err.value.k_hat == pytest.approx(33 * np.pi / 64, rel=1e-12)
 
 
+def test_eigen_fallback_returns_per_matrix_eigenvalues(monkeypatch):
+    # a failed stacked solve whose matrices all solve one by one must give
+    # the same curve
+    expect = dispersion_curve(3, 1.0, n_samples=64)
+    eigvals = np.linalg.eigvals
+
+    def no_stacks(a):
+        if np.ndim(a) > 2:
+            raise np.linalg.LinAlgError("stacked solve refused")
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_stacks)
+    curve = dispersion_curve(3, 1.0, n_samples=64)
+    for got, want in zip(curve.samples, expect.samples):
+        assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0,
+                           atol=1e-12)
+
+
 # --- curves ------------------------------------------------------------------
 
 def test_curve_sampling_layout():

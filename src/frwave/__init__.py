@@ -29,10 +29,10 @@ from .spectral import (SAMPLED, WEIGHTED, EigenSolveError, SemiDiscreteOperator,
 from .stability import (RK33, RK44, RK55, RKScheme, StabilityResult,
                         UnstableSolutionError, advance, cfl_limit, get_scheme,
                         spectral_radius_sweep, update_matrix)
-from .advect1d import (FDAdvection1D, FDScheme, FRAdvection1D,
-                       StretchedGrid1D, TransferTable, bin_wavenumbers,
-                       build_grid, fd_point_grid, matched_point_expansion,
-                       numeric_ppw, solution_points, wave_transfer_function)
+from .advect1d import (FDAdvection1D, FRAdvection1D, StretchedGrid1D,
+                       TransferTable, bin_wavenumbers, build_grid,
+                       fd_point_grid, matched_point_expansion, numeric_ppw,
+                       solution_points, wave_transfer_function)
 from .mesh2d import (MeshTangleError, QuadMesh2D, SkewReport, jitter,
                      jitter_factor_for_skew, read_mesh, skew_angle,
                      uniform_quad_mesh, write_mesh)

@@ -1,14 +1,15 @@
 """Time-domain 1D linear advection (unit speed) on stretched periodic grids.
 
-Holds the element-based upwind solver and finite-difference baselines with
-optional first-order smoothing, each assembled as one dof x dof operator A
-(the element solver's from the cell matrices of spectral.build_operator, so
-the solver and the wavenumber analysis share one operator), and the
-transfer-function harness that measures modified wavenumbers by comparing
-Fourier coefficients of a wave before and after convection.  The harness
-marches with powers of the fully discrete step, the matrix
-stability.update_matrix(A, tau, RK44); stability.advance marches the same
-step on a solver's rhs.
+Holds the element-based upwind solver and the finite-difference baseline of
+a given order with optional first-order smoothing.  Each solver is its dof x
+dof operator A (the element solver's from the cell matrices of
+spectral.build_operator, so the solver and the wavenumber analysis share one
+operator) with the facts the harness reads: coords, L, min_spacing and dof;
+both share one rhs, A u.  Also holds the transfer-function harness that
+measures modified wavenumbers by comparing Fourier coefficients of a wave
+before and after convection.  The harness marches with powers of the fully
+discrete step, the matrix stability.update_matrix(A, tau, RK44);
+stability.advance marches the same step on a solver's rhs.
 """
 
 import math
@@ -31,7 +32,6 @@ class StretchedGrid1D:
     x: np.ndarray        # N+1 cell boundaries (flux points)
     delta: np.ndarray    # N cell widths
     jacobian: np.ndarray # N half widths
-    gamma: float
     L: float
 
     @property
@@ -53,7 +53,7 @@ def build_grid(N, gamma, L=1.0):
         delta = d1 * gamma ** np.arange(N)
     x = np.concatenate(([0.0], np.cumsum(delta)))
     x[-1] = L
-    return StretchedGrid1D(x=x, delta=delta, jacobian=delta / 2.0, gamma=gamma, L=L)
+    return StretchedGrid1D(x=x, delta=delta, jacobian=delta / 2.0, L=L)
 
 
 def solution_points(grid, element):
@@ -67,47 +67,43 @@ def _apply(A, u):
     return (A @ u.reshape(len(A), -1)).reshape(u.shape)
 
 
-class FRAdvection1D:
+class _Operator1D:
+    """A 1D solver as its dof x dof semi-discrete operator A: du/dt = A u.
+
+    Each solver's __init__ sets A, coords (the DoF coordinates), L (the
+    period) and min_spacing (the width `--cfl` and the transfer harness's
+    cfl scale tau by)."""
+
+    @property
+    def dof(self):
+        return len(self.A)
+
+    def rhs(self, u):
+        """du/dt = A u."""
+        return _apply(self.A, u)
+
+
+class FRAdvection1D(_Operator1D):
     """Upwinded element solver for du/dt + du/dx = 0, periodic.
 
-    The semi-discrete operator is the dof x dof matrix A: cell j's block row
-    holds -C0/J_j on the diagonal and -Cm1/J_j on the upwind neighbour, with
-    C0 and Cm1 the cell matrices of spectral.build_operator.  States are
-    (n_cells, p+1).
+    A's cell j block row holds -C0/J_j on the diagonal and -Cm1/J_j on the
+    upwind neighbour, with C0 and Cm1 the cell matrices of
+    spectral.build_operator.  States are (n_cells, p+1).  min_spacing is
+    the smallest cell width, as the stability layer's CFL = tau/delta_j
+    has it; it is several point spacings wide (7.0x the smallest at fr4,
+    gamma 1.05).
     """
 
     def __init__(self, grid, element):
         self.grid = grid
         self.element = element
-        self.points = solution_points(grid, element)
+        self.coords = solution_points(grid, element)
+        self.L = grid.L
+        self.min_spacing = float(grid.delta.min())
         op = build_operator(element, 1.0)
         eye = np.eye(grid.n_cells)
         self.A = -(np.kron(eye, op.C0) + np.kron(np.roll(eye, -1, axis=1), op.Cm1))
         self.A /= np.repeat(grid.jacobian, element.n_points)[:, None]
-
-    @property
-    def L(self):
-        return self.grid.L
-
-    @property
-    def dof(self):
-        return self.grid.n_cells * self.element.n_points
-
-    @property
-    def min_spacing(self):
-        """Smallest cell width: `--cfl` (and the transfer harness's cfl)
-        scales tau by it, as the stability layer's CFL = tau/delta_j does.
-        It is several point spacings wide (7.0x the smallest at fr4,
-        gamma 1.05)."""
-        return float(self.grid.delta.min())
-
-    @property
-    def coords(self):
-        return self.points
-
-    def rhs(self, u):
-        """du/dt = A u."""
-        return _apply(self.A, u)
 
     def resample(self, u, xs):
         """Evaluate the piecewise interpolant at arbitrary points xs."""
@@ -117,32 +113,6 @@ class FRAdvection1D:
         xi = 2.0 * (xs - self.grid.x[cell]) / self.grid.delta[cell] - 1.0
         basis = lagrange_values(self.element.xi, xi)   # (len(xs), p+1)
         return np.einsum("im,im->i", basis, u[cell])
-
-
-@dataclass
-class FDScheme:
-    """Finite-difference first-derivative scheme: central except order 3,
-    which is biased one point to the upwind side."""
-
-    order: int
-    lf_blend: float = 0.0
-
-    def __post_init__(self):
-        if self.order not in FD_ORDERS:
-            raise ValueError(f"order must be one of {FD_ORDERS}, got {self.order}")
-        if not 0.0 <= self.lf_blend <= 0.02:
-            raise ValueError(f"smoothing fraction must be in [0, 0.02], got {self.lf_blend}")
-
-    @property
-    def kind(self):
-        return "upwind" if self.order == 3 else "central"
-
-    @property
-    def offsets(self):
-        if self.order == 3:
-            return np.array([-2, -1, 0, 1])
-        half = self.order // 2
-        return np.arange(-half, half + 1)
 
 
 def fd_point_grid(n_points, gamma, L=1.0):
@@ -157,68 +127,57 @@ def matched_point_expansion(gamma_cell, points_per_cell):
     return gamma_cell ** (1.0 / points_per_cell)
 
 
-class FDAdvection1D:
-    """Finite-difference solver for du/dt + du/dx = 0 on a periodic point
-    grid, with optional first-order smoothing blended in.
+class FDAdvection1D(_Operator1D):
+    """Finite-difference solver of the given order for du/dt + du/dx = 0 on
+    a periodic point grid, with optional first-order smoothing blended in.
 
-    The semi-discrete operator is the dof x dof matrix A: minus the stencil
-    weights, plus lf_blend times the three-point smoothing
-    (u[i+1] - 2 u[i] + u[i-1]) / (2 h_bar[i]).
+    The stencil is central except at order 3, which is biased one point to
+    the upwind side.  A is minus the stencil weights, plus lf_blend times
+    the three-point smoothing (u[i+1] - 2 u[i] + u[i-1]) / (2 h_bar[i]),
+    with h_bar the mean of a point's two neighbour spacings; min_spacing
+    is the smallest h_bar.
     """
 
-    def __init__(self, points, L, scheme):
+    def __init__(self, points, L, order, lf_blend=0.0):
+        if order not in FD_ORDERS:
+            raise ValueError(f"order must be one of {FD_ORDERS}, got {order}")
+        if not 0.0 <= lf_blend <= 0.02:
+            raise ValueError(f"smoothing fraction must be in [0, 0.02], got {lf_blend}")
         points = np.asarray(points, dtype=float)
         if np.any(np.diff(points) <= 0):
             raise ValueError("points must be strictly increasing")
         M = len(points)
-        offs = scheme.offsets
+        half = order // 2
+        offs = np.arange(-2, 2) if order == 3 else np.arange(-half, half + 1)
         if len(offs) > M:
             raise ValueError(f"stencil of {len(offs)} points is wider than the grid")
-        self.x = points
+        self.coords = points
         self.L = float(L)
-        self.scheme = scheme
+        self.offsets = offs
         rows = np.arange(M)
         wrap, idx = np.divmod(rows[:, None] + offs[None, :], M)
         dist = points[idx] + wrap * L - points[:, None]
         centre = int(np.nonzero(offs == 0)[0][0])
         self.A = np.zeros((M, M))
         self.A[rows[:, None], idx] = -derivative_matrix(dist)[:, centre]
-        # the smoothing term, over the mean of each point's two spacings
-        self.h_bar = 0.5 * (dist[:, centre + 1] - dist[:, centre - 1])
-        smooth = scheme.lf_blend / (2.0 * self.h_bar)
+        h_bar = 0.5 * (dist[:, centre + 1] - dist[:, centre - 1])
+        self.min_spacing = float(h_bar.min())
+        smooth = lf_blend / (2.0 * h_bar)
         self.A[rows, (rows + 1) % M] += smooth
         self.A[rows, rows] -= 2.0 * smooth
         self.A[rows, (rows - 1) % M] += smooth
 
-    @property
-    def dof(self):
-        return len(self.x)
-
-    @property
-    def min_spacing(self):
-        """Smallest mean of a point's two neighbour spacings: `--cfl` (and
-        the transfer harness's cfl) scales tau by it."""
-        return float(self.h_bar.min())
-
-    @property
-    def coords(self):
-        return self.x
-
-    def rhs(self, u):
-        """du/dt = A u."""
-        return _apply(self.A, u)
-
     def resample(self, u, xs):
         """Local polynomial interpolation (stencil-width windows) onto xs."""
         xs = np.asarray(xs, dtype=float)
-        M = len(self.x)
-        w = len(self.scheme.offsets)
+        M = len(self.coords)
+        w = len(self.offsets)
         # window anchored in unwrapped index space so points past the last
         # node use the periodic images of the first ones
-        nearest = np.searchsorted(self.x, xs)
+        nearest = np.searchsorted(self.coords, xs)
         start = nearest - w // 2
         wrap, idx = np.divmod(start[:, None] + np.arange(w)[None, :], M)
-        xw = self.x[idx] + wrap * self.L
+        xw = self.coords[idx] + wrap * self.L
         return np.einsum("im,im->i", lagrange_values(xw, xs), u[idx])
 
 
@@ -229,7 +188,6 @@ class TransferTable:
     k_hat: np.ndarray
     re_k_hat_prime: np.ndarray
     im_k_hat_prime: np.ndarray
-    k: np.ndarray
     transfer: np.ndarray
 
 
@@ -352,7 +310,6 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
         k_hat=np.array(k_hats),
         re_k_hat_prime=np.array(res),
         im_k_hat_prime=np.array(ims),
-        k=np.array(k_values, dtype=float),
         transfer=np.array(trans),
     )
 

@@ -21,7 +21,7 @@ from .element import HUYNH_G2, CORRECTION_KINDS, reference_element
 from .spectral import (SAMPLED, WEIGHTED, dispersion_curve, filter_kernel,
                        ppw)
 from .stability import SCHEMES, cfl_limit, spectral_radius_sweep
-from .advect1d import (FDAdvection1D, FDScheme, FRAdvection1D, TRANSIT, PENCIL,
+from .advect1d import (FD_ORDERS, FDAdvection1D, FRAdvection1D, TRANSIT, PENCIL,
                        bin_wavenumbers, build_grid, fd_point_grid,
                        matched_point_expansion, numeric_ppw,
                        wave_transfer_function)
@@ -156,9 +156,10 @@ def _build_1d_solver(spec_text, gamma, dof):
         if n_cells * element.n_points != dof:
             raise ValueError(f"DoF {dof} not divisible by p+1={element.n_points}")
         return FRAdvection1D(build_grid(n_cells, gamma, 1.0), element)
-    scheme = FDScheme(order, lf_blend=0.01)
-    gamma_pt = matched_point_expansion(gamma, order) if gamma != 1.0 else 1.0
-    return FDAdvection1D(fd_point_grid(dof, gamma_pt, 1.0), 1.0, scheme)
+    if order not in FD_ORDERS:      # checked here: the expansion divides by it
+        raise ValueError(f"order must be one of {FD_ORDERS}, got {order}")
+    gamma_pt = matched_point_expansion(gamma, order)
+    return FDAdvection1D(fd_point_grid(dof, gamma_pt, 1.0), 1.0, order, lf_blend=0.01)
 
 
 def cmd_wave_test(args):
@@ -187,7 +188,7 @@ def cmd_wave_test(args):
 
 def cmd_mesh_gen(args):
     mesh = uniform_quad_mesh(args.nx, args.ny, args.length)
-    if args.jitter > 0:
+    if args.jitter:
         mesh = jitter(mesh, args.jitter, args.seed)
     path = args.outdir / f"mesh_{args.nx}x{args.ny}_j{_fmt(args.jitter)}_s{args.seed}.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -214,10 +215,12 @@ def cmd_skew(args):
 
 
 def _icv_solver(args, n):
+    if args.alpha and args.jitter:
+        raise ValueError("--alpha and --jitter both set; give one")
     mesh = uniform_quad_mesh(n, n, 10.0)
-    if args.alpha > 0:
+    if args.alpha:
         _, mesh = jitter_factor_for_skew(mesh, args.alpha, args.seed, tol=0.15)
-    elif args.jitter > 0:
+    elif args.jitter:
         mesh = jitter(mesh, args.jitter, args.seed)
     if args.solver == "fv":
         return FVEulerSolver2D(mesh, riemann=args.riemann)

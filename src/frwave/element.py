@@ -153,7 +153,6 @@ class ReferenceElement:
     D : (p+1)x(p+1) nodal derivative matrix
     ll, lr : extraction vectors; ll @ u == interpolant of u at xi = -1
     hl, hr : correction derivative vectors at the solution points
-    correction_kind : which correction family built hl/hr
     """
 
     p: int
@@ -163,7 +162,6 @@ class ReferenceElement:
     lr: np.ndarray
     hl: np.ndarray
     hr: np.ndarray
-    correction_kind: str = HUYNH_G2
 
     def __post_init__(self):
         for a in (self.xi, self.D, self.ll, self.lr, self.hl, self.hr):
@@ -190,5 +188,4 @@ def reference_element(p, kind=HUYNH_G2):
         lr=lagrange_values(xi, 1.0),
         hl=hl,
         hr=hr,
-        correction_kind=kind,
     )

@@ -352,7 +352,6 @@ class FVEulerSolver2D(_EulerSolver):
         if metrics not in ("curvilinear", "exact"):
             raise ValueError(f"unknown metric mode {metrics!r}")
         super().__init__(mesh, riemann)
-        self.metrics = metrics
         nx, ny = mesh.nx, mesh.ny
         L = mesh.L
         X = mesh.corner_coords()                      # (ne, 4, 2)

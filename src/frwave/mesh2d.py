@@ -125,6 +125,8 @@ def skew_angle(mesh):
 def jitter_factor_for_skew(mesh, target_alpha, seed, tol=0.1):
     """Bisect the jitter factor until the mesh-average skew angle lands
     within tol degrees of target_alpha.  Returns (factor, jittered mesh)."""
+    if target_alpha < 0:
+        raise ValueError(f"target skew must be non-negative, got {target_alpha}")
     lo, hi = 0.0, MAX_SKEW_FACTOR
     if skew_angle(jitter(mesh, hi, seed)).alpha < target_alpha:
         raise ValueError(f"target skew {target_alpha} deg unreachable below "

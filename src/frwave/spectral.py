@@ -140,11 +140,6 @@ class SpectralCurve:
     """Physical-mode (and full-set) phase velocities over k_hat in (0, pi]."""
 
     samples: list
-    p: int
-    gamma: float
-    correction_kind: str
-    closure: str
-    delta_j: float
 
     @property
     def k_hat(self):
@@ -233,9 +228,7 @@ def dispersion_curve(p, gamma, correction_kind=HUYNH_G2, n_samples=256,
     ks = k_hats * (p + 1) / op.delta_j
     samples = [SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev)
                for k_hat, k, ev in zip(k_hats, ks, _track(op, ks, closure))]
-    return SpectralCurve(samples=samples, p=p, gamma=gamma,
-                         correction_kind=correction_kind, closure=closure,
-                         delta_j=op.delta_j)
+    return SpectralCurve(samples=samples)
 
 
 def filter_kernel(curve, t):

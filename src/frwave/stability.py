@@ -125,9 +125,6 @@ class StabilityResult:
     cfl_limit: float
     detection: str
     rho_curve: list  # (cfl, max-over-k rho) pairs probed during detection
-    scheme: str
-    p: int
-    gamma: float
 
 
 def _wave_symbols(p, gamma, k_samples, correction_kind):
@@ -199,13 +196,6 @@ def cfl_limit(p, gamma, scheme, correction_kind=HUYNH_G2):
 
     rule_a = last_below(lambda cfl: 1.0 + WEAK_ALLOWANCE)
     rule_b = last_below(lambda cfl: SHARP_RISE_MARGIN * np.exp(cfl * growth))
-    limit = max(rule_a, rule_b)
     detection = SHARP_INCREASE if rule_b > rule_a + 2 * CFL_TOL else EXCEEDS_UNITY
-    return StabilityResult(
-        cfl_limit=limit,
-        detection=detection,
-        rho_curve=sorted(trace.items()),
-        scheme=scheme.name,
-        p=p,
-        gamma=gamma,
-    )
+    return StabilityResult(cfl_limit=max(rule_a, rule_b), detection=detection,
+                           rho_curve=sorted(trace.items()))

@@ -15,7 +15,7 @@ from frwave.element import gauss_points, gauss_weights, reference_element
 from frwave.spectral import (SAMPLED, build_operator, dispersion_curve,
                              modified_phase_velocity)
 from frwave.stability import advance, cfl_limit
-from frwave.advect1d import (PENCIL, TRANSIT, FDAdvection1D, FDScheme,
+from frwave.advect1d import (PENCIL, TRANSIT, FDAdvection1D,
                              FRAdvection1D, bin_wavenumbers, build_grid,
                              fd_point_grid, matched_point_expansion,
                              wave_transfer_function)
@@ -186,9 +186,9 @@ def test_criterion_06_measured_ppw_orderings():
     for gamma, cfl in ((1.0, 0.05), (1.2, 0.1)):
         fr = FRAdvection1D(build_grid(45, gamma, 1.0), reference_element(3))
         ppw_fr = _transit_ppw(fr, cfl=cfl)
-        gamma_pt = matched_point_expansion(gamma, 4) if gamma != 1.0 else 1.0
-        fd = FDAdvection1D(fd_point_grid(dof, gamma_pt, 1.0), 1.0,
-                           FDScheme(4, lf_blend=0.01))
+        gamma_pt = matched_point_expansion(gamma, 4)
+        fd = FDAdvection1D(fd_point_grid(dof, gamma_pt, 1.0), 1.0, 4,
+                           lf_blend=0.01)
         ppw_fd = _transit_ppw(fd, cfl=cfl)
         fr_fd[gamma] = (ppw_fr, ppw_fd)
 

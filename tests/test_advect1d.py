@@ -8,7 +8,7 @@ from frwave.element import gauss_weights, reference_element
 from frwave.spectral import build_operator, modified_phase_velocity
 from frwave.stability import UnstableSolutionError, advance, update_matrix
 from frwave.advect1d import (MEASURE_POINTS, PENCIL, PENCIL_SNAPSHOTS,
-                             PENCIL_SPAN, TRANSIT, FDAdvection1D, FDScheme,
+                             PENCIL_SPAN, TRANSIT, FDAdvection1D,
                              FRAdvection1D, _modal_wavenumber,
                              bin_wavenumbers, build_grid, fd_point_grid,
                              matched_point_expansion, numeric_ppw,
@@ -133,14 +133,14 @@ def test_fr_operator_eigenvalues_are_the_wave_symbols():
 
 def test_fd_rhs_preserves_constants():
     pts = fd_point_grid(32, 1.05, 1.0)
-    fd = FDAdvection1D(pts, 1.0, FDScheme(4, lf_blend=0.01))
+    fd = FDAdvection1D(pts, 1.0, 4, lf_blend=0.01)
     assert np.max(np.abs(fd.rhs(np.ones(32)))) < 1e-11
 
 
 def test_fd_rhs_matches_modified_wavenumber_prediction():
     from frwave.spectral import fd_modified_wavenumber
     pts = fd_point_grid(64, 1.0, 1.0)
-    fd = FDAdvection1D(pts, 1.0, FDScheme(4))
+    fd = FDAdvection1D(pts, 1.0, 4)
     k = 2 * np.pi * 9
     u = np.exp(1j * k * pts)
     rhs = fd.rhs(u)
@@ -153,31 +153,55 @@ def test_fd_rhs_matches_modified_wavenumber_prediction():
 
 
 def test_fd_scheme_validation():
-    with pytest.raises(ValueError):
-        FDScheme(5)
-    with pytest.raises(ValueError):
-        FDScheme(4, lf_blend=0.05)
-    assert FDScheme(3).kind == "upwind"
-    assert FDScheme(4).kind == "central"
-    assert list(FDScheme(3).offsets) == [-2, -1, 0, 1]
+    pts = fd_point_grid(16, 1.0, 1.0)
+    with pytest.raises(ValueError, match="order must be one of"):
+        FDAdvection1D(pts, 1.0, 5)
+    with pytest.raises(ValueError, match="smoothing fraction"):
+        FDAdvection1D(pts, 1.0, 4, lf_blend=0.05)
+    assert list(FDAdvection1D(pts, 1.0, 3).offsets) == [-2, -1, 0, 1]
 
 
 def test_fd_stencil_wider_than_grid_rejected():
     pts = fd_point_grid(4, 1.0, 1.0)
     with pytest.raises(ValueError):
-        FDAdvection1D(pts, 1.0, FDScheme(8))
+        FDAdvection1D(pts, 1.0, 8)
 
 
 def test_fd_blend_adds_dissipation_mid_band():
     pts = fd_point_grid(64, 1.0, 1.0)
     k = 2 * np.pi * 10
     plain = wave_transfer_function(
-        FDAdvection1D(pts, 1.0, FDScheme(4)), [k], cfl=0.01, window=0.5)
+        FDAdvection1D(pts, 1.0, 4), [k], cfl=0.01, window=0.5)
     blended = wave_transfer_function(
-        FDAdvection1D(pts, 1.0, FDScheme(4, lf_blend=0.01)), [k],
+        FDAdvection1D(pts, 1.0, 4, lf_blend=0.01), [k],
         cfl=0.01, window=0.5)
     assert abs(plain.im_k_hat_prime[0]) < 1e-9
     assert blended.im_k_hat_prime[0] < -1e-4
+
+
+# --- the harness protocol ----------------------------------------------------
+
+def _stretched_fr():
+    grid = build_grid(9, 1.15, 1.0)
+    return FRAdvection1D(grid, reference_element(3)), grid.delta.min()
+
+
+def _stretched_fd():
+    pts = fd_point_grid(30, 1.05, 1.0)
+    gaps = np.diff(np.append(pts, pts[0] + 1.0))     # gaps[i] = x[i+1] - x[i]
+    h_bar = 0.5 * (gaps + np.roll(gaps, 1))
+    return FDAdvection1D(pts, 1.0, 6, lf_blend=0.01), h_bar.min()
+
+
+@pytest.mark.parametrize("make", [_stretched_fr, _stretched_fd])
+def test_solver_is_its_operator(make):
+    solver, spacing = make()
+    assert solver.dof == solver.coords.size == len(solver.A)
+    assert solver.L == 1.0
+    u = np.random.default_rng(4).standard_normal(solver.coords.shape)
+    assert np.array_equal(solver.rhs(u),
+                          (solver.A @ u.reshape(-1, 1)).reshape(u.shape))
+    assert solver.min_spacing == pytest.approx(spacing, rel=1e-12)
 
 
 # --- time marching -----------------------------------------------------------
@@ -188,7 +212,7 @@ def _fr_solver(gamma):
 
 def _fd_solver(order):
     pts = fd_point_grid(48, matched_point_expansion(1.1, order), 1.0)
-    return FDAdvection1D(pts, 1.0, FDScheme(order, lf_blend=0.01))
+    return FDAdvection1D(pts, 1.0, order, lf_blend=0.01)
 
 
 @pytest.mark.parametrize("scheme", ["RK33", "RK44", "RK55"])
@@ -436,7 +460,7 @@ def test_resample_exact_for_piecewise_polynomials():
 
 def test_fd_resample_accuracy():
     pts = fd_point_grid(64, 1.0, 1.0)
-    fd = FDAdvection1D(pts, 1.0, FDScheme(4))
+    fd = FDAdvection1D(pts, 1.0, 4)
     f = lambda x: np.sin(2 * np.pi * 3 * x + 0.3)
     xs = np.linspace(0, 1, 200, endpoint=False)
     assert np.max(np.abs(fd.resample(f(pts), xs) - f(xs))) < 1e-4
@@ -447,7 +471,7 @@ def test_fd_resample_accuracy():
 def test_numeric_ppw_identity_transfer():
     k_hat = np.linspace(np.pi / 32, np.pi, 32)
     table = TransferTable(k_hat=k_hat, re_k_hat_prime=k_hat.copy(),
-                          im_k_hat_prime=np.zeros(32), k=k_hat,
+                          im_k_hat_prime=np.zeros(32),
                           transfer=np.ones(32, dtype=complex))
     assert numeric_ppw(table) == pytest.approx(2.0)
 
@@ -455,7 +479,7 @@ def test_numeric_ppw_identity_transfer():
 def test_numeric_ppw_unresolvable():
     k_hat = np.array([0.3, 0.6])
     table = TransferTable(k_hat=k_hat, re_k_hat_prime=k_hat * 1.5,
-                          im_k_hat_prime=np.zeros(2), k=k_hat,
+                          im_k_hat_prime=np.zeros(2),
                           transfer=np.ones(2, dtype=complex))
     assert numeric_ppw(table) == np.inf
 

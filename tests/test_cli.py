@@ -132,6 +132,21 @@ def test_error_exit_code_on_bad_parameters(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mesh-gen", "--nx", "4", "--ny", "4", "--jitter", "-0.2", "--seed", "3"],
+     "jitter factor must be non-negative"),
+    (["icv", "--solver", "fv", "--resolutions", "8", "--steps", "1",
+      "--alpha", "-3"], "target skew must be non-negative"),
+    (["icv", "--solver", "fv", "--resolutions", "8", "--steps", "1",
+      "--alpha", "6", "--jitter", "0.3"], "--alpha and --jitter both set"),
+], ids=["mesh-gen-negative-jitter", "icv-negative-alpha", "icv-alpha-and-jitter"])
+def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
+    rc = main(argv + ["--outdir", str(tmp_path)])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_manifest_contains_version_and_config(tmp_path):
     main(["kernel", "--p", "2", "--gamma", "1.0", "--time", "50",
           "--samples", "64", "--outdir", str(tmp_path)])

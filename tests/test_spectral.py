@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frwave.element import HUYNH_G2, gauss_points, reference_element
+from frwave.element import gauss_points, reference_element
 from frwave.spectral import (CLOSURES, SAMPLED, UNRESOLVABLE, WEIGHTED,
                              EigenSolveError, SemiDiscreteOperator,
                              SpectralCurve, SpectralSample, build_operator,
@@ -299,9 +299,7 @@ def _synthetic_curve(k_hats, c_values, p=3):
     samples = [SpectralSample(k=kh * (p + 1), k_hat=kh,
                               eigenvalues=np.array([c]))
                for kh, c in zip(k_hats, c_values)]
-    return SpectralCurve(samples=samples, p=p, gamma=1.0,
-                         correction_kind=HUYNH_G2, closure=SAMPLED,
-                         delta_j=float(p + 1))
+    return SpectralCurve(samples=samples)
 
 
 def test_ppw_exact_curve_hits_nyquist_limit():

@@ -26,9 +26,8 @@ from .spectral import (SAMPLED, WEIGHTED, EigenSolveError, SemiDiscreteOperator,
                        SpectralCurve, SpectralSample, build_operator,
                        dispersion_curve, fd_modified_wavenumber, filter_kernel,
                        modified_phase_velocity, ppw)
-from .stability import (RK33, RK44, RK55, RKScheme, StabilityResult,
-                        UnstableSolutionError, advance, cfl_limit, get_scheme,
-                        spectral_radius_sweep, update_matrix)
+from .stability import (StabilityResult, UnstableSolutionError, advance,
+                        cfl_limit, spectral_radius_sweep, update_matrix)
 from .advect1d import (FDAdvection1D, FRAdvection1D, StretchedGrid1D,
                        TransferTable, bin_wavenumbers, build_grid,
                        fd_point_grid, matched_point_expansion, numeric_ppw,

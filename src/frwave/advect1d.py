@@ -2,13 +2,13 @@
 
 Holds the element-based upwind solver and the finite-difference baseline of
 a given order with optional first-order smoothing.  Each solver is its dof x
-dof operator A (the element solver's from the cell matrices of
-spectral.build_operator, so the solver and the wavenumber analysis share one
-operator) with the facts the harness reads: coords, L, min_spacing and dof;
-both share one rhs, A u.  Also holds the transfer-function harness that
-measures modified wavenumbers by comparing Fourier coefficients of a wave
-before and after convection.  The harness marches with powers of the fully
-discrete step, the matrix stability.update_matrix(A, tau, RK44);
+dof operator A (the element solver's from the reference element's cell
+matrices C0 and Cm1, the ones the wavenumber analysis uses) with the facts
+the harness reads: coords, L, min_spacing and dof; both share one rhs, A u.
+Also holds the transfer-function harness that measures modified
+wavenumbers by comparing Fourier coefficients of a wave before and after
+convection.  The harness marches with powers of the fully
+discrete step, the matrix stability.update_matrix(A, tau, "RK44");
 stability.advance marches the same step on a solver's rhs.
 """
 
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import derivative_matrix, lagrange_values
-from .spectral import _first_crossing_ppw, build_operator
-from .stability import RK44, UnstableSolutionError, update_matrix
+from .spectral import _first_crossing_ppw
+from .stability import UnstableSolutionError, update_matrix
 
 FD_ORDERS = (2, 3, 4, 6, 8)
 MEASURE_POINTS = 4096
@@ -87,11 +87,11 @@ class FRAdvection1D(_Operator1D):
     """Upwinded element solver for du/dt + du/dx = 0, periodic.
 
     A's cell j block row holds -C0/J_j on the diagonal and -Cm1/J_j on the
-    upwind neighbour, with C0 and Cm1 the cell matrices of
-    spectral.build_operator.  States are (n_cells, p+1).  min_spacing is
-    the smallest cell width, as the stability layer's CFL = tau/delta_j
-    has it; it is several point spacings wide (7.0x the smallest at fr4,
-    gamma 1.05).
+    upwind neighbour, with C0 and Cm1 the element's cell matrices, the
+    ones spectral's wave symbols are built from.  States are (n_cells, p+1).
+    min_spacing is the smallest cell width, as the stability layer's
+    CFL = tau/delta_j has it; it is several point spacings wide (7.0x the
+    smallest at fr4, gamma 1.05).
     """
 
     def __init__(self, grid, element):
@@ -100,9 +100,9 @@ class FRAdvection1D(_Operator1D):
         self.coords = solution_points(grid, element)
         self.L = grid.L
         self.min_spacing = float(grid.delta.min())
-        op = build_operator(element, 1.0)
         eye = np.eye(grid.n_cells)
-        self.A = -(np.kron(eye, op.C0) + np.kron(np.roll(eye, -1, axis=1), op.Cm1))
+        self.A = -(np.kron(eye, element.C0)
+                   + np.kron(np.roll(eye, -1, axis=1), element.Cm1))
         self.A /= np.repeat(grid.jacobian, element.n_points)[:, None]
 
     def resample(self, u, xs):
@@ -243,7 +243,7 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
     give the modified wavenumber: phase drift -> Re k', amplitude change
     -> Im k'.  Every snapshot interval dt is marched as R^steps, with
     steps = ceil(dt / (cfl * solver.min_spacing)) and R the step matrix
-    stability.update_matrix(solver.A, dt / steps, RK44), formed directly
+    stability.update_matrix(solver.A, dt / steps, "RK44"), formed directly
     (not by eigen-expansion: A is strongly non-normal on stretched meshes);
     bins with the same dt (every transit bin) share one power.  A
     non-finite state raises UnstableSolutionError.
@@ -262,6 +262,8 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
     """
     if mode not in (TRANSIT, PENCIL):
         raise ValueError(f"unknown measurement mode {mode!r}")
+    if cfl <= 0:
+        raise ValueError(f"CFL must be positive, got {cfl}")
     L = solver.L
     dof = solver.dof
     xs = np.arange(MEASURE_POINTS) * (L / MEASURE_POINTS)
@@ -288,7 +290,7 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
         steps = max(1, int(math.ceil(dt / raw_tau)))
         if dt != P_dt:
             P = None    # hold one power at a time
-            P = np.linalg.matrix_power(update_matrix(solver.A, dt / steps, RK44), steps)
+            P = np.linalg.matrix_power(update_matrix(solver.A, dt / steps, "RK44"), steps)
             P_dt = dt
         u = np.exp(1j * k * solver.coords)
         bins = [np.fft.fft(solver.resample(u, xs))[m_int]]
@@ -316,7 +318,7 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
 
 def bin_wavenumbers(L, dof, k_hat_max=0.75 * np.pi):
     """All wavenumbers with integer wavelength count whose normalised value
-    lies in (0, k_hat_max]."""
+    lies in (0, k_hat_max]; there must be at least one."""
     ks = []
     m = 1
     while True:
@@ -326,6 +328,8 @@ def bin_wavenumbers(L, dof, k_hat_max=0.75 * np.pi):
             break
         ks.append(k)
         m += 1
+    if not ks:
+        raise ValueError(f"no wavenumber bin has k_hat in (0, {k_hat_max:.6g}]")
     return np.array(ks)
 
 

@@ -3,7 +3,8 @@
 Everything downstream (spectral analysis, time-domain solvers, 2D
 tensor-product elements) is built from the objects constructed here:
 Gauss-Legendre solution points, the nodal derivative matrix, boundary
-extraction vectors and correction-function derivative vectors.
+extraction vectors, correction-function derivative vectors and the two
+upwinded cell matrices built from them.
 """
 
 from dataclasses import dataclass
@@ -153,6 +154,8 @@ class ReferenceElement:
     D : (p+1)x(p+1) nodal derivative matrix
     ll, lr : extraction vectors; ll @ u == interpolant of u at xi = -1
     hl, hr : correction derivative vectors at the solution points
+    C0, Cm1 : upwinded cell matrices, C0 = D - hl ll^T acting on the cell's
+        own nodal values and Cm1 = hl lr^T on its upwind neighbour's
     """
 
     p: int
@@ -162,9 +165,12 @@ class ReferenceElement:
     lr: np.ndarray
     hl: np.ndarray
     hr: np.ndarray
+    C0: np.ndarray
+    Cm1: np.ndarray
 
     def __post_init__(self):
-        for a in (self.xi, self.D, self.ll, self.lr, self.hl, self.hr):
+        for a in (self.xi, self.D, self.ll, self.lr, self.hl, self.hr,
+                  self.C0, self.Cm1):
             a.setflags(write=False)
 
     @property
@@ -180,12 +186,8 @@ def reference_element(p, kind=HUYNH_G2):
     """Build the full order-p reference element with the given correction."""
     xi = gauss_points(p)
     hl, hr = correction_derivatives(p, kind)
-    return ReferenceElement(
-        p=p,
-        xi=xi,
-        D=derivative_matrix(xi),
-        ll=lagrange_values(xi, -1.0),
-        lr=lagrange_values(xi, 1.0),
-        hl=hl,
-        hr=hr,
-    )
+    D = derivative_matrix(xi)
+    ll = lagrange_values(xi, -1.0)
+    lr = lagrange_values(xi, 1.0)
+    return ReferenceElement(p=p, xi=xi, D=D, ll=ll, lr=lr, hl=hl, hr=hr,
+                            C0=D - np.outer(hl, ll), Cm1=np.outer(hl, lr))

@@ -54,23 +54,18 @@ class EigenSolveError(RuntimeError):
 
 @dataclass
 class SemiDiscreteOperator:
-    """Cell-local matrices of the semi-discrete upwinded update.
+    """The semi-discrete upwinded update of one cell of width delta_j whose
+    upwind neighbour is delta_j/gamma wide.
 
-    C0 acts on the cell's own nodal values, Cm1 on the upwind neighbour's.
-    Jacobians are half cell widths (the reference interval has length 2).
+    The element's cell matrices C0 and Cm1 act on the cell's own and the
+    upwind neighbour's nodal values; wave_symbol scales them by the
+    Jacobians Jj = delta_j/2 and Jjm1 = delta_j/(2 gamma), half cell widths
+    (the reference interval has length 2).
     """
 
     element: ReferenceElement
-    C0: np.ndarray
-    Cm1: np.ndarray
-    Jj: float
-    Jjm1: float
     delta_j: float
     gamma: float
-
-    def __post_init__(self):
-        self.C0.setflags(write=False)
-        self.Cm1.setflags(write=False)
 
     @property
     def p(self):
@@ -85,19 +80,20 @@ class SemiDiscreteOperator:
     def wave_symbol(self, k, closure=SAMPLED):
         """The (p+1)x(p+1) generator Q(k) of du_j/dt = Q u_j for one wave;
         an array of k gives the stack (..., p+1, p+1)."""
+        C0, Cm1 = self.element.C0, self.element.Cm1
+        Jj, Jjm1 = self.delta_j / 2.0, self.delta_j / (2.0 * self.gamma)
         k = np.asarray(k)[..., None]
         if closure == SAMPLED:
             phase = np.exp(-1j * k * self.node_shifts())
-            coupling = self.Cm1 * phase[..., None, :]
-            return -(self.C0 + coupling) / self.Jj
+            return -(C0 + Cm1 * phase[..., None, :]) / Jj
         if closure == WEIGHTED:
-            factor = np.exp(-1j * k * self.delta_j) / self.Jjm1
-            return -(self.C0 / self.Jj + self.Cm1 * factor[..., None])
+            factor = np.exp(-1j * k * self.delta_j) / Jjm1
+            return -(C0 / Jj + Cm1 * factor[..., None])
         raise ValueError(f"unknown closure {closure!r}; expected one of {CLOSURES}")
 
 
 def build_operator(element, gamma, delta_j=None):
-    """Assemble the semi-discrete operator for one cell of width delta_j.
+    """The semi-discrete operator for one cell of width delta_j.
 
     With no width given, delta_j defaults to p+1 so that unit average
     solution-point spacing makes physical and normalised wavenumbers agree.
@@ -108,17 +104,7 @@ def build_operator(element, gamma, delta_j=None):
         delta_j = float(element.p + 1)
     if delta_j <= 0:
         raise ValueError(f"cell width must be positive, got {delta_j}")
-    C0 = element.D - np.outer(element.hl, element.ll)
-    Cm1 = np.outer(element.hl, element.lr)
-    return SemiDiscreteOperator(
-        element=element,
-        C0=C0,
-        Cm1=Cm1,
-        Jj=delta_j / 2.0,
-        Jjm1=delta_j / (2.0 * gamma),
-        delta_j=delta_j,
-        gamma=gamma,
-    )
+    return SemiDiscreteOperator(element=element, delta_j=delta_j, gamma=gamma)
 
 
 @dataclass
@@ -239,10 +225,8 @@ def filter_kernel(curve, t):
     """
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
-    k = curve.k
-    g = np.exp(t * k * curve.c.imag)
-    g0 = math.exp(t * curve.samples[0].k * curve.samples[0].c.imag)
-    return curve.k_hat, g / g0
+    g = np.exp(t * curve.k * curve.c.imag)
+    return curve.k_hat, g / g[0]
 
 
 def _first_crossing_ppw(k_hat, err, epsilon):

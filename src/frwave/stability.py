@@ -39,25 +39,16 @@ EXCEEDS_UNITY = "ExceedsUnity"
 SHARP_INCREASE = "SharpIncrease"
 
 
-@dataclass(frozen=True)
-class RKScheme:
-    name: str
-    stages: int
+#: each Runge-Kutta scheme by name, with its stage count
+SCHEMES = {"RK33": 3, "RK44": 4, "RK55": 5}
 
 
-RK33 = RKScheme("RK33", 3)
-RK44 = RKScheme("RK44", 4)
-RK55 = RKScheme("RK55", 5)
-SCHEMES = {s.name: s for s in (RK33, RK44, RK55)}
-
-
-def get_scheme(name):
-    if isinstance(name, RKScheme):
-        return name
+def _stages(scheme):
+    """The stage count of the scheme named `scheme`."""
     try:
-        return SCHEMES[name]
+        return SCHEMES[scheme]
     except KeyError:
-        raise ValueError(f"unknown RK scheme {name!r}; expected one of {sorted(SCHEMES)}")
+        raise ValueError(f"unknown RK scheme {scheme!r}; expected one of {sorted(SCHEMES)}")
 
 
 class BisectionError(RuntimeError):
@@ -95,26 +86,28 @@ def update_matrix(Q, tau, scheme):
     Q may be a single matrix or a stacked batch (..., n, n); R is real
     when Q is.
     """
-    scheme = get_scheme(scheme)
+    stages = _stages(scheme)
     if tau <= 0:
         raise ValueError(f"time step must be positive, got {tau}")
     Q = np.asarray(Q)
     eye = np.eye(Q.shape[-1], dtype=np.result_type(Q, float))
-    return _stage_loop(lambda V: Q @ V, eye, tau, scheme.stages)
+    return _stage_loop(lambda V: Q @ V, eye, tau, stages)
 
 
 def advance(solver, u0, tau, scheme, steps):
-    """March `steps` steps of the stage loop on solver.rhs; for a linear rhs
-    each step is exactly update_matrix's.  "RK44" is 4th order in time only
-    on linear right-hand sides; on nonlinear ones (the Euler equations) the
-    loop is 2nd order.  A non-finite state raises UnstableSolutionError.
+    """March `steps` >= 0 steps of the stage loop on solver.rhs; for a
+    linear rhs each step is exactly update_matrix's.  "RK44" is 4th order in
+    time only on linear right-hand sides; on nonlinear ones (the Euler
+    equations) the loop is 2nd order.  A non-finite state raises UnstableSolutionError.
     """
-    scheme = get_scheme(scheme)
+    stages = _stages(scheme)
     if tau <= 0:
         raise ValueError(f"time step must be positive, got {tau}")
+    if steps < 0:
+        raise ValueError(f"step count must be non-negative, got {steps}")
     u = np.array(u0, copy=True)
     for step in range(steps):
-        u = _stage_loop(solver.rhs, u, tau, scheme.stages)
+        u = _stage_loop(solver.rhs, u, tau, stages)
         if not np.all(np.isfinite(u)):
             raise UnstableSolutionError(step)
     return u
@@ -137,13 +130,12 @@ def _wave_symbols(p, gamma, k_samples, correction_kind):
     return k_hats, lam, max(0.0, float(np.max(lam.real)))
 
 
-def _radii(lam, tau, scheme):
+def _radii(lam, tau, stages):
     """Spectral radius of R = P(tau Q) for each row of symbol eigenvalues
     lam, which by spectral mapping is max |P(tau lam)|."""
     if tau <= 0:
         raise ValueError(f"time step must be positive, got {tau}")
-    amplification = _stage_loop(lambda v: lam * v, np.ones_like(lam), tau,
-                                scheme.stages)
+    amplification = _stage_loop(lambda v: lam * v, np.ones_like(lam), tau, stages)
     return np.max(np.abs(amplification), axis=-1)
 
 
@@ -155,9 +147,9 @@ def spectral_radius_sweep(p, gamma, scheme, tau, k_samples=K_SAMPLES):
     """
     if k_samples < 128:
         raise ValueError(f"need at least 128 wavenumber samples, got {k_samples}")
-    scheme = get_scheme(scheme)
+    stages = _stages(scheme)
     k_hats, lam, _ = _wave_symbols(p, gamma, k_samples, HUYNH_G2)
-    return k_hats, _radii(lam, tau, scheme)
+    return k_hats, _radii(lam, tau, stages)
 
 
 def cfl_limit(p, gamma, scheme, correction_kind=HUYNH_G2):
@@ -169,13 +161,13 @@ def cfl_limit(p, gamma, scheme, correction_kind=HUYNH_G2):
     exp(CFL * r).  The limit is the larger; the detection tag records
     which rule produced it.
     """
-    scheme = get_scheme(scheme)
+    stages = _stages(scheme)
     _, lam, growth = _wave_symbols(p, gamma, K_SAMPLES, correction_kind)
     trace = {}
 
     def g(cfl):
         if cfl not in trace:
-            trace[cfl] = float(np.max(_radii(lam, cfl, scheme)))
+            trace[cfl] = float(np.max(_radii(lam, cfl, stages)))
         return trace[cfl]
 
     def last_below(bound):
@@ -184,7 +176,7 @@ def cfl_limit(p, gamma, scheme, correction_kind=HUYNH_G2):
             lo, hi = hi, hi * 1.6
             if hi > 8.0:
                 raise BisectionError(
-                    f"no stability boundary below CFL=8 for {scheme.name}, "
+                    f"no stability boundary below CFL=8 for {scheme}, "
                     f"p={p}, gamma={gamma}")
         while hi - lo > CFL_TOL:
             mid = 0.5 * (lo + hi)

@@ -236,6 +236,13 @@ def test_advance_zero_steps_identity():
     assert np.array_equal(advance(solver, u0, 0.01, "RK44", 0), u0)
 
 
+def test_advance_rejects_negative_steps():
+    # a negative count is an error, not zero steps
+    solver = FRAdvection1D(build_grid(5, 1.0, 1.0), reference_element(2))
+    with pytest.raises(ValueError, match="step count must be non-negative, got -3"):
+        advance(solver, np.sin(solver.coords), 0.01, "RK44", -3)
+
+
 def test_advance_matches_analytic_mode_long_run():
     p = 3
     e = reference_element(p)

@@ -147,6 +147,31 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["wave-test", "--cfl", "0"], "CFL must be positive, got 0.0"),
+    (["wave-test", "--cfl", "-0.05"], "CFL must be positive, got -0.05"),
+    (["wave-test", "--dof", "32", "--k-hat-max", "0.01", "--ppw-epsilon",
+      "0.01"], "no wavenumber bin has k_hat in (0, 0.0314159]"),
+    (["icv", "--solver", "fv", "--resolutions", "4", "--steps", "-3"],
+     "step count must be non-negative, got -3"),
+    (["icv", "--solver", "fv", "--resolutions", "4,4", "--steps", "2"],
+     "need at least two distinct resolutions"),
+], ids=["wave-test-zero-cfl", "wave-test-negative-cfl", "wave-test-no-bin",
+        "icv-negative-steps", "icv-repeated-resolution"])
+def test_unmeasurable_input_rejected(tmp_path, capsys, argv, message):
+    rc = main(argv + ["--outdir", str(tmp_path)])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_ooa_rejects_repeated_resolution(tmp_path, capsys):
+    csv = tmp_path / "icv_fv.csv"
+    csv.write_text("solver,dof,theta\nfv,16,0.01\nfv,16,0.02\n")
+    assert main(["ooa", "--csv", str(csv)]) == 1
+    assert "error: need at least two distinct resolutions" in capsys.readouterr().err
+
+
 def test_manifest_contains_version_and_config(tmp_path):
     main(["kernel", "--p", "2", "--gamma", "1.0", "--time", "50",
           "--samples", "64", "--outdir", str(tmp_path)])
@@ -225,7 +250,7 @@ def test_cli_import_does_not_load_scipy():
 def test_eigen_solve_failure_exit_code(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol",
                         lambda self, k, closure="sampled":
-                        np.full(np.shape(k) + self.C0.shape, np.nan))
+                        np.full(np.shape(k) + self.element.C0.shape, np.nan))
     rc = main(argv + ["--outdir", str(tmp_path)])
     assert rc == 1
     assert "error: eigen solve failed at k_hat=" in capsys.readouterr().err
@@ -234,7 +259,7 @@ def test_eigen_solve_failure_exit_code(tmp_path, capsys, monkeypatch, argv):
 def test_bisection_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a zero symbol never amplifies: P(0) = 1 at every CFL
     monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol",
-                        lambda self, k, closure: np.zeros(np.shape(k) + self.C0.shape))
+                        lambda self, k, closure: np.zeros(np.shape(k) + self.element.C0.shape))
     rc = main(["cfl-table", "--schemes", "RK44", "--orders", "4",
                "--gamma", "1.0", "--outdir", str(tmp_path)])
     assert rc == 1

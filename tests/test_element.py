@@ -315,6 +315,23 @@ def test_reference_element_arrays_immutable():
         e.D[0, 0] = 1.0
     with pytest.raises(ValueError):
         e.hl[0] = 0.0
+    for cell_matrix in (e.C0, e.Cm1):
+        with pytest.raises(ValueError):
+            cell_matrix[0, 0] = 0.0
+
+
+def test_cell_matrix_identities():
+    for p in (2, 4):
+        e = reference_element(p)
+        assert np.max(np.abs(e.C0 - (e.D - np.outer(e.hl, e.ll)))) < 1e-14
+        assert np.max(np.abs(e.Cm1 - np.outer(e.hl, e.lr))) < 1e-14
+
+
+def test_row_sums_vanish():
+    # constant data gives zero update under pure upwinding
+    for p in range(1, 8):
+        e = reference_element(p)
+        assert np.max(np.abs((e.C0 + e.Cm1) @ np.ones(p + 1))) < 1e-12
 
 
 def test_interpolate_matches_nodal_data():

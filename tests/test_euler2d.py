@@ -340,6 +340,25 @@ def test_fv_curvilinear_metrics_lose_closure_on_jitter():
     assert np.max(np.abs(solver.rhs(U))) > 1e-3
 
 
+def test_fv_curvilinear_face_vectors_are_centroid_steps():
+    # element j*nx + i steps east to j*nx + (i+1) % nx and north to
+    # ((j+1) % ny)*nx + i; a step across the periodic seam gains L
+    nx, ny = 7, 5
+    mesh = jitter(uniform_quad_mesh(nx, ny, 10.0), 0.3, seed=4)
+    solver = FVEulerSolver2D(mesh, metrics="curvilinear")
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    c = solver.x
+    east = c[j * nx + (i + 1) % nx]
+    east[i == nx - 1, 0] += mesh.L
+    north = c[((j + 1) % ny) * nx + i]
+    north[j == ny - 1, 1] += mesh.L
+    for n, got in ((east - c, (solver.s_e, solver.nx_e, solver.ny_e)),
+                   (north - c, (solver.s_n, solver.nx_n, solver.ny_n))):
+        s = np.linalg.norm(n, axis=-1)
+        for expect, value in zip((s, n[:, 0] / s, n[:, 1] / s), got):
+            assert np.array_equal(value, expect)
+
+
 @pytest.mark.parametrize("riemann", ["rusanov", "roe"])
 @pytest.mark.parametrize("metrics", ["curvilinear", "exact"])
 def test_fv_conservation_of_invariants(metrics, riemann):
@@ -462,6 +481,10 @@ def test_ooa_synthetic_arbitrary_order():
 def test_ooa_needs_two_points():
     with pytest.raises(ValueError):
         ooa([ErrorReport(theta=1.0, per_variable=np.zeros(4), dof=10)])
+    # a slope through one repeated resolution is not defined
+    with pytest.raises(ValueError, match="two distinct resolutions"):
+        ooa([ErrorReport(theta=t, per_variable=np.zeros(4), dof=16)
+             for t in (1e-2, 2e-2)])
 
 
 def test_run_icv_smoke_and_dof_accounting():

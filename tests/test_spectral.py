@@ -17,25 +17,23 @@ def op3():
 # --- operator assembly -------------------------------------------------------
 
 def test_operator_matrix_identities():
+    # at k = 0 the weighted symbol is -(C0/Jj + Cm1/Jjm1), with the
+    # Jacobians Jj = delta_j/2 and Jjm1 = delta_j/(2 gamma)
     for p in (2, 4):
         e = reference_element(p)
         op = build_operator(e, 1.2, delta_j=0.7)
-        assert np.max(np.abs(op.C0 - (e.D - np.outer(e.hl, e.ll)))) < 1e-14
-        assert np.max(np.abs(op.Cm1 - np.outer(e.hl, e.lr))) < 1e-14
-        assert op.Jj == pytest.approx(0.35, abs=1e-15)
-        assert op.Jjm1 == pytest.approx(0.7 / (2 * 1.2), abs=1e-15)
+        expect = -(e.C0 / 0.35 + e.Cm1 / (0.7 / (2 * 1.2)))
+        assert np.allclose(op.wave_symbol(0.0, WEIGHTED), expect,
+                           rtol=1e-14, atol=1e-14)
 
 
 def test_uniform_unit_jacobians():
-    op = build_operator(reference_element(3), 1.0, delta_j=2.0)
-    assert op.Jj == 1.0 and op.Jjm1 == 1.0
-
-
-def test_row_sums_vanish():
-    # constant data gives zero update under pure upwinding
-    for p in range(1, 8):
-        op = build_operator(reference_element(p), 1.0)
-        assert np.max(np.abs((op.C0 + op.Cm1) @ np.ones(p + 1))) < 1e-12
+    # delta_j = 2 on a uniform grid: both Jacobians are 1, so at k = 0
+    # both closures give -(C0 + Cm1) exactly
+    e = reference_element(3)
+    op = build_operator(e, 1.0, delta_j=2.0)
+    for closure in CLOSURES:
+        assert np.array_equal(op.wave_symbol(0.0, closure), -(e.C0 + e.Cm1))
 
 
 def test_wave_symbol_matches_bruteforce_assembly():
@@ -257,6 +255,13 @@ def test_wave_symbol_broadcasts_over_wavenumbers(closure):
 
 
 # --- filter kernel -----------------------------------------------------------
+
+@pytest.mark.parametrize("p, gamma, t", [(2, 1.0, 1.0), (2, 1.0, 100.0),
+                                         (3, 0.8, 100.0)])
+def test_kernel_first_sample_is_exactly_one(p, gamma, t):
+    _, g = filter_kernel(dispersion_curve(p, gamma), t)
+    assert g[0] == 1.0
+
 
 def test_kernel_normalised_at_resolved_end():
     curve = dispersion_curve(3, 1.0, n_samples=256)

@@ -1,25 +1,32 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from frwave.element import reference_element
 from frwave.spectral import WEIGHTED, SemiDiscreteOperator, build_operator
 from frwave import stability
-from frwave.stability import (EXCEEDS_UNITY, RK33, RK44, RK55, SHARP_INCREASE,
-                              BisectionError, cfl_limit, get_scheme,
-                              spectral_radius_sweep, update_matrix)
+from frwave.stability import (EXCEEDS_UNITY, SHARP_INCREASE, BisectionError,
+                              advance, cfl_limit, spectral_radius_sweep,
+                              update_matrix)
 
 
-def test_get_scheme_lookup():
-    assert get_scheme("RK44") is RK44
-    assert get_scheme(RK33).stages == 3
-    with pytest.raises(ValueError):
-        get_scheme("RK99")
+def test_unknown_scheme_rejected():
+    # a scheme is its name; every entry point rejects an unknown one
+    decay = SimpleNamespace(rhs=lambda u: -u)
+    calls = [lambda: update_matrix(np.eye(2), 0.1, "RK99"),
+             lambda: advance(decay, np.ones(2), 0.1, "RK99", 1),
+             lambda: spectral_radius_sweep(2, 1.0, "RK99", 0.1),
+             lambda: cfl_limit(2, 1.0, "RK99")]
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown RK scheme 'RK99'"):
+            call()
 
 
 def test_update_matrix_identity_limit():
     rng = np.random.default_rng(5)
     Q = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    R = update_matrix(Q, 1e-12, RK44)
+    R = update_matrix(Q, 1e-12, "RK44")
     assert np.max(np.abs(R - np.eye(4))) < 1e-10
     rho = np.max(np.abs(np.linalg.eigvals(R)))
     assert rho == pytest.approx(1.0, abs=1e-10)
@@ -38,7 +45,7 @@ def test_update_matrix_scalar_rk44_amplification():
     lam = 2.2
     tau = 0.31
     z = 1j * tau * lam
-    R = update_matrix(np.array([[1j * lam]]), tau, RK44)
+    R = update_matrix(np.array([[1j * lam]]), tau, "RK44")
     classical = 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
     assert R[0, 0] == pytest.approx(classical, abs=1e-14)
 
@@ -46,42 +53,42 @@ def test_update_matrix_scalar_rk44_amplification():
 def test_update_matrix_batched_matches_loop():
     rng = np.random.default_rng(7)
     Qs = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    R_batch = update_matrix(Qs, 0.2, RK55)
+    R_batch = update_matrix(Qs, 0.2, "RK55")
     for i in range(5):
-        assert np.allclose(R_batch[i], update_matrix(Qs[i], 0.2, RK55),
+        assert np.allclose(R_batch[i], update_matrix(Qs[i], 0.2, "RK55"),
                            atol=1e-13)
 
 
 def test_update_matrix_rejects_bad_tau():
     with pytest.raises(ValueError):
-        update_matrix(np.eye(2), 0.0, RK44)
+        update_matrix(np.eye(2), 0.0, "RK44")
 
 
 # --- radius sweeps -----------------------------------------------------------
 
 def test_contracting_grid_stable_at_small_tau():
-    k_hat, rho = spectral_radius_sweep(2, 0.9, RK44, tau=0.05)
+    k_hat, rho = spectral_radius_sweep(2, 0.9, "RK44", tau=0.05)
     assert np.all(rho <= 1.0 + 1e-12)
 
 
 def test_expanding_grid_third_order_mixed_bands():
-    k_hat, rho = spectral_radius_sweep(2, 1.1, RK44, tau=0.05)
+    k_hat, rho = spectral_radius_sweep(2, 1.1, "RK44", tau=0.05)
     assert np.min(rho) < 1.0 < np.max(rho)
 
 
 def test_expanding_grid_fourth_order_unstable_everywhere():
-    k_hat, rho = spectral_radius_sweep(3, 1.1, RK44, tau=0.05)
+    k_hat, rho = spectral_radius_sweep(3, 1.1, "RK44", tau=0.05)
     assert np.all(rho >= 1.0 - 1e-9)
 
 
 def test_sweep_needs_enough_samples():
     with pytest.raises(ValueError):
-        spectral_radius_sweep(2, 1.0, RK44, tau=0.1, k_samples=32)
+        spectral_radius_sweep(2, 1.0, "RK44", tau=0.1, k_samples=32)
 
 
 def test_sweep_rejects_bad_tau():
     with pytest.raises(ValueError, match="time step must be positive"):
-        spectral_radius_sweep(2, 1.0, RK44, tau=0.0)
+        spectral_radius_sweep(2, 1.0, "RK44", tau=0.0)
 
 
 def _symbols(p, gamma, k_hats):
@@ -95,7 +102,7 @@ def _symbols(p, gamma, k_hats):
 def test_sweep_is_the_update_matrix_radius(p, gamma):
     # spectral mapping: max |P(tau lam)| equals the spectral radius of the
     # update matrix P(tau Q) formed and solved directly
-    for scheme in (RK33, RK44, RK55):
+    for scheme in ("RK33", "RK44", "RK55"):
         for tau in (0.05, 0.2):
             k_hats, rho = spectral_radius_sweep(p, gamma, scheme, tau)
             R = update_matrix(_symbols(p, gamma, k_hats), tau, scheme)
@@ -109,8 +116,8 @@ def test_radius_periodic_in_element_wavenumber():
     for k in (0.7, 2.9):
         Q1 = op.wave_symbol(k, WEIGHTED)
         Q2 = op.wave_symbol(k + 2 * np.pi / op.delta_j, WEIGHTED)
-        r1 = np.max(np.abs(np.linalg.eigvals(update_matrix(Q1, 0.3, RK44))))
-        r2 = np.max(np.abs(np.linalg.eigvals(update_matrix(Q2, 0.3, RK44))))
+        r1 = np.max(np.abs(np.linalg.eigvals(update_matrix(Q1, 0.3, "RK44"))))
+        r2 = np.max(np.abs(np.linalg.eigvals(update_matrix(Q2, 0.3, "RK44"))))
         assert abs(r1 - r2) < 1e-10
 
 
@@ -119,9 +126,9 @@ def test_radius_periodic_in_element_wavenumber():
 def test_cfl_limit_published_spot_values():
     # representative rows of the published table, +-5%
     cases = [
-        (3, 1.0, RK44, 0.288),
-        (2, 0.7, RK33, 0.519),
-        (4, 1.3, RK55, 0.204),
+        (3, 1.0, "RK44", 0.288),
+        (2, 0.7, "RK33", 0.519),
+        (4, 1.3, "RK55", 0.204),
     ]
     for p, gamma, scheme, ref in cases:
         res = cfl_limit(p, gamma, scheme)
@@ -129,35 +136,35 @@ def test_cfl_limit_published_spot_values():
 
 
 def test_cfl_limit_monotone_in_stage_count():
-    limits = [cfl_limit(3, 1.0, s).cfl_limit for s in (RK33, RK44, RK55)]
+    limits = [cfl_limit(3, 1.0, s).cfl_limit for s in ("RK33", "RK44", "RK55")]
     assert limits[0] < limits[1] < limits[2]
 
 
 def test_cfl_limit_monotone_in_order():
-    limits = [cfl_limit(p, 1.0, RK44).cfl_limit for p in (2, 3, 4)]
+    limits = [cfl_limit(p, 1.0, "RK44").cfl_limit for p in (2, 3, 4)]
     assert limits[0] > limits[1] > limits[2]
 
 
 def test_detection_tag_for_expanding_grid():
-    res = cfl_limit(3, 1.2, RK44)
+    res = cfl_limit(3, 1.2, "RK44")
     assert res.detection == SHARP_INCREASE
     assert res.cfl_limit > 0
 
 
 def test_rho_curve_monotone_beyond_limit():
-    res = cfl_limit(2, 1.0, RK44)
+    res = cfl_limit(2, 1.0, "RK44")
     k_hats = np.linspace(np.pi / stability.K_SAMPLES, np.pi, stability.K_SAMPLES)
     Qs = _symbols(2, 1.0, k_hats)
     gs = []
     for factor in (1.05, 1.2, 1.5):
-        R = update_matrix(Qs, factor * res.cfl_limit, RK44)
+        R = update_matrix(Qs, factor * res.cfl_limit, "RK44")
         gs.append(np.max(np.abs(np.linalg.eigvals(R))))
     assert gs[0] <= gs[1] <= gs[2]
     assert gs[0] > 1.0
 
 
 def test_rho_curve_recorded():
-    res = cfl_limit(2, 1.0, RK33)
+    res = cfl_limit(2, 1.0, "RK33")
     assert len(res.rho_curve) > 5
     cfls = [c for c, _ in res.rho_curve]
     assert cfls == sorted(cfls)
@@ -167,6 +174,6 @@ def test_cfl_limit_without_boundary_raises(monkeypatch):
     # a zero symbol has eigenvalues 0 and an update P(0) = 1 that never
     # amplifies, which leaves nothing to bracket below CFL 8
     monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol",
-                        lambda self, k, closure: np.zeros(np.shape(k) + self.C0.shape))
+                        lambda self, k, closure: np.zeros(np.shape(k) + self.element.C0.shape))
     with pytest.raises(BisectionError, match="no stability boundary"):
         cfl_limit(3, 1.0, "RK44")

@@ -237,9 +237,9 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
                            window=0.5):
     """Convect single waves and measure the complex transfer per wavenumber.
 
-    Each wave k (an integer number of wavelengths must fit the domain) is
-    advanced at the requested CFL, the solution is interpolated onto a
-    uniform measurement grid, and Fourier coefficients of the driven bin
+    Each wave k (a positive whole number of wavelengths must fit the
+    domain) is advanced at the requested CFL, the solution is interpolated
+    onto a uniform measurement grid, and Fourier coefficients of the driven bin
     give the modified wavenumber: phase drift -> Re k', amplitude change
     -> Im k'.  Every snapshot interval dt is marched as R^steps, with
     steps = ceil(dt / (cfl * solver.min_spacing)) and R the step matrix
@@ -271,10 +271,6 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
     k_hats, res, ims, trans = [], [], [], []
     P_dt = None     # the snapshot interval P marches; transit bins share it
     for k in k_values:
-        if k == 0:
-            k_hats.append(0.0); res.append(0.0); ims.append(0.0)
-            trans.append(1.0 + 0.0j)
-            continue
         m = k * L / (2.0 * np.pi)
         m_int = int(round(m))
         if abs(m - m_int) > 1e-9 * max(1.0, abs(m)) or m_int <= 0:
@@ -336,7 +332,5 @@ def bin_wavenumbers(L, dof, k_hat_max=0.75 * np.pi):
 def numeric_ppw(table, epsilon=0.01):
     """Points per wavelength from a measured transfer table, first-crossing
     rule on |Re k_hat'/k_hat - 1| (see spectral.ppw)."""
-    mask = table.k_hat > 0
-    k_hat = table.k_hat[mask]
-    err = np.abs(table.re_k_hat_prime[mask] / k_hat - 1.0)
-    return _first_crossing_ppw(k_hat, err, epsilon)
+    err = np.abs(table.re_k_hat_prime / table.k_hat - 1.0)
+    return _first_crossing_ppw(table.k_hat, err, epsilon)

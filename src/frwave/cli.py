@@ -1,10 +1,10 @@
 """Command-line driver: reproducible parameter studies emitting CSV files.
 
 Every subcommand writes RFC-4180-style CSV (UTF-8, '.' decimal) plus a
-manifest file holding the fully resolved configuration and the toolkit
-version, so a rerun with the same flags is byte-identical.  Config
-precedence: built-in defaults < config file (flat key=value lines) <
-command-line flags.  Every sweep runs serially in this one process.
+manifest file holding the options it parsed and the toolkit version, so a
+rerun with the same flags is byte-identical.  Config precedence: built-in
+defaults < config file (flat key=value lines) < command-line flags.  Every
+sweep runs serially in this one process.
 """
 
 import argparse
@@ -27,8 +27,13 @@ from .advect1d import (FD_ORDERS, FDAdvection1D, FRAdvection1D, TRANSIT, PENCIL,
                        wave_transfer_function)
 from .mesh2d import (jitter, jitter_factor_for_skew, skew_angle,
                      uniform_quad_mesh, write_mesh)
-from .euler2d import (ErrorReport, FREulerSolver2D, FVEulerSolver2D, ooa,
-                      run_icv)
+from .euler2d import (ErrorReport, FREulerSolver2D, FVEulerSolver2D,
+                      _require_distinct, ooa, run_icv)
+
+# wave-test's --k and --ppw-epsilon stay out of its manifest: the benchmark
+# compares manifests against stored transfer1d references, so recording them
+# waits for a benchmark change, which then deletes this line.
+_UNRECORDED = ("k", "ppw_epsilon")
 
 
 def _fmt(v):
@@ -47,33 +52,34 @@ def write_csv(path, header, rows):
     return path
 
 
-def write_manifest(out_path, config):
-    manifest = dict(sorted(config.items()))
-    manifest["version"] = __version__
-    path = Path(str(out_path) + ".manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+def _record(path, args, **resolved):
+    """Write a run's manifest: its parsed options, updated by `resolved`,
+    and the toolkit version."""
+    manifest = {key: value for key, value in vars(args).items()
+                if key not in ("fn", "outdir", *_UNRECORDED)}
+    manifest.update(resolved, version=__version__)
+    with open(f"{path}.manifest.json", "w", encoding="utf-8", newline="\n") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    return path
 
 
-def _emit(path, header, rows, config):
+def _emit(path, header, rows, args, **resolved):
     """Write a subcommand's CSV and manifest, then print the CSV path."""
     write_csv(path, header, rows)
-    write_manifest(path, config)
+    _record(path, args, **resolved)
     print(path)
 
 
-def parse_float_list(text):
-    return [float(v) for v in str(text).split(",") if v != ""]
+def _items(text, kind=float):
+    """A comma-separated list option's values; an empty item is an error."""
+    return [kind(v) for v in text.split(",")]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_dispersion(args):
-    gammas = parse_float_list(args.gamma)
-    for gamma in gammas:
+    for gamma in _items(args.gamma):
         curve = dispersion_curve(args.p, gamma, args.kind,
                                  n_samples=args.samples, closure=args.closure)
         rows = []
@@ -83,10 +89,7 @@ def cmd_dispersion(args):
                              args.kind))
         _emit(args.outdir / f"dispersion_p{args.p}_gamma{_fmt(gamma)}.csv",
               ["k_hat", "re_c", "im_c", "mode_index", "p", "gamma",
-               "correction_kind"], rows,
-              {"command": "dispersion", "p": args.p, "gamma": gamma,
-               "kind": args.kind, "samples": args.samples,
-               "closure": args.closure})
+               "correction_kind"], rows, args, gamma=gamma)
     return 0
 
 
@@ -97,38 +100,31 @@ def cmd_kernel(args):
     _emit(args.outdir / f"kernel_p{args.p}_gamma{_fmt(args.gamma)}_t{_fmt(args.time)}.csv",
           ["k_hat", "kernel", "p", "gamma", "t"],
           [(kh, gv, args.p, args.gamma, args.time) for kh, gv in zip(k_hat, g)],
-          {"command": "kernel", "p": args.p, "gamma": args.gamma,
-           "kind": args.kind, "time": args.time, "samples": args.samples})
+          args)
     return 0
 
 
 def cmd_ppw(args):
-    gammas = parse_float_list(args.gamma)
+    gammas = _items(args.gamma)
     rows = []
-    for p in [int(v) for v in str(args.p).split(",")]:
+    for p in _items(args.p, int):
         for gamma in gammas:
             curve = dispersion_curve(p, gamma, args.kind, n_samples=args.samples)
             rows.append((p, gamma, args.epsilon, ppw(curve, args.epsilon)))
-    _emit(args.outdir / "ppw.csv", ["p", "gamma", "epsilon", "ppw"], rows,
-          {"command": "ppw", "p": args.p, "gamma": args.gamma,
-           "epsilon": args.epsilon, "kind": args.kind,
-           "samples": args.samples})
+    _emit(args.outdir / "ppw.csv", ["p", "gamma", "epsilon", "ppw"], rows, args)
     return 0
 
 
 def cmd_cfl_table(args):
-    schemes = [s.strip() for s in args.schemes.split(",")]
-    orders = [int(v) for v in args.orders.split(",")]
-    gammas = parse_float_list(args.gamma)
     rows = []
-    for scheme, order, gamma in product(schemes, orders, gammas):
+    for scheme, order, gamma in product(_items(args.schemes, str.strip),
+                                        _items(args.orders, int),
+                                        _items(args.gamma)):
         res = cfl_limit(order - 1, gamma, scheme, correction_kind=args.kind)
         rows.append((scheme, order, gamma, res.cfl_limit, res.detection))
     _emit(args.outdir / "cfl_table.csv",
           ["scheme", "spatial_order", "gamma", "cfl_limit", "detection_rule"],
-          rows, {"command": "cfl-table", "schemes": args.schemes,
-                 "orders": args.orders, "gamma": args.gamma,
-                 "kind": args.kind})
+          rows, args)
     return 0
 
 
@@ -138,9 +134,7 @@ def cmd_rho_sweep(args):
     _emit(args.outdir / f"rho_p{args.p}_gamma{_fmt(args.gamma)}_tau{_fmt(args.tau)}.csv",
           ["k_hat", "rho", "p", "gamma", "scheme", "tau"],
           [(kh, r, args.p, args.gamma, args.scheme, args.tau)
-           for kh, r in zip(k_hat, rho)],
-          {"command": "rho-sweep", "p": args.p, "gamma": args.gamma,
-           "scheme": args.scheme, "tau": args.tau, "samples": args.samples})
+           for kh, r in zip(k_hat, rho)], args)
     return 0
 
 
@@ -164,9 +158,8 @@ def _build_1d_solver(spec_text, gamma, dof):
 
 def cmd_wave_test(args):
     solver = _build_1d_solver(args.solver, args.gamma, args.dof)
-    explicit = parse_float_list(args.k)
-    if explicit:
-        ks = np.array(explicit)
+    if args.k:
+        ks = np.array(_items(args.k))
     else:
         ks = bin_wavenumbers(1.0, solver.dof, k_hat_max=args.k_hat_max * math.pi)
     table = wave_transfer_function(solver, ks, cfl=args.cfl, mode=args.mode,
@@ -179,10 +172,7 @@ def cmd_wave_test(args):
               f"{numeric_ppw(table, args.ppw_epsilon):.4f}")
     _emit(args.outdir / f"wave_{args.solver}_gamma{_fmt(args.gamma)}.csv",
           ["k_hat", "re_k_prime", "im_k_prime", "scheme", "gamma", "cfl",
-           "mode"], rows,
-          {"command": "wave-test", "solver": args.solver, "gamma": args.gamma,
-           "dof": args.dof, "cfl": args.cfl, "mode": args.mode,
-           "window": args.window, "k_hat_max": args.k_hat_max})
+           "mode"], rows, args)
     return 0
 
 
@@ -193,9 +183,7 @@ def cmd_mesh_gen(args):
     path = args.outdir / f"mesh_{args.nx}x{args.ny}_j{_fmt(args.jitter)}_s{args.seed}.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
     write_mesh(mesh, path)
-    write_manifest(path, {"command": "mesh-gen", "nx": args.nx, "ny": args.ny,
-                          "length": args.length, "jitter": args.jitter,
-                          "seed": args.seed})
+    _record(path, args)
     print(path)
     return 0
 
@@ -203,14 +191,12 @@ def cmd_mesh_gen(args):
 def cmd_skew(args):
     mesh = uniform_quad_mesh(args.nx, args.ny, args.length)
     rows = []
-    for factor in parse_float_list(args.factors):
+    for factor in _items(args.factors):
         jm = jitter(mesh, factor, args.seed)
         rows.append((args.nx, args.ny, factor, args.seed,
                      skew_angle(jm).alpha))
     _emit(args.outdir / "skew.csv",
-          ["nx", "ny", "jitter_factor", "seed", "alpha_deg"], rows,
-          {"command": "skew", "nx": args.nx, "ny": args.ny,
-           "length": args.length, "factors": args.factors, "seed": args.seed})
+          ["nx", "ny", "jitter_factor", "seed", "alpha_deg"], rows, args)
     return 0
 
 
@@ -228,7 +214,9 @@ def _icv_solver(args, n):
 
 
 def cmd_icv(args):
-    resolutions = [int(v) for v in args.resolutions.split(",")]
+    resolutions = _items(args.resolutions, int)
+    if len(resolutions) >= 2:      # checked before any march
+        _require_distinct(resolutions)
     reports = []
     rows = []
     for n in resolutions:
@@ -244,11 +232,7 @@ def cmd_icv(args):
     _emit(args.outdir / f"icv_{args.solver}.csv",
           ["solver", "order_or_p", "n", "dof", "alpha", "jitter", "seed",
            "steps", "cfl", "theta", "err_rho", "err_rhou", "err_rhov", "err_E"],
-          rows, {"command": "icv", "solver": args.solver, "p": args.p,
-                 "resolutions": args.resolutions, "alpha": args.alpha,
-                 "jitter": args.jitter, "seed": args.seed,
-                 "steps": args.steps, "cfl": args.cfl,
-                 "riemann": args.riemann})
+          rows, args)
     return 0
 
 
@@ -261,6 +245,9 @@ def cmd_ooa(args):
         idx_theta = header.index("theta")
         for line in filter(str.strip, f):   # blank lines carry no row
             parts = line.strip().split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"{args.csv}: a row has {len(parts)} fields, "
+                                 f"the header has {len(header)}")
             rows.append(ErrorReport(theta=float(parts[idx_theta]),
                                     per_variable=np.zeros(4),
                                     dof=int(parts[idx_dof])))
@@ -306,7 +293,7 @@ def build_parser():
     def add(name, fn, help):
         p = subcommands[name] = _Subcommand(prog=f"frwave {name}",
                                             description=help)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, command=name)
         p.add_argument("--outdir", type=Path, default="out")
         return p
 

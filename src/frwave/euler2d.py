@@ -435,11 +435,19 @@ def error_norm(computed, exact):
                        dof=diff.shape[0])
 
 
+def _require_distinct(resolutions):
+    """An order fit needs at least two distinct resolutions."""
+    if len(set(resolutions)) < 2:
+        raise ValueError("need at least two distinct resolutions")
+
+
 def ooa(reports):
     """Observed order of accuracy: least-squares slope of log error
     against log of the per-direction resolution sqrt(DoF)."""
-    if len({r.dof for r in reports}) < 2:
-        raise ValueError("need at least two distinct resolutions")
+    _require_distinct([r.dof for r in reports])
+    for r in reports:
+        if not r.theta > 0:     # also NaN
+            raise ValueError(f"error norm must be positive, got {r.theta}")
     x = np.log([math.sqrt(r.dof) for r in reports])
     y = np.log([r.theta for r in reports])
     slope = np.polyfit(x, y, 1)[0]

@@ -331,12 +331,12 @@ def test_linearity_superposition():
 
 # --- transfer-function harness -------------------------------------------------
 
-def test_transfer_constant_mode_is_exact():
+def test_transfer_rejects_zero_wavenumber():
+    # the constant mode is not a whole positive number of wavelengths
     e = reference_element(3)
     solver = FRAdvection1D(build_grid(8, 1.0, 1.0), e)
-    t = wave_transfer_function(solver, [0.0])
-    assert t.transfer[0] == 1.0 + 0.0j
-    assert t.re_k_hat_prime[0] == 0.0 and t.im_k_hat_prime[0] == 0.0
+    with pytest.raises(ValueError, match="wavenumber 0.0 does not fit"):
+        wave_transfer_function(solver, [0.0])
 
 
 def test_transfer_rejects_non_integer_wavelengths():

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import frwave
-from frwave.cli import main
+from frwave import cli
+from frwave.cli import build_parser, main
 from frwave.spectral import SemiDiscreteOperator
 
 
@@ -156,8 +158,10 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "step count must be non-negative, got -3"),
     (["icv", "--solver", "fv", "--resolutions", "4,4", "--steps", "2"],
      "need at least two distinct resolutions"),
+    (["wave-test", "--k", "0", "--ppw-epsilon", "0.01", "--dof", "40"],
+     "wavenumber 0.0 does not fit an integer number of wavelengths"),
 ], ids=["wave-test-zero-cfl", "wave-test-negative-cfl", "wave-test-no-bin",
-        "icv-negative-steps", "icv-repeated-resolution"])
+        "icv-negative-steps", "icv-repeated-resolution", "wave-test-zero-k"])
 def test_unmeasurable_input_rejected(tmp_path, capsys, argv, message):
     rc = main(argv + ["--outdir", str(tmp_path)])
     assert rc == 1
@@ -172,6 +176,31 @@ def test_ooa_rejects_repeated_resolution(tmp_path, capsys):
     assert "error: need at least two distinct resolutions" in capsys.readouterr().err
 
 
+def test_icv_checks_resolutions_before_marching(tmp_path, capsys, monkeypatch):
+    def march(*args, **kwargs):
+        raise AssertionError("marched before the resolutions were checked")
+    monkeypatch.setattr(cli, "run_icv", march)
+    assert main(["icv", "--solver", "fv", "--resolutions", "8,8",
+                 "--outdir", str(tmp_path)]) == 1
+    assert "error: need at least two distinct resolutions" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_ooa_rejects_nonpositive_error(tmp_path, capsys):
+    csv = tmp_path / "icv_fv.csv"
+    csv.write_text("solver,dof,theta\nfv,16,0.01\nfv,64,0\n")
+    assert main(["ooa", "--csv", str(csv)]) == 1
+    assert "error: error norm must be positive, got 0.0" in capsys.readouterr().err
+
+
+def test_ooa_rejects_short_row(tmp_path, capsys):
+    csv = tmp_path / "icv_fv.csv"
+    csv.write_text("solver,dof,theta\nfv,16,0.01\nfv,64\n")
+    assert main(["ooa", "--csv", str(csv)]) == 1
+    assert f"error: {csv}: a row has 2 fields, the header has 3" \
+        in capsys.readouterr().err
+
+
 def test_manifest_contains_version_and_config(tmp_path):
     main(["kernel", "--p", "2", "--gamma", "1.0", "--time", "50",
           "--samples", "64", "--outdir", str(tmp_path)])
@@ -180,6 +209,70 @@ def test_manifest_contains_version_and_config(tmp_path):
     assert manifest["command"] == "kernel"
     assert manifest["p"] == 2
     assert "version" in manifest
+
+
+@pytest.mark.parametrize("argv, resolved", [
+    (["dispersion", "--p", "2", "--gamma", "1.0", "--samples", "64"],
+     {"gamma": 1.0}),
+    (["kernel", "--p", "2", "--time", "1", "--samples", "64"], {}),
+    (["ppw", "--p", "2", "--samples", "64"], {}),
+    (["cfl-table", "--schemes", "RK44", "--orders", "2", "--gamma", "1.0"], {}),
+    (["rho-sweep", "--p", "2", "--tau", "0.1", "--samples", "128"], {}),
+    (["wave-test", "--solver", "fd2", "--dof", "32", "--k-hat-max", "0.4",
+      "--window", "0.25", "--ppw-epsilon", "0.01"], {}),
+    (["mesh-gen", "--nx", "3", "--ny", "3", "--jitter", "0.1"], {}),
+    (["skew", "--nx", "4", "--ny", "4", "--factors", "0.1"], {}),
+    (["icv", "--solver", "fv", "--resolutions", "4", "--steps", "1"], {}),
+], ids=["dispersion", "kernel", "ppw", "cfl-table", "rho-sweep", "wave-test",
+        "mesh-gen", "skew", "icv"])
+def test_manifest_records_every_parsed_option(tmp_path, argv, resolved):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    [path] = tmp_path.glob("*.manifest.json")
+    _, subcommands = build_parser()
+    parser = subcommands[argv[0]]
+    parsed = vars(parser.parse_args(argv[1:]))
+    # wave-test leaves these two out until its benchmark references change
+    unrecorded = {"k", "ppw_epsilon"} if argv[0] == "wave-test" else set()
+    expect = {key: parsed[key]
+              for key in set(parser.options) - {"outdir"} - unrecorded}
+    assert json.loads(path.read_text()) == {
+        **expect, **resolved, "command": argv[0], "version": frwave.__version__}
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["dispersion", "--gamma"], "1.0"),
+    (["ppw", "--samples", "64", "--gamma"], "1.0"),
+    (["cfl-table", "--schemes", "RK44", "--orders", "2", "--gamma"], "1.0"),
+    (["skew", "--nx", "4", "--ny", "4", "--factors"], "0.1"),
+    (["wave-test", "--solver", "fd2", "--dof", "32", "--k"],
+     "6.283185307179586"),
+    (["ppw", "--samples", "64", "--p"], "2"),
+    (["cfl-table", "--schemes", "RK44", "--gamma", "1.0", "--orders"], "2"),
+    (["icv", "--solver", "fv", "--steps", "1", "--resolutions"], "4"),
+    (["cfl-table", "--orders", "2", "--gamma", "1.0", "--schemes"], "RK44"),
+], ids=["dispersion-gamma", "ppw-gamma", "cfl-table-gamma", "skew-factors",
+        "wave-test-k", "ppw-p", "cfl-table-orders", "icv-resolutions",
+        "cfl-table-schemes"])
+@pytest.mark.parametrize("items", [",", "{0},,{0}"],
+                         ids=["empty-list", "empty-item"])
+def test_list_option_rejects_empty_item(tmp_path, capsys, argv, value, items):
+    rc = main(argv + [items.format(value), "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_readme_command_lines_parse():
+    # every example in the README's command-line block names real flags
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("frwave ")]
+    assert len(lines) >= 10
+    parser, subcommands = build_parser()
+    for line in lines:
+        top = parser.parse_args(shlex.split(line)[1:])
+        subcommands[top.command].parse_args(top.options)
 
 
 def test_config_file_defaults_flags_win(tmp_path):

@@ -79,7 +79,10 @@ def _items(text, kind=float):
 # subcommands
 
 def cmd_dispersion(args):
-    for gamma in _items(args.gamma):
+    gammas = _items(args.gamma)
+    if len(set(gammas)) < len(gammas):      # each gamma names its own file
+        raise ValueError(f"repeated --gamma value in {args.gamma}")
+    for gamma in gammas:
         curve = dispersion_curve(args.p, gamma, args.kind,
                                  n_samples=args.samples, closure=args.closure)
         rows = []

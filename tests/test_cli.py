@@ -160,8 +160,11 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "need at least two distinct resolutions"),
     (["wave-test", "--k", "0", "--ppw-epsilon", "0.01", "--dof", "40"],
      "wavenumber 0.0 does not fit an integer number of wavelengths"),
+    (["dispersion", "--p", "2", "--gamma", "1.0,1", "--samples", "64"],
+     "repeated --gamma value in 1.0,1"),
 ], ids=["wave-test-zero-cfl", "wave-test-negative-cfl", "wave-test-no-bin",
-        "icv-negative-steps", "icv-repeated-resolution", "wave-test-zero-k"])
+        "icv-negative-steps", "icv-repeated-resolution", "wave-test-zero-k",
+        "dispersion-repeated-gamma"])
 def test_unmeasurable_input_rejected(tmp_path, capsys, argv, message):
     rc = main(argv + ["--outdir", str(tmp_path)])
     assert rc == 1

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frwave.euler2d import (GAMMA_GAS, ErrorReport, FREulerSolver2D,
+from frwave.euler2d import (_FACE_BLOCK, GAMMA_GAS, ErrorReport, FREulerSolver2D,
                             FVEulerSolver2D, ICVParams, NonPhysicalStateError,
                             conserved_to_primitive, error_norm,
                             euler_normal_flux, icv_primitive, ooa,
@@ -423,20 +424,49 @@ def _fr_reference(solver, U, flux):
     return -div / solver.detJ[..., None]
 
 
-@pytest.mark.parametrize("riemann", ["rusanov", "roe"])
-def test_rhs_neighbours_on_non_square_mesh(riemann):
-    # with nx != ny an east/north (x/y) mix-up in the neighbour reads moves
-    # the result; the reference reads every neighbour by index arithmetic
-    mesh = jitter(uniform_quad_mesh(7, 5, 10.0), 0.3, seed=27)
+def _assert_rhs_is_reference(mesh, p, riemann):
     flux = {"rusanov": rusanov_flux, "roe": roe_flux}[riemann]
     vortex = lambda x, y, t: icv_primitive(x, y, t)
     for metrics in ("curvilinear", "exact"):
         fv = FVEulerSolver2D(mesh, riemann=riemann, metrics=metrics)
         U = fv.project(vortex)
         assert np.array_equal(fv.rhs(U), _fv_reference(fv, U, flux))
-    fr = FREulerSolver2D(mesh, p=3, riemann=riemann)
+    fr = FREulerSolver2D(mesh, p=p, riemann=riemann)
     U = fr.project(vortex)
     assert np.array_equal(fr.rhs(U), _fr_reference(fr, U, flux))
+
+
+def _multi_block_mesh():
+    """Jittered non-square mesh of more elements than one face block, the
+    last block ragged (71 x 59 = 4189 at 4096 rows per block)."""
+    nx = math.isqrt(_FACE_BLOCK) + 7
+    ny = _FACE_BLOCK // nx + 2
+    assert nx * ny > _FACE_BLOCK and nx * ny % _FACE_BLOCK
+    return jitter(uniform_quad_mesh(nx, ny, 10.0), 0.3, seed=27)
+
+
+@pytest.mark.parametrize("riemann", ["rusanov", "roe"])
+def test_rhs_neighbours_on_non_square_mesh(riemann):
+    # with nx != ny an east/north (x/y) mix-up in the neighbour reads moves
+    # the result; the reference reads every neighbour by index arithmetic
+    _assert_rhs_is_reference(jitter(uniform_quad_mesh(7, 5, 10.0), 0.3, seed=27),
+                             3, riemann)
+
+
+@pytest.mark.parametrize("riemann", ["rusanov", "roe"])
+def test_rhs_across_face_blocks(riemann):
+    # the faces are solved block by block; the references solve them all
+    # at once, so any row a block boundary drops or misreads shows
+    _assert_rhs_is_reference(_multi_block_mesh(), 1, riemann)
+
+
+@pytest.mark.parametrize("riemann", ["rusanov", "roe"])
+def test_fv_conservative_across_face_blocks(riemann):
+    # a face whose two cells sit in different blocks still gives one flux,
+    # added to one cell and subtracted from the other
+    solver = FVEulerSolver2D(_multi_block_mesh(), riemann=riemann)
+    dU = solver.rhs(solver.project(icv_primitive))
+    assert np.all(np.abs(solver.area @ dU) <= 1e-12 * (solver.area @ np.abs(dU)))
 
 
 # --- error norms and convergence ------------------------------------------------

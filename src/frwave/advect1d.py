@@ -19,7 +19,7 @@ import numpy as np
 
 from .element import derivative_matrix, lagrange_values
 from .spectral import _first_crossing_ppw
-from .stability import UnstableSolutionError, update_matrix
+from .stability import UnstableSolutionError, _require_cfl, update_matrix
 
 FD_ORDERS = (2, 3, 4, 6, 8)
 MEASURE_POINTS = 4096
@@ -262,8 +262,7 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
     """
     if mode not in (TRANSIT, PENCIL):
         raise ValueError(f"unknown measurement mode {mode!r}")
-    if cfl <= 0:
-        raise ValueError(f"CFL must be positive, got {cfl}")
+    _require_cfl(cfl)
     L = solver.L
     dof = solver.dof
     xs = np.arange(MEASURE_POINTS) * (L / MEASURE_POINTS)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .element import reference_element
 from .mesh2d import _corner_jacobians
-from .stability import advance
+from .stability import _require_cfl, advance
 
 GAMMA_GAS = 1.4
 
@@ -58,7 +58,7 @@ def euler_normal_flux(U, nx, ny):
 def _normal_flux(U, rho, u, v, p, nx, ny):
     """euler_normal_flux with the primitives of U already recovered."""
     un = u * nx + v * ny
-    F = np.empty_like(U)    # U's memory order: the element state is not C-ordered
+    F = np.empty_like(U)    # U's memory order: the element state is element-fastest
     F[..., 0] = rho * un
     F[..., 1] = U[..., 1] * un + p * nx
     F[..., 2] = U[..., 2] * un + p * ny
@@ -245,14 +245,14 @@ class _EulerSolver:
         self.s_e, self.nx_e, self.ny_e = _unit(n_east)
         self.s_n, self.nx_n, self.ny_n = _unit(n_north)
 
-    def _solve_faces(self, shape, traces):
-        """Length-weighted fluxes, each of `shape`, through every element's
-        east and north faces.  traces(b) gives, for the element rows b (a
-        slice), the states on their east faces, on their east neighbours'
-        west faces, on their north faces and on their north neighbours'
-        south faces."""
-        FE, FN = np.empty(shape), np.empty(shape)
-        for start in range(0, shape[0], _FACE_BLOCK):
+    def _solve_faces(self, like, traces):
+        """Length-weighted fluxes, each shaped and laid out like the face
+        trace `like`, through every element's east and north faces.
+        traces(b) gives, for the element rows b (a slice), the states on
+        their east faces, on their east neighbours' west faces, on their
+        north faces and on their north neighbours' south faces."""
+        FE, FN = np.empty_like(like), np.empty_like(like)
+        for start in range(0, len(like), _FACE_BLOCK):
             b = slice(start, start + _FACE_BLOCK)
             UE, UW_east, UN, US_north = traces(b)
             np.multiply(self.riemann(UE, UW_east, self.nx_e[b], self.ny_e[b]),
@@ -279,15 +279,36 @@ class _EulerSolver:
 # ---------------------------------------------------------------------------
 # tensor-product element solver
 
+def _element_fastest(a):
+    """a with its axes stored in reverse order: the element axis fastest."""
+    return np.ascontiguousarray(a.T).T
+
+
+def _take_rows(A, rows):
+    """np.take(A, rows, axis=0), element-fastest like A."""
+    return np.take(A.T, rows, axis=-1).T
+
+
 def _along(M, X, axis):
-    """Apply the matrix M along one axis of X (a reference direction)."""
-    return np.moveaxis(np.tensordot(M, X, axes=(1, axis)), 0, axis)
+    """Apply the matrix M along reference axis 1 (xi) or 2 (eta) of X
+    (n_elem, xi, eta, c) as one matrix product over all elements of the
+    element-fastest X.T (c, eta, xi, n_elem); the result is element-fastest.
+    An X in another layout is first copied to this one, changing no value."""
+    Y = np.ascontiguousarray(X.T)
+    if axis == 1:
+        return (M @ Y).T
+    c, _, xi, ne = Y.shape
+    return (M @ Y.reshape(c, -1, xi * ne)).reshape(c, -1, xi, ne).T
 
 
 class FREulerSolver2D(_EulerSolver):
     """High-order solver on bilinearly mapped quads, periodic structured
     connectivity.  State shape: (n_elem, p+1, p+1, 4) with axes
-    (element, xi index, eta index, variable).
+    (element, xi index, eta index, variable), stored element-fastest (axes
+    in reverse memory order, variable slowest) like self.x, m1, m2 and
+    detJ, so each operator along a reference axis is one matrix product
+    over all elements (_along).  project returns this layout and rhs keeps
+    it; a state in another layout gives the same values.
 
     The residual is the 1D scheme applied along each reference axis to the
     transformed fluxes Fhat = m1 . (F, G) and Ghat = m2 . (F, G), the
@@ -321,8 +342,8 @@ class FREulerSolver2D(_EulerSolver):
         m2 = _along(dN, X, 1) @ rot.T
         self.m1 = _along(N, m1, 1)
         self.m2 = _along(N, m2, 2)
-        self.detJ = (self.m1[..., 0] * self.m2[..., 1]
-                     - self.m1[..., 1] * self.m2[..., 0])
+        self.detJ = _element_fastest(self.m1[..., 0] * self.m2[..., 1]
+                                     - self.m1[..., 1] * self.m2[..., 0])
         self._faces(m1[:, 1], m2[:, :, 1])
 
     def rhs(self, U):
@@ -332,16 +353,20 @@ class FREulerSolver2D(_EulerSolver):
         Gh = _normal_flux(U, rho, u, v, p, self.m2[..., 0], self.m2[..., 1])
         UW, UE = np.moveaxis(_along(self.T, U, 1), 1, 0)
         US, UN = np.moveaxis(_along(self.T, U, 2), 2, 0)
-        # a face's transformed flux is the same value on both sides
-        Fc_E, Gc_N = self._solve_faces(UE.shape, lambda b: (
-            UE[b], np.take(UW, self.east[b], axis=0),
-            UN[b], np.take(US, self.north[b], axis=0)))
-        Fc = np.stack([np.take(Fc_E, self.west, axis=0), Fc_E], axis=1)
-        Gc = np.stack([np.take(Gc_N, self.south, axis=0), Gc_N], axis=2)
+        # a face's transformed flux is the same value on both sides; the
+        # stacks work on the reversed views, so Fc and Gc are element-fastest
+        Fc_E, Gc_N = self._solve_faces(UE, lambda b: (
+            UE[b], _take_rows(UW, self.east[b]),
+            UN[b], _take_rows(US, self.north[b])))
+        Fc = np.stack([_take_rows(Fc_E, self.west).T, Fc_E.T], axis=2).T
+        Gc = np.stack([_take_rows(Gc_N, self.south).T, Gc_N.T], axis=1).T
         D, T, H = self.element.D, self.T, self.H
         div = (_along(D, Fh, 1) + _along(H, Fc - _along(T, Fh, 1), 1)
                + _along(D, Gh, 2) + _along(H, Gc - _along(T, Gh, 2), 2))
-        return -div / self.detJ[..., None]
+        return np.divide(div, -self.detJ[..., None], out=div)
+
+    def project(self, fn, t=0.0):
+        return _element_fastest(super().project(fn, t))
 
     def length_scale(self):
         """Smallest edge length divided by the points-per-edge count."""
@@ -425,7 +450,7 @@ class FVEulerSolver2D(_EulerSolver):
                     U[b] + hy[b],
                     np.take(U, north, axis=0) - np.take(hy, north, axis=0))
 
-        FE, FN = self._solve_faces(U.shape, traces)
+        FE, FN = self._solve_faces(U, traces)
         # a cell's west and south fluxes are its neighbours' east and
         # north fluxes, leaving through the opposite side
         flux = FE + FN
@@ -486,6 +511,7 @@ def run_icv(solver, steps=500, cfl=0.01):
     """March the default convecting vortex with RK44 and report the error
     against the exact solution at the final time: on the nonlinear Euler
     equations the stage loop is 2nd order in time (see stability.advance)."""
+    _require_cfl(cfl)
     U0 = solver.project(icv_primitive)
     tau = cfl * solver.length_scale() / solver.max_signal_speed(U0)
     U = advance(solver, U0, tau, "RK44", steps)

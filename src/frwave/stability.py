@@ -51,6 +51,12 @@ def _stages(scheme):
         raise ValueError(f"unknown RK scheme {scheme!r}; expected one of {sorted(SCHEMES)}")
 
 
+def _require_cfl(cfl):
+    """A CFL scales a time step, so it must be a positive finite number."""
+    if not 0 < cfl < np.inf:        # also NaN
+        raise ValueError(f"CFL must be a positive finite number, got {cfl}")
+
+
 class BisectionError(RuntimeError):
     """CFL bisection could not bracket a stability boundary."""
 

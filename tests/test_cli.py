@@ -150,8 +150,19 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["wave-test", "--cfl", "0"], "CFL must be positive, got 0.0"),
-    (["wave-test", "--cfl", "-0.05"], "CFL must be positive, got -0.05"),
+    (["wave-test", "--cfl", "0"], "CFL must be a positive finite number, got 0.0"),
+    (["wave-test", "--cfl", "-0.05"],
+     "CFL must be a positive finite number, got -0.05"),
+    (["wave-test", "--solver", "fr3", "--dof", "33", "--cfl", "inf"],
+     "CFL must be a positive finite number, got inf"),
+    (["wave-test", "--solver", "fr3", "--dof", "33", "--cfl", "nan"],
+     "CFL must be a positive finite number, got nan"),
+    (["icv", "--solver", "fv", "--resolutions", "4", "--steps", "1", "--cfl", "nan"],
+     "CFL must be a positive finite number, got nan"),
+    (["icv", "--solver", "fv", "--resolutions", "4", "--steps", "1", "--cfl", "inf"],
+     "CFL must be a positive finite number, got inf"),
+    (["icv", "--solver", "fr", "--p", "2", "--resolutions", "4", "--steps", "1",
+      "--cfl", "-1"], "CFL must be a positive finite number, got -1.0"),
     (["wave-test", "--dof", "32", "--k-hat-max", "0.01", "--ppw-epsilon",
       "0.01"], "no wavenumber bin has k_hat in (0, 0.0314159]"),
     (["icv", "--solver", "fv", "--resolutions", "4", "--steps", "-3"],
@@ -162,9 +173,10 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "wavenumber 0.0 does not fit an integer number of wavelengths"),
     (["dispersion", "--p", "2", "--gamma", "1.0,1", "--samples", "64"],
      "repeated --gamma value in 1.0,1"),
-], ids=["wave-test-zero-cfl", "wave-test-negative-cfl", "wave-test-no-bin",
-        "icv-negative-steps", "icv-repeated-resolution", "wave-test-zero-k",
-        "dispersion-repeated-gamma"])
+], ids=["wave-test-zero-cfl", "wave-test-negative-cfl", "wave-test-inf-cfl",
+        "wave-test-nan-cfl", "icv-nan-cfl", "icv-inf-cfl", "icv-negative-cfl",
+        "wave-test-no-bin", "icv-negative-steps", "icv-repeated-resolution",
+        "wave-test-zero-k", "dispersion-repeated-gamma"])
 def test_unmeasurable_input_rejected(tmp_path, capsys, argv, message):
     rc = main(argv + ["--outdir", str(tmp_path)])
     assert rc == 1

@@ -309,6 +309,24 @@ def test_fr_rhs_deterministic():
     assert np.array_equal(solver.rhs(U), solver.rhs(U))
 
 
+@pytest.mark.parametrize("riemann", ["rusanov", "roe"])
+@pytest.mark.parametrize("p", [2, 4])
+def test_fr_state_is_element_fastest(p, riemann):
+    # the state keeps its (element, xi, eta, variable) shape with the axes
+    # in reverse memory order through project, rhs and a step of the march
+    solver = FREulerSolver2D(jitter(uniform_quad_mesh(5, 4, 10.0), 0.3, seed=28),
+                             p=p, riemann=riemann)
+    U = solver.project(icv_primitive)
+    R = solver.rhs(U)
+    tau = 0.01 * solver.length_scale() / solver.max_signal_speed(U)
+    for state in (U, R, advance(solver, U, tau, "RK44", 1)):
+        assert state.shape == (20, p + 1, p + 1, 4)
+        assert state.strides[0] == state.itemsize == min(state.strides)
+        assert state.strides[3] == max(state.strides)
+    # the layout is for speed only: a C-ordered state gives the same values
+    assert np.array_equal(solver.rhs(np.ascontiguousarray(U)), R)
+
+
 def test_fr_roe_flux_option_runs():
     mesh = uniform_quad_mesh(4, 4, 10.0)
     solver = FREulerSolver2D(mesh, p=2, riemann="roe")
@@ -407,7 +425,9 @@ def _fv_reference(solver, U, flux):
 
 
 def _fr_reference(solver, U, flux):
-    from frwave.euler2d import _along
+    def _along(M, X, axis):
+        return np.moveaxis(np.tensordot(M, X, axes=(1, axis)), 0, axis)
+
     east, west, north, south = _explicit_neighbours(solver.mesh)
     m1, m2, T, H = solver.m1, solver.m2, solver.T, solver.H
     Fh = euler_normal_flux(U, m1[..., 0], m1[..., 1])

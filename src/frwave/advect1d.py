@@ -19,7 +19,7 @@ import numpy as np
 
 from .element import derivative_matrix, lagrange_values
 from .spectral import _first_crossing_ppw
-from .stability import UnstableSolutionError, _require_cfl, update_matrix
+from .stability import UnstableSolutionError, _require_positive, update_matrix
 
 FD_ORDERS = (2, 3, 4, 6, 8)
 MEASURE_POINTS = 4096
@@ -262,7 +262,7 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
     """
     if mode not in (TRANSIT, PENCIL):
         raise ValueError(f"unknown measurement mode {mode!r}")
-    _require_cfl(cfl)
+    _require_positive("CFL", cfl)
     L = solver.L
     dof = solver.dof
     xs = np.arange(MEASURE_POINTS) * (L / MEASURE_POINTS)
@@ -282,7 +282,10 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
             dt, intervals = window * L, 1
         else:
             dt, intervals = PENCIL_SPAN * 2.0 * np.pi / k, PENCIL_SNAPSHOTS - 1
-        steps = max(1, int(math.ceil(dt / raw_tau)))
+        ratio = dt / raw_tau if raw_tau > 0 else math.inf
+        if not ratio < math.inf:        # a CFL so small that dt / tau overflows
+            raise ValueError(f"CFL {cfl} gives a step count that is not finite")
+        steps = max(1, int(math.ceil(ratio)))
         if dt != P_dt:
             P = None    # hold one power at a time
             P = np.linalg.matrix_power(update_matrix(solver.A, dt / steps, "RK44"), steps)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .element import reference_element
 from .mesh2d import _corner_jacobians
-from .stability import _require_cfl, advance
+from .stability import _require_positive, advance
 
 GAMMA_GAS = 1.4
 
@@ -195,9 +195,15 @@ def _unit(n):
     return s, n[..., 0] / s, n[..., 1] / s
 
 
-# element rows per Riemann call: a finite-volume face state of 4096 rows is
-# 128 KiB, so a block's states and the Riemann solver's temporaries fit a
-# 2 MiB per-core L2 cache
+def _element_fastest(a):
+    """a with its axes stored in reverse order: the element axis fastest."""
+    return np.ascontiguousarray(a.T).T
+
+
+# element rows per Riemann call (the finite-volume solver rounds it down to
+# whole grid rows): a finite-volume face state of 4096 rows is 128 KiB, so a
+# block's states and the Riemann solver's temporaries fit a 2 MiB per-core
+# L2 cache
 _FACE_BLOCK = 4096
 
 
@@ -211,10 +217,12 @@ def _check_physical(rho, p):
 
 class _EulerSolver:
     """What the element and finite-volume solvers share beyond the mesh:
-    projection and the DoF count, from the solution points a subclass
-    stores as self.x (n_elem, ..., 2), and one Riemann solve per face: an
-    element owns its east and north faces, and reads its neighbours' rows
-    through the periodic east, west, north and south tables with np.take.
+    projection to an element-fastest state and the DoF count, from the
+    solution points a subclass stores as self.x (n_elem, ..., 2), and one
+    Riemann solve per face: an element owns its east and north faces, and
+    reads its neighbours through the periodic east, west, north and south
+    tables (the element solver with np.take, the finite-volume solver by
+    slicing its grid, whose row-major numbering the tables assume).
     A subclass passes _faces the outward face vectors n_east and n_north,
     scaled by face length (per unit reference length for the elements) and
     shaped (n_elem, ..., 2) to broadcast against a face trace without its
@@ -222,8 +230,9 @@ class _EulerSolver:
     for the elements, whose straight faces have one vector along all p+1
     points.
 
-    _solve_faces walks the element rows in blocks of _FACE_BLOCK and asks
-    the subclass for each block's face states, so the states and the
+    _solve_faces walks the element rows in blocks of _FACE_BLOCK, or of a
+    size the subclass gives (the finite-volume solver's whole grid rows),
+    and asks the subclass for each block's face states, so the states and the
     Riemann solver's temporaries of one block stay in a core's L2 cache and
     no full-size face-state temporaries are allocated.  Every row still
     goes through the same operations in the same order, and no operation
@@ -245,15 +254,17 @@ class _EulerSolver:
         self.s_e, self.nx_e, self.ny_e = _unit(n_east)
         self.s_n, self.nx_n, self.ny_n = _unit(n_north)
 
-    def _solve_faces(self, like, traces):
+    def _solve_faces(self, like, traces, block=_FACE_BLOCK):
         """Length-weighted fluxes, each shaped and laid out like the face
         trace `like`, through every element's east and north faces.
-        traces(b) gives, for the element rows b (a slice), the states on
-        their east faces, on their east neighbours' west faces, on their
-        north faces and on their north neighbours' south faces."""
+        traces(b) gives, for the element rows b (a slice of at most `block`
+        rows), the states on their east faces, on their east neighbours'
+        west faces, on their north faces and on their north neighbours'
+        south faces."""
         FE, FN = np.empty_like(like), np.empty_like(like)
-        for start in range(0, len(like), _FACE_BLOCK):
-            b = slice(start, start + _FACE_BLOCK)
+        n = len(like)
+        for start in range(0, n, block):
+            b = slice(start, min(start + block, n))
             UE, UW_east, UN, US_north = traces(b)
             np.multiply(self.riemann(UE, UW_east, self.nx_e[b], self.ny_e[b]),
                         self.s_e[b, ..., None], out=FE[b])
@@ -266,9 +277,10 @@ class _EulerSolver:
         return self.x[..., 0].size
 
     def project(self, fn, t=0.0):
-        """Collocate a primitive-state function (x, y, t) -> (rho,u,v,p)."""
+        """Collocate a primitive-state function (x, y, t) -> (rho,u,v,p),
+        stored element-fastest (_element_fastest)."""
         rho, u, v, p = fn(self.x[..., 0], self.x[..., 1], t)
-        return primitive_to_conserved(rho, u, v, p)
+        return _element_fastest(primitive_to_conserved(rho, u, v, p))
 
     def max_signal_speed(self, U):
         rho, u, v, p = conserved_to_primitive(U)
@@ -278,11 +290,6 @@ class _EulerSolver:
 
 # ---------------------------------------------------------------------------
 # tensor-product element solver
-
-def _element_fastest(a):
-    """a with its axes stored in reverse order: the element axis fastest."""
-    return np.ascontiguousarray(a.T).T
-
 
 def _take_rows(A, rows):
     """np.take(A, rows, axis=0), element-fastest like A."""
@@ -365,9 +372,6 @@ class FREulerSolver2D(_EulerSolver):
                + _along(D, Gh, 2) + _along(H, Gc - _along(T, Gh, 2), 2))
         return np.divide(div, -self.detJ[..., None], out=div)
 
-    def project(self, fn, t=0.0):
-        return _element_fastest(super().project(fn, t))
-
     def length_scale(self):
         """Smallest edge length divided by the points-per-edge count."""
         X = self.mesh.corner_coords()
@@ -383,44 +387,47 @@ class FVEulerSolver2D(_EulerSolver):
 
     Everything is done the structured-curvilinear way: face states are
     extrapolated with index-space central differences of cell data, and with
-    metrics="curvilinear" (default) the face area vectors also come from
-    index-space central differences of the mesh coordinates.  Both
-    assume a smooth node placement: exactly second order on uniform
-    meshes, degrading (to zeroth order for the metric evaluation) when
-    nodes are randomly jittered.  metrics="exact" instead takes face
-    vectors from the actual cell geometry, which keeps the scheme
-    convergent on rough meshes.  Unlimited (smooth test cases only).
-    One flux per face, added on one side and subtracted on the other, makes
-    the update conservative by construction.  State shape: (n_cells, 4);
-    the solution points are the cell centroids.
+    metrics="curvilinear" (default) each face vector is the centroid step
+    across the face, the face's area vector only on square cells.  Both
+    assume a smooth node placement: exactly second order on uniform square
+    meshes, degrading when nodes are randomly jittered.  metrics="exact"
+    instead takes face vectors from the actual cell geometry, which keeps
+    the scheme convergent on rough meshes.  Unlimited (smooth test cases
+    only).  One flux per face, added on one side and subtracted on the
+    other, makes the update conservative by construction.  State shape:
+    (n_cells, 4), stored element-fastest like the element solver's (a state
+    in another layout gives the same values); the solution points are the
+    cell centroids.  Cell j*nx + i is column i of grid row j, the numbering
+    the neighbour tables assume, so rhs reads neighbours as slices of the
+    periodically ghost-padded variable planes (4, ny, nx), in blocks of
+    whole grid rows (_solve_faces).
     """
 
     def __init__(self, mesh, riemann="rusanov", metrics="curvilinear"):
         if metrics not in ("curvilinear", "exact"):
             raise ValueError(f"unknown metric mode {metrics!r}")
         super().__init__(mesh, riemann)
-        X = mesh.corner_coords()                      # (ne, 4, 2)
-
-        x = X[..., 0]; y = X[..., 1]
-        cross = (x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y)
-        self.area = 0.5 * cross.sum(axis=1)
-        cx = ((x + np.roll(x, -1, axis=1)) * cross).sum(axis=1) / (6.0 * self.area)
-        cy = ((y + np.roll(y, -1, axis=1)) * cross).sum(axis=1) / (6.0 * self.area)
+        x, y = np.take(mesh.nodes.T, mesh.elements.T, axis=1)  # (4 corners, n)
+        nxt = [1, 2, 3, 0]      # each corner's counterclockwise successor
+        total = lambda a: a[0] + a[1] + a[2] + a[3]     # left to right
+        cross = x * y[nxt] - x[nxt] * y
+        self.area = 0.5 * total(cross)
+        cx = total((x + x[nxt]) * cross) / (6.0 * self.area)
+        cy = total((y + y[nxt]) * cross) / (6.0 * self.area)
         self.x = centroid = np.stack([cx, cy], axis=-1)
 
         if metrics == "exact":
             def edge_normal(a, b):
-                t = X[:, b] - X[:, a]
-                return np.stack([t[:, 1], -t[:, 0]], axis=-1)
+                return np.stack([y[b] - y[a], -(x[b] - x[a])], axis=-1)
             n_e, n_n = edge_normal(1, 2), edge_normal(2, 3)
         else:
-            # curvilinear metric shortcut: the mesh is assumed to be a
-            # smooth mapping of the index grid, so each face area vector is
-            # taken as the centre-to-centre difference across the face
-            # (correct length and orientation whenever node placement is
-            # smooth; exact on uniform meshes).  The update stays
-            # conservative, but the vectors of a cell no longer sum to
-            # zero once random jitter breaks the smoothness, which is what
+            # curvilinear metric shortcut: the mesh is taken to be a smooth
+            # mapping of the index grid, and each face vector is the step
+            # between the centroids across the face (x_xi for an east face).
+            # That is the face's area vector, the rotated step along it
+            # ((y_eta, -x_eta) for an east face), only on square cells.  The
+            # update stays conservative, but the vectors of a cell no longer
+            # sum to zero once jitter moves the centroids, which is what
             # erodes this family of schemes on poor meshes.
             ids = np.arange(mesh.n_elements)
 
@@ -436,27 +443,42 @@ class FVEulerSolver2D(_EulerSolver):
         rho = U[..., 0]
         p = (GAMMA_GAS - 1.0) * (U[..., 3] - 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2) / rho)
         _check_physical(rho, p)
-        # half a cell of the central differences, in place
-        hx = np.take(U, self.east, axis=0) - np.take(U, self.west, axis=0)
-        hy = np.take(U, self.north, axis=0) - np.take(U, self.south, axis=0)
-        for h in (hx, hy):
-            h *= 0.5        # the difference per unit index
-            h *= 0.5        # half a cell of it
+        nx, ny = self.mesh.nx, self.mesh.ny
+        # the variable planes with periodic ghost cells, one row and column
+        # before the grid and two after: grid cell (j, i) is P[:, j+1, i+1]
+        P = np.empty((4, ny + 3, nx + 3))
+        P[:, 1:-2, 1:-2] = U.T.reshape(4, ny, nx)
+        P[:, 1:-2, [0, -2, -1]] = P[:, 1:-2, [nx, 1, 1 + 1 % nx]]
+        P[:, [0, -2, -1]] = P[:, [ny, 1, 1 + 1 % ny]]
 
         def traces(b):
-            east, north = self.east[b], self.north[b]
-            return (U[b] + hx[b],
-                    np.take(U, east, axis=0) - np.take(hx, east, axis=0),
-                    U[b] + hy[b],
-                    np.take(U, north, axis=0) - np.take(hy, north, axis=0))
+            j0, j1 = b.start // nx, b.stop // nx     # the block's grid rows
+            rows = P[:, j0 + 1:j1 + 1]
+            # half a cell of the central differences, in place: hx of
+            # columns 0..nx, the last one the east neighbour's across the
+            # seam, and hy of rows j0..j1, the last one the north neighbours'
+            hx = rows[..., 2:] - rows[..., :-2]
+            hy = P[:, j0 + 2:j1 + 3, 1:-2] - P[:, j0:j1 + 1, 1:-2]
+            for h in (hx, hy):
+                h *= 0.5        # the difference per unit index
+                h *= 0.5        # half a cell of it
+            C = rows[..., 1:-2]
+            faces = (C + hx[..., :-1], rows[..., 2:-1] - hx[..., 1:],
+                     C + hy[:, :-1], P[:, j0 + 2:j1 + 2, 1:-2] - hy[:, 1:])
+            return [A.reshape(4, -1).T for A in faces]
 
-        FE, FN = self._solve_faces(U, traces)
+        FE, FN = self._solve_faces(U, traces, nx * max(1, _FACE_BLOCK // nx))
         # a cell's west and south fluxes are its neighbours' east and
-        # north fluxes, leaving through the opposite side
-        flux = FE + FN
-        flux -= np.take(FE, self.west, axis=0)
-        flux -= np.take(FN, self.south, axis=0)
-        return np.divide(flux, -self.area[:, None], out=flux)
+        # north fluxes, leaving through the opposite side: the planes
+        # shifted by one column and by one row, wrapped across the seam
+        E, N = (F.T.reshape(4, ny, nx) for F in (FE, FN))
+        flux = E + N
+        flux[..., 1:] -= E[..., :-1]
+        flux[..., 0] -= E[..., -1]
+        flux[:, 1:] -= N[:, :-1]
+        flux[:, 0] -= N[:, -1]
+        flux /= -self.area.reshape(ny, nx)
+        return flux.reshape(4, -1).T
 
     def length_scale(self):
         """Smallest cell diameter (largest diagonal per cell)."""
@@ -481,7 +503,8 @@ def error_norm(computed, exact):
     4-variable 2-norm, plus per-variable RMS."""
     if computed.shape != exact.shape:
         raise ValueError(f"shape mismatch: {computed.shape} vs {exact.shape}")
-    diff = (computed - exact).reshape(-1, computed.shape[-1])
+    # one point per C-ordered row, so the sums round alike for any layout
+    diff = np.ascontiguousarray((computed - exact).reshape(-1, computed.shape[-1]))
     theta = float(np.mean(np.linalg.norm(diff, axis=1)))
     per_var = np.sqrt(np.mean(diff ** 2, axis=0))
     return ErrorReport(theta=theta, per_variable=per_var,
@@ -511,7 +534,7 @@ def run_icv(solver, steps=500, cfl=0.01):
     """March the default convecting vortex with RK44 and report the error
     against the exact solution at the final time: on the nonlinear Euler
     equations the stage loop is 2nd order in time (see stability.advance)."""
-    _require_cfl(cfl)
+    _require_positive("CFL", cfl)
     U0 = solver.project(icv_primitive)
     tau = cfl * solver.length_scale() / solver.max_signal_speed(U0)
     U = advance(solver, U0, tau, "RK44", steps)

@@ -51,10 +51,12 @@ def _stages(scheme):
         raise ValueError(f"unknown RK scheme {scheme!r}; expected one of {sorted(SCHEMES)}")
 
 
-def _require_cfl(cfl):
-    """A CFL scales a time step, so it must be a positive finite number."""
-    if not 0 < cfl < np.inf:        # also NaN
-        raise ValueError(f"CFL must be a positive finite number, got {cfl}")
+def _require_positive(what, value):
+    """A time step, or a CFL that scales one, must be a positive finite
+    number: a NaN or infinite step would otherwise be blamed on the
+    solution, or give a NaN update matrix."""
+    if not 0 < value < np.inf:        # also NaN
+        raise ValueError(f"{what} must be a positive finite number, got {value}")
 
 
 class BisectionError(RuntimeError):
@@ -93,8 +95,7 @@ def update_matrix(Q, tau, scheme):
     when Q is.
     """
     stages = _stages(scheme)
-    if tau <= 0:
-        raise ValueError(f"time step must be positive, got {tau}")
+    _require_positive("time step", tau)
     Q = np.asarray(Q)
     eye = np.eye(Q.shape[-1], dtype=np.result_type(Q, float))
     return _stage_loop(lambda V: Q @ V, eye, tau, stages)
@@ -107,8 +108,7 @@ def advance(solver, u0, tau, scheme, steps):
     equations) the loop is 2nd order.  A non-finite state raises UnstableSolutionError.
     """
     stages = _stages(scheme)
-    if tau <= 0:
-        raise ValueError(f"time step must be positive, got {tau}")
+    _require_positive("time step", tau)
     if steps < 0:
         raise ValueError(f"step count must be non-negative, got {steps}")
     u = np.array(u0, copy=True)
@@ -139,8 +139,7 @@ def _wave_symbols(p, gamma, k_samples, correction_kind):
 def _radii(lam, tau, stages):
     """Spectral radius of R = P(tau Q) for each row of symbol eigenvalues
     lam, which by spectral mapping is max |P(tau lam)|."""
-    if tau <= 0:
-        raise ValueError(f"time step must be positive, got {tau}")
+    _require_positive("time step", tau)
     amplification = _stage_loop(lambda v: lam * v, np.ones_like(lam), tau, stages)
     return np.max(np.abs(amplification), axis=-1)
 

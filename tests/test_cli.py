@@ -157,6 +157,8 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "CFL must be a positive finite number, got inf"),
     (["wave-test", "--solver", "fr3", "--dof", "33", "--cfl", "nan"],
      "CFL must be a positive finite number, got nan"),
+    (["wave-test", "--solver", "fr3", "--dof", "33", "--cfl", "1e-320"],
+     "CFL 1e-320 gives a step count that is not finite"),
     (["icv", "--solver", "fv", "--resolutions", "4", "--steps", "1", "--cfl", "nan"],
      "CFL must be a positive finite number, got nan"),
     (["icv", "--solver", "fv", "--resolutions", "4", "--steps", "1", "--cfl", "inf"],
@@ -174,7 +176,7 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
     (["dispersion", "--p", "2", "--gamma", "1.0,1", "--samples", "64"],
      "repeated --gamma value in 1.0,1"),
 ], ids=["wave-test-zero-cfl", "wave-test-negative-cfl", "wave-test-inf-cfl",
-        "wave-test-nan-cfl", "icv-nan-cfl", "icv-inf-cfl", "icv-negative-cfl",
+        "wave-test-nan-cfl", "wave-test-tiny-cfl", "icv-nan-cfl", "icv-inf-cfl", "icv-negative-cfl",
         "wave-test-no-bin", "icv-negative-steps", "icv-repeated-resolution",
         "wave-test-zero-k", "dispersion-repeated-gamma"])
 def test_unmeasurable_input_rejected(tmp_path, capsys, argv, message):

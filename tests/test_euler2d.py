@@ -394,6 +394,22 @@ def test_fv_conservation_of_invariants(metrics, riemann):
     assert np.max(np.abs(total - total0) / np.abs(total0)) < 1e-12
 
 
+@pytest.mark.parametrize("riemann", ["rusanov", "roe"])
+def test_fv_state_is_element_fastest(riemann):
+    # the state keeps its (cell, variable) shape with the cell axis fastest
+    # through project, rhs and a step of the march
+    solver = FVEulerSolver2D(jitter(uniform_quad_mesh(7, 5, 10.0), 0.3, seed=28),
+                             riemann=riemann)
+    U = solver.project(icv_primitive)
+    R = solver.rhs(U)
+    tau = 0.2 * solver.length_scale() / solver.max_signal_speed(U)
+    for state in (U, R, advance(solver, U, tau, "RK44", 1)):
+        assert state.shape == (35, 4)
+        assert state.strides == (state.itemsize, 35 * state.itemsize)
+    # the layout is for speed only: a C-ordered state gives the same values
+    assert np.array_equal(solver.rhs(np.ascontiguousarray(U)), R)
+
+
 def test_fv_nonphysical_state_reported():
     mesh = uniform_quad_mesh(3, 3, 10.0)
     solver = FVEulerSolver2D(mesh)
@@ -457,20 +473,29 @@ def _assert_rhs_is_reference(mesh, p, riemann):
 
 
 def _multi_block_mesh():
-    """Jittered non-square mesh of more elements than one face block, the
-    last block ragged (71 x 59 = 4189 at 4096 rows per block)."""
+    """Jittered non-square mesh that spans more than one face block, the
+    last block ragged, under both block rules: the element solver's blocks
+    of _FACE_BLOCK element rows (71 x 59 = 4189 = 4096 + 93 elements) and
+    the finite-volume solver's blocks of whole grid rows, _FACE_BLOCK // nx
+    of them (59 = 57 + 2 rows of 71 cells)."""
     nx = math.isqrt(_FACE_BLOCK) + 7
     ny = _FACE_BLOCK // nx + 2
     assert nx * ny > _FACE_BLOCK and nx * ny % _FACE_BLOCK
+    grid_rows = _FACE_BLOCK // nx
+    assert ny > grid_rows and ny % grid_rows
     return jitter(uniform_quad_mesh(nx, ny, 10.0), 0.3, seed=27)
 
 
 @pytest.mark.parametrize("riemann", ["rusanov", "roe"])
 def test_rhs_neighbours_on_non_square_mesh(riemann):
     # with nx != ny an east/north (x/y) mix-up in the neighbour reads moves
-    # the result; the reference reads every neighbour by index arithmetic
+    # the result; the reference reads every neighbour by index arithmetic.
+    # With nx = 2 a cell's east and west neighbours are one cell, so a ghost
+    # column or seam wrap taken from the wrong side shows too
     _assert_rhs_is_reference(jitter(uniform_quad_mesh(7, 5, 10.0), 0.3, seed=27),
                              3, riemann)
+    _assert_rhs_is_reference(jitter(uniform_quad_mesh(2, 3, 10.0), 0.3, seed=3),
+                             2, riemann)
 
 
 @pytest.mark.parametrize("riemann", ["rusanov", "roe"])

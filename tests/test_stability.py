@@ -87,8 +87,23 @@ def test_sweep_needs_enough_samples():
 
 
 def test_sweep_rejects_bad_tau():
-    with pytest.raises(ValueError, match="time step must be positive"):
+    with pytest.raises(ValueError, match="time step must be a positive finite number"):
         spectral_radius_sweep(2, 1.0, "RK44", tau=0.0)
+
+
+@pytest.mark.parametrize("tau", [-0.1, float("nan"), float("inf")],
+                         ids=["negative", "nan", "inf"])
+def test_time_step_must_be_positive_finite(tau):
+    # a NaN step is not the solution's fault, and an infinite one must not
+    # give a NaN update matrix: every entry point rejects both by name
+    decay = SimpleNamespace(rhs=lambda u: -u)
+    calls = [lambda: update_matrix(np.eye(2), tau, "RK44"),
+             lambda: advance(decay, np.ones(2), tau, "RK44", 2),
+             lambda: spectral_radius_sweep(2, 1.0, "RK44", tau)]
+    for call in calls:
+        with pytest.raises(ValueError,
+                           match=f"time step must be a positive finite number, got {tau}"):
+            call()
 
 
 def _symbols(p, gamma, k_hats):

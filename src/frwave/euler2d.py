@@ -52,13 +52,14 @@ def conserved_to_primitive(U):
 
 def euler_normal_flux(U, nx, ny):
     """Physical flux of conserved state U through unit normal (nx, ny)."""
-    return _normal_flux(U, *conserved_to_primitive(U), nx, ny)
+    rho, u, v, p = conserved_to_primitive(U)
+    return _normal_flux(U, rho, u * nx + v * ny, p, nx, ny)
 
 
-def _normal_flux(U, rho, u, v, p, nx, ny):
-    """euler_normal_flux with the primitives of U already recovered."""
-    un = u * nx + v * ny
-    F = np.empty_like(U)    # U's memory order: the element state is element-fastest
+def _normal_flux(U, rho, un, p, nx, ny, out=None):
+    """euler_normal_flux from U's rho, p and normal velocity un = u nx + v ny,
+    written into `out` if given, else into a new array in U's memory order."""
+    F = np.empty_like(U) if out is None else out
     F[..., 0] = rho * un
     F[..., 1] = U[..., 1] * un + p * nx
     F[..., 2] = U[..., 2] * un + p * ny
@@ -70,14 +71,13 @@ def rusanov_flux(UL, UR, nx, ny):
     """Local Lax-Friedrichs: averaged flux plus max-wavespeed penalty."""
     rhoL, uL, vL, pL = conserved_to_primitive(UL)
     rhoR, uR, vR, pR = conserved_to_primitive(UR)
-    cL = np.sqrt(GAMMA_GAS * pL / rhoL)
-    cR = np.sqrt(GAMMA_GAS * pR / rhoR)
-    sL = np.abs(uL * nx + vL * ny) + cL
-    sR = np.abs(uR * nx + vR * ny) + cR
+    unL, unR = uL * nx + vL * ny, uR * nx + vR * ny
+    sL = np.abs(unL) + np.sqrt(GAMMA_GAS * pL / rhoL)
+    sR = np.abs(unR) + np.sqrt(GAMMA_GAS * pR / rhoR)
     smax = np.maximum(sL, sR)
     # 0.5 * (FL + FR) - 0.5 * smax * (UR - UL), in place
-    F = _normal_flux(UL, rhoL, uL, vL, pL, nx, ny)
-    F += _normal_flux(UR, rhoR, uR, vR, pR, nx, ny)
+    F = _normal_flux(UL, rhoL, unL, pL, nx, ny)
+    F += _normal_flux(UR, rhoR, unR, pR, nx, ny)
     F *= 0.5
     jump = UR - UL
     jump *= (0.5 * smax)[..., None]
@@ -103,10 +103,11 @@ def roe_flux(UL, UR, nx, ny):
     a = np.sqrt(np.maximum(a2, 1e-300))
     un = u * nx + v * ny
     ut = -u * ny + v * nx
+    unL, unR = uL * nx + vL * ny, uR * nx + vR * ny
 
     drho = rhoR - rhoL
     dp = pR - pL
-    dun = (uR * nx + vR * ny) - (uL * nx + vL * ny)
+    dun = unR - unL
     dut = (-uR * ny + vR * nx) - (-uL * ny + vL * nx)
 
     lam = np.stack([np.abs(un - a), np.abs(un), np.abs(un + a), np.abs(un)], axis=-1)
@@ -132,8 +133,8 @@ def roe_flux(UL, UR, nx, ny):
             + lam[..., 1:2] * a2_[..., None] * K2
             + lam[..., 2:3] * a3[..., None] * K3
             + lam[..., 3:4] * a4[..., None] * K4)
-    FL = _normal_flux(UL, rhoL, uL, vL, pL, nx, ny)
-    FR = _normal_flux(UR, rhoR, uR, vR, pR, nx, ny)
+    FL = _normal_flux(UL, rhoL, unL, pL, nx, ny)
+    FR = _normal_flux(UR, rhoR, unR, pR, nx, ny)
     return 0.5 * (FL + FR) - 0.5 * diss
 
 
@@ -157,8 +158,11 @@ class ICVParams:
     extent: float = 10.0
 
     def __post_init__(self):
-        if self.strength <= 0 or self.radius <= 0:
-            raise ValueError("vortex strength and radius must be positive")
+        # also NaN: icv_primitive divides by the radius and wraps by % extent
+        for name in ("strength", "radius", "extent"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"vortex {name} must be a positive finite number, "
+                                 f"got {getattr(self, name)}")
 
 
 def icv_primitive(x, y, t, params=None):
@@ -323,10 +327,15 @@ class FREulerSolver2D(_EulerSolver):
     m2 = (-y_xi, x_xi):
 
         detJ dU/dt = -sum over axes [D Fhat + H (Fc - T Fhat)]
+                   = -sum over axes M [Fhat; Fc],   M = [D - H T | H]
 
     with D the nodal derivative matrix, T = [ll; lr] the traces at xi = -1
     and +1, H = [hl, hr] the correction derivatives and Fc the common
-    transformed flux on the two faces.  The bilinear map applies the shape
+    transformed flux on the two faces.  rhs applies M, of shape (p+1, p+3)
+    and built once, to one element-fastest buffer per axis that holds Fhat
+    at the p+1 points and Fc on the two faces; the xi buffer is freed
+    before the eta one is made, and no work array outlives a call, so rhs
+    is re-entrant.  The bilinear map applies the shape
     functions N = [(1 - xi)/2, (1 + xi)/2] along both axes of the corners,
     so m1 depends on xi only and m2 on eta only (shapes (n_elem, p+1, 1, 2)
     and (n_elem, 1, p+1, 2)), and the east and north face vectors are m1 at
@@ -336,7 +345,8 @@ class FREulerSolver2D(_EulerSolver):
         super().__init__(mesh, riemann)
         self.element = e = reference_element(p)
         self.T = np.stack([e.ll, e.lr])
-        self.H = np.stack([e.hl, e.hr], axis=1)
+        H = np.stack([e.hl, e.hr], axis=1)
+        self.M = np.hstack([e.D - H @ self.T, H])
         # corners as (n_elem, xi end, eta end, coordinate)
         X = mesh.corner_coords()[:, [0, 3, 1, 2]].reshape(-1, 2, 2, 2)
         N = np.stack([1 - e.xi, 1 + e.xi], axis=1) / 2.0
@@ -356,20 +366,31 @@ class FREulerSolver2D(_EulerSolver):
     def rhs(self, U):
         rho, u, v, p = conserved_to_primitive(U)
         _check_physical(rho, p)
-        Fh = _normal_flux(U, rho, u, v, p, self.m1[..., 0], self.m1[..., 1])
-        Gh = _normal_flux(U, rho, u, v, p, self.m2[..., 0], self.m2[..., 1])
         UW, UE = np.moveaxis(_along(self.T, U, 1), 1, 0)
         US, UN = np.moveaxis(_along(self.T, U, 2), 2, 0)
-        # a face's transformed flux is the same value on both sides; the
-        # stacks work on the reversed views, so Fc and Gc are element-fastest
+        # a face's transformed flux is the same value on both sides
         Fc_E, Gc_N = self._solve_faces(UE, lambda b: (
             UE[b], _take_rows(UW, self.east[b]),
             UN[b], _take_rows(US, self.north[b])))
-        Fc = np.stack([_take_rows(Fc_E, self.west).T, Fc_E.T], axis=2).T
-        Gc = np.stack([_take_rows(Gc_N, self.south).T, Gc_N.T], axis=1).T
-        D, T, H = self.element.D, self.T, self.H
-        div = (_along(D, Fh, 1) + _along(H, Fc - _along(T, Fh, 1), 1)
-               + _along(D, Gh, 2) + _along(H, Gc - _along(T, Gh, 2), 2))
+        q, n = self.element.n_points, len(U)
+
+        def slots(axis, m, Fc, opposite):
+            """Along reference axis `axis`, element-fastest: Fhat through the
+            metric rows m in slots 0..p, the common flux on the west or
+            south face in slot p+1 and on the east or north face in p+2."""
+            shape = [4, q, q, n]
+            shape[3 - axis] += 2
+            B = np.empty(shape).T
+            at = lambda k: (slice(None),) * axis + (k,)
+            nx, ny = m[..., 0], m[..., 1]
+            _normal_flux(U, rho, u * nx + v * ny, p, nx, ny, out=B[at(slice(q))])
+            B[at(q)] = _take_rows(Fc, opposite)
+            B[at(q + 1)] = Fc
+            return B
+
+        # the xi buffer is freed before the eta one is made
+        div = _along(self.M, slots(1, self.m1, Fc_E, self.west), 1)
+        div += _along(self.M, slots(2, self.m2, Gc_N, self.south), 2)
         return np.divide(div, -self.detJ[..., None], out=div)
 
     def length_scale(self):

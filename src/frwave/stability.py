@@ -80,10 +80,18 @@ def _stage_loop(apply, u, tau, stages):
     update sum_{i=0..stages} (tau A)^i / i! (in Horner form).  So "RK44" is
     4th order in time for a linear apply but only 2nd order for a
     nonlinear one (observed 4.03 on u' = -u, 2.01 on u' = -u^2).
+
+    Each stage scales and adds u in place into the array apply returns (the
+    same values, no further full-size temporaries), so apply must not return
+    u itself or a view of it; an apply that returns its argument is guarded.
     """
     v = u
     for i in range(stages, 0, -1):
-        v = u + (tau / i) * apply(v)
+        v = apply(v)
+        if v is u:
+            v = v.copy()
+        v *= tau / i
+        v += u
     return v
 
 
@@ -111,7 +119,8 @@ def advance(solver, u0, tau, scheme, steps):
     _require_positive("time step", tau)
     if steps < 0:
         raise ValueError(f"step count must be non-negative, got {steps}")
-    u = np.array(u0, copy=True)
+    u = np.asarray(u0)
+    u = np.array(u, dtype=np.result_type(u, 0.5))    # a float copy: the stages scale in place
     for step in range(steps):
         u = _stage_loop(solver.rhs, u, tau, stages)
         if not np.all(np.isfinite(u)):

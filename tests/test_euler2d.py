@@ -210,10 +210,13 @@ def test_icv_advects_by_translation():
 
 
 def test_icv_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        ICVParams(strength=-1.0)
-    with pytest.raises(ValueError):
-        ICVParams(radius=0.0)
+    # an extent of 0 once gave NaN fields through the % extent wrap, and a
+    # NaN strength or radius NaN fields everywhere; each is rejected by name
+    for name in ("strength", "radius", "extent"):
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"vortex {name} must be a "
+                               f"positive finite number, got {value}"):
+                ICVParams(**{name: value})
 
 
 # --- element solver ----------------------------------------------------------
@@ -440,23 +443,49 @@ def _fv_reference(solver, U, flux):
     return -(((FE + FN) - FE[west]) - FN[south]) / solver.area[:, None]
 
 
-def _fr_reference(solver, U, flux):
-    def _along(M, X, axis):
-        return np.moveaxis(np.tensordot(M, X, axes=(1, axis)), 0, axis)
+def _tensordot_along(M, X, axis):
+    return np.moveaxis(np.tensordot(M, X, axes=(1, axis)), 0, axis)
 
+
+def _fr_face_fluxes(solver, U, flux):
+    """Transformed fluxes at the solution points and the common fluxes on
+    the west, east, south and north faces, neighbours by index arithmetic."""
     east, west, north, south = _explicit_neighbours(solver.mesh)
-    m1, m2, T, H = solver.m1, solver.m2, solver.T, solver.H
+    m1, m2, T = solver.m1, solver.m2, solver.T
     Fh = euler_normal_flux(U, m1[..., 0], m1[..., 1])
     Gh = euler_normal_flux(U, m2[..., 0], m2[..., 1])
-    UW, UE = np.moveaxis(_along(T, U, 1), 1, 0)
-    US, UN = np.moveaxis(_along(T, U, 2), 2, 0)
+    UW, UE = np.moveaxis(_tensordot_along(T, U, 1), 1, 0)
+    US, UN = np.moveaxis(_tensordot_along(T, U, 2), 2, 0)
     FE = solver.s_e[..., None] * flux(UE, UW[east], solver.nx_e, solver.ny_e)
     GN = solver.s_n[..., None] * flux(UN, US[north], solver.nx_n, solver.ny_n)
-    Fc = np.stack([FE[west], FE], axis=1)
-    Gc = np.stack([GN[south], GN], axis=2)
-    D = solver.element.D
-    div = (_along(D, Fh, 1) + _along(H, Fc - _along(T, Fh, 1), 1)
-           + _along(D, Gh, 2) + _along(H, Gc - _along(T, Gh, 2), 2))
+    return Fh, Gh, FE[west], FE, GN[south], GN
+
+
+def _fused(M, fluxes):
+    """M applied along each axis to [Fhat; Fc], the transformed flux at the
+    points stacked on the common fluxes on the two faces (_fr_face_fluxes)."""
+    Fh, Gh, FW, FE, GS, GN = fluxes
+    return (_tensordot_along(M, np.concatenate([Fh, FW[:, None], FE[:, None]], axis=1), 1)
+            + _tensordot_along(M, np.concatenate([Gh, GS[:, :, None], GN[:, :, None]], axis=2), 2))
+
+
+def _fr_reference(solver, U, flux):
+    """The fused form, one operator M = [D - H T | H] per axis."""
+    e = solver.element
+    T, H = np.stack([e.ll, e.lr]), np.stack([e.hl, e.hr], axis=1)
+    div = _fused(np.hstack([e.D - H @ T, H]), _fr_face_fluxes(solver, U, flux))
+    return -div / solver.detJ[..., None]
+
+
+def _fr_separate_reference(solver, U, flux):
+    """The separate form D Fhat + H (Fc - T Fhat) along each axis, the
+    residual as the scheme is written; rounds differently from the fused one."""
+    Fh, Gh, FW, FE, GS, GN = _fr_face_fluxes(solver, U, flux)
+    e = solver.element
+    D, T, H = e.D, np.stack([e.ll, e.lr]), np.stack([e.hl, e.hr], axis=1)
+    Fc, Gc = np.stack([FW, FE], axis=1), np.stack([GS, GN], axis=2)
+    div = (_tensordot_along(D, Fh, 1) + _tensordot_along(H, Fc - _tensordot_along(T, Fh, 1), 1)
+           + _tensordot_along(D, Gh, 2) + _tensordot_along(H, Gc - _tensordot_along(T, Gh, 2), 2))
     return -div / solver.detJ[..., None]
 
 
@@ -503,6 +532,27 @@ def test_rhs_across_face_blocks(riemann):
     # the faces are solved block by block; the references solve them all
     # at once, so any row a block boundary drops or misreads shows
     _assert_rhs_is_reference(_multi_block_mesh(), 1, riemann)
+
+
+@pytest.mark.parametrize("riemann", ["rusanov", "roe"])
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("mesh", [lambda: jitter(uniform_quad_mesh(7, 5, 10.0), 0.3, seed=27),
+                                  _multi_block_mesh], ids=["7x5", "multi-block"])
+def test_fr_fused_operator_is_the_separate_form(mesh, p, riemann):
+    # rhs applies one operator M = [D - H T | H] per axis; the scheme's
+    # separate form D Fhat + H (Fc - T Fhat) sums the same terms in another
+    # order, so the two agree to the rounding of those terms, whose
+    # magnitude is |M| |[Fhat; Fc]| / detJ.  That is up to 1300 times
+    # max|rhs| on the fine multi-block mesh, where the residual is a small
+    # difference of large fluxes
+    flux = {"rusanov": rusanov_flux, "roe": roe_flux}[riemann]
+    solver = FREulerSolver2D(mesh(), p=p, riemann=riemann)
+    U = solver.project(icv_primitive)
+    terms = (_fused(np.abs(solver.M), map(np.abs, _fr_face_fluxes(solver, U, flux)))
+             / solver.detJ[..., None])
+    R = solver.rhs(U)
+    assert np.all(np.abs(R - _fr_separate_reference(solver, U, flux))
+                  <= 8 * np.finfo(float).eps * terms)
 
 
 @pytest.mark.parametrize("riemann", ["rusanov", "roe"])

@@ -106,6 +106,64 @@ def test_time_step_must_be_positive_finite(tau):
             call()
 
 
+def _textbook_stage_loop(apply, u, tau, stages):
+    """The stage loop as its formula reads, one new array per operation."""
+    v = u
+    for i in range(stages, 0, -1):
+        v = u + (tau / i) * apply(v)
+    return v
+
+
+def _vortex_solvers():
+    from frwave.euler2d import FREulerSolver2D, FVEulerSolver2D, icv_primitive
+    from frwave.mesh2d import jitter, uniform_quad_mesh
+    mesh = jitter(uniform_quad_mesh(6, 5, 10.0), 0.3, seed=29)
+    for solver in (FREulerSolver2D(mesh, p=3), FVEulerSolver2D(mesh)):
+        yield solver, solver.project(icv_primitive)
+
+
+def test_in_place_stage_loop_is_the_formula(monkeypatch):
+    # the loop scales and adds into what apply returns: every result must be
+    # bitwise the formula's, for matrices, symbols and every solver's march
+    from frwave.advect1d import FRAdvection1D, build_grid
+    rng = np.random.default_rng(8)
+    Q = rng.standard_normal((6, 6))
+    Qs = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    lam = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
+    fr1d = FRAdvection1D(build_grid(9, 1.15, 1.0), reference_element(3))
+    x = fr1d.coords.ravel()
+    runs = [lambda: update_matrix(Q, 0.3, "RK44"),
+            lambda: update_matrix(Qs, 0.2, "RK55"),
+            lambda: stability._radii(lam, 0.4, 3),
+            lambda: advance(fr1d, np.sin(2 * np.pi * x), 0.01, "RK44", 3)]
+    runs += [lambda s=s, U=U: advance(s, U, 1e-3, "RK44", 2) for s, U in _vortex_solvers()]
+    new = [run() for run in runs]
+    monkeypatch.setattr(stability, "_stage_loop", _textbook_stage_loop)
+    for run, result in zip(runs, new):
+        expect = run()
+        assert result.dtype == expect.dtype
+        assert np.array_equal(result, expect)
+
+
+def test_stage_loop_keeps_u_under_identity_apply():
+    # an apply that returns its argument hands u itself to the first stage
+    u = np.array([1.0, -2.0, 3.0])
+    kept = u.copy()
+    v = stability._stage_loop(lambda v: v, u, 0.5, 4)
+    assert np.array_equal(u, kept)
+    assert np.array_equal(v, _textbook_stage_loop(lambda v: v, kept, 0.5, 4))
+
+
+def test_advance_takes_an_integer_state():
+    # the stages scale the right-hand side in place, so an integer state and
+    # an integer-valued rhs must still march in floating point
+    decay = SimpleNamespace(rhs=lambda u: -u)
+    for u0 in (np.array([1, 2]), [1, 2]):
+        u = advance(decay, u0, 0.1, "RK44", 1)
+        assert u.dtype == float
+        assert np.array_equal(u, advance(decay, np.array([1.0, 2.0]), 0.1, "RK44", 1))
+
+
 def _symbols(p, gamma, k_hats):
     """The weighted-closure symbols the stability layer sweeps (delta_j = 1)."""
     op = build_operator(reference_element(p), gamma, delta_j=1.0)

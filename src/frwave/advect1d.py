@@ -263,6 +263,8 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
     if mode not in (TRANSIT, PENCIL):
         raise ValueError(f"unknown measurement mode {mode!r}")
     _require_positive("CFL", cfl)
+    if mode == TRANSIT:
+        _require_positive("window", window)
     L = solver.L
     dof = solver.dof
     xs = np.arange(MEASURE_POINTS) * (L / MEASURE_POINTS)

@@ -204,13 +204,6 @@ def _element_fastest(a):
     return np.ascontiguousarray(a.T).T
 
 
-# element rows per Riemann call (the finite-volume solver rounds it down to
-# whole grid rows): a finite-volume face state of 4096 rows is 128 KiB, so a
-# block's states and the Riemann solver's temporaries fit a 2 MiB per-core
-# L2 cache
-_FACE_BLOCK = 4096
-
-
 def _check_physical(rho, p):
     """Raise NonPhysicalStateError at the first element where rho or p <= 0."""
     if np.all(rho > 0) and np.all(p > 0):
@@ -227,20 +220,12 @@ class _EulerSolver:
     reads its neighbours through the periodic east, west, north and south
     tables (the element solver with np.take, the finite-volume solver by
     slicing its grid, whose row-major numbering the tables assume).
-    A subclass passes _faces the outward face vectors n_east and n_north,
-    scaled by face length (per unit reference length for the elements) and
-    shaped (n_elem, ..., 2) to broadcast against a face trace without its
-    variable axis: (n_elem, 2) for the finite-volume cells, (n_elem, 1, 2)
-    for the elements, whose straight faces have one vector along all p+1
-    points.
-
-    _solve_faces walks the element rows in blocks of _FACE_BLOCK, or of a
-    size the subclass gives (the finite-volume solver's whole grid rows),
-    and asks the subclass for each block's face states, so the states and the
-    Riemann solver's temporaries of one block stay in a core's L2 cache and
-    no full-size face-state temporaries are allocated.  Every row still
-    goes through the same operations in the same order, and no operation
-    mixes rows, so the fluxes are bitwise those of one call over all rows.
+    A subclass sets self.faces = (_unit(n_east), _unit(n_north)) from the
+    outward face vectors, scaled by face length (per unit reference length
+    for the elements) and shaped (n_elem, ..., 2) to broadcast against a
+    face trace without its variable axis: (n_elem, 2) for the finite-volume
+    cells, (n_elem, 1, 2) for the elements, whose straight faces have one
+    vector along all p+1 points.
 
     The mesh must be made of convex counterclockwise quads, checked before
     any geometry is built: a bilinear map's Jacobian is affine in
@@ -254,27 +239,12 @@ class _EulerSolver:
         self.riemann = RIEMANN_SOLVERS[riemann]
         self.east, self.west, self.north, self.south = _periodic_neighbours(mesh)
 
-    def _faces(self, n_east, n_north):
-        self.s_e, self.nx_e, self.ny_e = _unit(n_east)
-        self.s_n, self.nx_n, self.ny_n = _unit(n_north)
-
-    def _solve_faces(self, like, traces, block=_FACE_BLOCK):
-        """Length-weighted fluxes, each shaped and laid out like the face
-        trace `like`, through every element's east and north faces.
-        traces(b) gives, for the element rows b (a slice of at most `block`
-        rows), the states on their east faces, on their east neighbours'
-        west faces, on their north faces and on their north neighbours'
-        south faces."""
-        FE, FN = np.empty_like(like), np.empty_like(like)
-        n = len(like)
-        for start in range(0, n, block):
-            b = slice(start, min(start + block, n))
-            UE, UW_east, UN, US_north = traces(b)
-            np.multiply(self.riemann(UE, UW_east, self.nx_e[b], self.ny_e[b]),
-                        self.s_e[b, ..., None], out=FE[b])
-            np.multiply(self.riemann(UN, US_north, self.nx_n[b], self.ny_n[b]),
-                        self.s_n[b, ..., None], out=FN[b])
-        return FE, FN
+    def _common_flux(self, axis, UL, UR, b=slice(None), out=None):
+        """Length-weighted flux through the east (axis 0) or north (axis 1)
+        faces of the element rows b, from the states UL on their inner side
+        and UR on their outer side, written into `out` if given."""
+        s, nx, ny = self.faces[axis]
+        return np.multiply(self.riemann(UL, UR, nx[b], ny[b]), s[b, ..., None], out=out)
 
     @property
     def dof(self):
@@ -361,37 +331,36 @@ class FREulerSolver2D(_EulerSolver):
         self.m2 = _along(N, m2, 2)
         self.detJ = _element_fastest(self.m1[..., 0] * self.m2[..., 1]
                                      - self.m1[..., 1] * self.m2[..., 0])
-        self._faces(m1[:, 1], m2[:, :, 1])
+        self.faces = (_unit(m1[:, 1]), _unit(m2[:, :, 1]))
 
     def rhs(self, U):
         rho, u, v, p = conserved_to_primitive(U)
         _check_physical(rho, p)
-        UW, UE = np.moveaxis(_along(self.T, U, 1), 1, 0)
-        US, UN = np.moveaxis(_along(self.T, U, 2), 2, 0)
-        # a face's transformed flux is the same value on both sides
-        Fc_E, Gc_N = self._solve_faces(UE, lambda b: (
-            UE[b], _take_rows(UW, self.east[b]),
-            UN[b], _take_rows(US, self.north[b])))
-        q, n = self.element.n_points, len(U)
-
-        def slots(axis, m, Fc, opposite):
-            """Along reference axis `axis`, element-fastest: Fhat through the
-            metric rows m in slots 0..p, the common flux on the west or
-            south face in slot p+1 and on the east or north face in p+2."""
-            shape = [4, q, q, n]
-            shape[3 - axis] += 2
-            B = np.empty(shape).T
-            at = lambda k: (slice(None),) * axis + (k,)
-            nx, ny = m[..., 0], m[..., 1]
-            _normal_flux(U, rho, u * nx + v * ny, p, nx, ny, out=B[at(slice(q))])
-            B[at(q)] = _take_rows(Fc, opposite)
-            B[at(q + 1)] = Fc
-            return B
-
-        # the xi buffer is freed before the eta one is made
-        div = _along(self.M, slots(1, self.m1, Fc_E, self.west), 1)
-        div += _along(self.M, slots(2, self.m2, Gc_N, self.south), 2)
+        # the xi work arrays are freed before the eta ones are made
+        div = self._divergence(U, rho, u, v, p, 1)
+        div += self._divergence(U, rho, u, v, p, 2)
         return np.divide(div, -self.detJ[..., None], out=div)
+
+    def _divergence(self, U, rho, u, v, p, axis):
+        """M [Fhat; Fc] along reference axis 1 (xi) or 2 (eta), from one
+        element-fastest buffer: Fhat through the metric rows in slots 0..p,
+        the common flux on the west or south face in slot p+1 and on the
+        east or north face in slot p+2."""
+        lo, hi = np.moveaxis(_along(self.T, U, axis), axis, 0)
+        m, ahead, behind = ((self.m1, self.east, self.west) if axis == 1
+                            else (self.m2, self.north, self.south))
+        # a face's transformed flux is the same value on both sides
+        Fc = self._common_flux(axis - 1, hi, _take_rows(lo, ahead))
+        q = self.element.n_points
+        shape = [4, q, q, len(U)]
+        shape[3 - axis] += 2
+        B = np.empty(shape).T
+        at = lambda k: (slice(None),) * axis + (k,)
+        B[at(q)] = _take_rows(Fc, behind)
+        B[at(q + 1)] = Fc
+        nx, ny = m[..., 0], m[..., 1]
+        _normal_flux(U, rho, u * nx + v * ny, p, nx, ny, out=B[at(slice(q))])
+        return _along(self.M, B, axis)
 
     def length_scale(self):
         """Smallest edge length divided by the points-per-edge count."""
@@ -402,6 +371,32 @@ class FREulerSolver2D(_EulerSolver):
 
 # ---------------------------------------------------------------------------
 # finite-volume baseline
+
+# finite-volume cells per Riemann call, rounded down to whole grid rows: a
+# face state of 4096 cells is 128 KiB, so a block's states and the Riemann
+# solver's temporaries fit a 2 MiB per-core L2 cache
+_FACE_BLOCK = 4096
+
+
+def _fv_face_states(P, j0, j1):
+    """States on the east faces of grid rows j0..j1-1, on their east
+    neighbours' west faces, on their north faces and on their north
+    neighbours' south faces, as (cells, 4) rows, from the ghost-padded
+    variable planes P of FVEulerSolver2D.rhs."""
+    rows = P[:, j0 + 1:j1 + 1]
+    # half a cell of the central differences, in place: hx of columns
+    # 0..nx, the last one the east neighbour's across the seam, and hy of
+    # rows j0..j1, the last one the north neighbours'
+    hx = rows[..., 2:] - rows[..., :-2]
+    hy = P[:, j0 + 2:j1 + 3, 1:-2] - P[:, j0:j1 + 1, 1:-2]
+    for h in (hx, hy):
+        h *= 0.5        # the difference per unit index
+        h *= 0.5        # half a cell of it
+    C = rows[..., 1:-2]
+    faces = (C + hx[..., :-1], rows[..., 2:-1] - hx[..., 1:],
+             C + hy[:, :-1], P[:, j0 + 2:j1 + 2, 1:-2] - hy[:, 1:])
+    return [A.reshape(4, -1).T for A in faces]
+
 
 class FVEulerSolver2D(_EulerSolver):
     """Nominally second-order MUSCL baseline, periodic structured mesh.
@@ -420,8 +415,8 @@ class FVEulerSolver2D(_EulerSolver):
     in another layout gives the same values); the solution points are the
     cell centroids.  Cell j*nx + i is column i of grid row j, the numbering
     the neighbour tables assume, so rhs reads neighbours as slices of the
-    periodically ghost-padded variable planes (4, ny, nx), in blocks of
-    whole grid rows (_solve_faces).
+    periodically ghost-padded variable planes (4, ny, nx), and solves the
+    faces in blocks of whole grid rows (_FACE_BLOCK).
     """
 
     def __init__(self, mesh, riemann="rusanov", metrics="curvilinear"):
@@ -458,7 +453,7 @@ class FVEulerSolver2D(_EulerSolver):
                 return B - centroid
 
             n_e, n_n = step(self.east, 0), step(self.north, 1)
-        self._faces(n_e, n_n)
+        self.faces = (_unit(n_e), _unit(n_n))
 
     def rhs(self, U):
         rho = U[..., 0]
@@ -472,23 +467,14 @@ class FVEulerSolver2D(_EulerSolver):
         P[:, 1:-2, [0, -2, -1]] = P[:, 1:-2, [nx, 1, 1 + 1 % nx]]
         P[:, [0, -2, -1]] = P[:, [ny, 1, 1 + 1 % ny]]
 
-        def traces(b):
-            j0, j1 = b.start // nx, b.stop // nx     # the block's grid rows
-            rows = P[:, j0 + 1:j1 + 1]
-            # half a cell of the central differences, in place: hx of
-            # columns 0..nx, the last one the east neighbour's across the
-            # seam, and hy of rows j0..j1, the last one the north neighbours'
-            hx = rows[..., 2:] - rows[..., :-2]
-            hy = P[:, j0 + 2:j1 + 3, 1:-2] - P[:, j0:j1 + 1, 1:-2]
-            for h in (hx, hy):
-                h *= 0.5        # the difference per unit index
-                h *= 0.5        # half a cell of it
-            C = rows[..., 1:-2]
-            faces = (C + hx[..., :-1], rows[..., 2:-1] - hx[..., 1:],
-                     C + hy[:, :-1], P[:, j0 + 2:j1 + 2, 1:-2] - hy[:, 1:])
-            return [A.reshape(4, -1).T for A in faces]
-
-        FE, FN = self._solve_faces(U, traces, nx * max(1, _FACE_BLOCK // nx))
+        FE, FN = np.empty_like(U), np.empty_like(U)
+        block = max(1, _FACE_BLOCK // nx)      # grid rows
+        for j0 in range(0, ny, block):
+            j1 = min(j0 + block, ny)
+            b = slice(j0 * nx, j1 * nx)
+            UE, UW_east, UN, US_north = _fv_face_states(P, j0, j1)
+            self._common_flux(0, UE, UW_east, b, out=FE[b])
+            self._common_flux(1, UN, US_north, b, out=FN[b])
         # a cell's west and south fluxes are its neighbours' east and
         # north fluxes, leaving through the opposite side: the planes
         # shifted by one column and by one row, wrapped across the seam

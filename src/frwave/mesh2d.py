@@ -77,8 +77,8 @@ def jitter(mesh, factor, seed):
     Meshes that needed a redraw differ from those of earlier versions,
     which redrew one node at a time.  Deterministic for a fixed seed.
     """
-    if factor < 0:
-        raise ValueError(f"jitter factor must be non-negative, got {factor}")
+    if not 0 <= factor < np.inf:        # also NaN
+        raise ValueError(f"jitter factor must be non-negative and finite, got {factor}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     nx, ny = mesh.nx, mesh.ny
     step = factor * np.array([mesh.L / nx, mesh.L / ny])
@@ -124,24 +124,29 @@ def skew_angle(mesh):
 
 def jitter_factor_for_skew(mesh, target_alpha, seed, tol=0.1):
     """Bisect the jitter factor until the mesh-average skew angle lands
-    within tol degrees of target_alpha.  Returns (factor, jittered mesh)."""
-    if target_alpha < 0:
-        raise ValueError(f"target skew must be non-negative, got {target_alpha}")
+    within tol degrees of target_alpha.  Returns (factor, jittered mesh);
+    ValueError if 60 rounds do not land (the skew can jump across the
+    window where redraws start)."""
+    if not 0 <= target_alpha < np.inf:      # also NaN
+        raise ValueError(f"target skew must be non-negative and finite, got {target_alpha}")
     lo, hi = 0.0, MAX_SKEW_FACTOR
     if skew_angle(jitter(mesh, hi, seed)).alpha < target_alpha:
         raise ValueError(f"target skew {target_alpha} deg unreachable below "
                          f"factor {MAX_SKEW_FACTOR}")
+    nearest = np.inf
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         m = jitter(mesh, mid, seed)
         a = skew_angle(m).alpha
         if abs(a - target_alpha) <= tol:
             return mid, m
+        nearest = min(nearest, a, key=lambda b: abs(b - target_alpha))
         if a < target_alpha:
             lo = mid
         else:
             hi = mid
-    return mid, m
+    raise ValueError(f"no jitter factor gives a skew within {tol} deg of "
+                     f"{target_alpha} deg; the nearest was {nearest:.4g} deg")
 
 
 def write_mesh(mesh, path):

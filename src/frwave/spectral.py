@@ -233,8 +233,8 @@ def _first_crossing_ppw(k_hat, err, epsilon):
     """First-crossing rule: k* is the largest k_hat such that every sample
     at or below it has err < epsilon.  Returns 2*pi/k*, or inf when even
     the first sample violates the bound."""
-    if epsilon <= 0:
-        raise ValueError(f"error level must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:        # also NaN, which every sample passes
+        raise ValueError(f"error level must be positive and finite, got {epsilon}")
     bad = np.nonzero(err >= epsilon)[0]
     if len(bad) == 0:
         return 2.0 * np.pi / k_hat[-1]

@@ -141,7 +141,15 @@ def test_error_exit_code_on_bad_parameters(tmp_path, capsys):
       "--alpha", "-3"], "target skew must be non-negative"),
     (["icv", "--solver", "fv", "--resolutions", "8", "--steps", "1",
       "--alpha", "6", "--jitter", "0.3"], "--alpha and --jitter both set"),
-], ids=["mesh-gen-negative-jitter", "icv-negative-alpha", "icv-alpha-and-jitter"])
+    (["mesh-gen", "--nx", "4", "--ny", "4", "--jitter", "nan"],
+     "jitter factor must be non-negative and finite, got nan"),
+    (["icv", "--solver", "fv", "--resolutions", "8", "--steps", "1",
+      "--alpha", "nan"], "target skew must be non-negative and finite, got nan"),
+    (["icv", "--solver", "fv", "--resolutions", "8", "--steps", "1",
+      "--alpha", "15", "--seed", "2024"],
+     "no jitter factor gives a skew within 0.15 deg of 15.0 deg"),
+], ids=["mesh-gen-negative-jitter", "icv-negative-alpha", "icv-alpha-and-jitter",
+        "mesh-gen-nan-jitter", "icv-nan-alpha", "icv-missed-alpha"])
 def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
     rc = main(argv + ["--outdir", str(tmp_path)])
     assert rc == 1
@@ -175,10 +183,17 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "wavenumber 0.0 does not fit an integer number of wavelengths"),
     (["dispersion", "--p", "2", "--gamma", "1.0,1", "--samples", "64"],
      "repeated --gamma value in 1.0,1"),
+    (["wave-test", "--solver", "fr3", "--dof", "33", "--window", "nan"],
+     "window must be a positive finite number, got nan"),
+    (["wave-test", "--solver", "fr3", "--dof", "33", "--window", "0"],
+     "window must be a positive finite number, got 0.0"),
+    (["ppw", "--p", "3", "--epsilon", "nan", "--samples", "64"],
+     "error level must be positive and finite, got nan"),
 ], ids=["wave-test-zero-cfl", "wave-test-negative-cfl", "wave-test-inf-cfl",
         "wave-test-nan-cfl", "wave-test-tiny-cfl", "icv-nan-cfl", "icv-inf-cfl", "icv-negative-cfl",
         "wave-test-no-bin", "icv-negative-steps", "icv-repeated-resolution",
-        "wave-test-zero-k", "dispersion-repeated-gamma"])
+        "wave-test-zero-k", "dispersion-repeated-gamma", "wave-test-nan-window",
+        "wave-test-zero-window", "ppw-nan-epsilon"])
 def test_unmeasurable_input_rejected(tmp_path, capsys, argv, message):
     rc = main(argv + ["--outdir", str(tmp_path)])
     assert rc == 1

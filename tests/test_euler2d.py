@@ -374,8 +374,7 @@ def test_fv_curvilinear_face_vectors_are_centroid_steps():
     east[i == nx - 1, 0] += mesh.L
     north = c[((j + 1) % ny) * nx + i]
     north[j == ny - 1, 1] += mesh.L
-    for n, got in ((east - c, (solver.s_e, solver.nx_e, solver.ny_e)),
-                   (north - c, (solver.s_n, solver.nx_n, solver.ny_n))):
+    for n, got in zip((east - c, north - c), solver.faces):
         s = np.linalg.norm(n, axis=-1)
         for expect, value in zip((s, n[:, 0] / s, n[:, 1] / s), got):
             assert np.array_equal(value, expect)
@@ -438,8 +437,9 @@ def _fv_reference(solver, U, flux):
     gx = 0.5 * (U[east] - U[west])
     gy = 0.5 * (U[north] - U[south])
     UE, UW, UN, US = U + 0.5 * gx, U - 0.5 * gx, U + 0.5 * gy, U - 0.5 * gy
-    FE = solver.s_e[:, None] * flux(UE, UW[east], solver.nx_e, solver.ny_e)
-    FN = solver.s_n[:, None] * flux(UN, US[north], solver.nx_n, solver.ny_n)
+    (s_e, nx_e, ny_e), (s_n, nx_n, ny_n) = solver.faces
+    FE = s_e[:, None] * flux(UE, UW[east], nx_e, ny_e)
+    FN = s_n[:, None] * flux(UN, US[north], nx_n, ny_n)
     return -(((FE + FN) - FE[west]) - FN[south]) / solver.area[:, None]
 
 
@@ -456,8 +456,9 @@ def _fr_face_fluxes(solver, U, flux):
     Gh = euler_normal_flux(U, m2[..., 0], m2[..., 1])
     UW, UE = np.moveaxis(_tensordot_along(T, U, 1), 1, 0)
     US, UN = np.moveaxis(_tensordot_along(T, U, 2), 2, 0)
-    FE = solver.s_e[..., None] * flux(UE, UW[east], solver.nx_e, solver.ny_e)
-    GN = solver.s_n[..., None] * flux(UN, US[north], solver.nx_n, solver.ny_n)
+    (s_e, nx_e, ny_e), (s_n, nx_n, ny_n) = solver.faces
+    FE = s_e[..., None] * flux(UE, UW[east], nx_e, ny_e)
+    GN = s_n[..., None] * flux(UN, US[north], nx_n, ny_n)
     return Fh, Gh, FE[west], FE, GN[south], GN
 
 
@@ -502,14 +503,13 @@ def _assert_rhs_is_reference(mesh, p, riemann):
 
 
 def _multi_block_mesh():
-    """Jittered non-square mesh that spans more than one face block, the
-    last block ragged, under both block rules: the element solver's blocks
-    of _FACE_BLOCK element rows (71 x 59 = 4189 = 4096 + 93 elements) and
-    the finite-volume solver's blocks of whole grid rows, _FACE_BLOCK // nx
-    of them (59 = 57 + 2 rows of 71 cells)."""
+    """Jittered non-square mesh that spans more than one of the
+    finite-volume solver's face blocks, the last one ragged: blocks of
+    _FACE_BLOCK // nx whole grid rows (59 = 57 + 2 rows of 71 cells).  The
+    element solver solves its faces in one call per axis; at 71 x 59 it
+    is a large-mesh check against the reference."""
     nx = math.isqrt(_FACE_BLOCK) + 7
     ny = _FACE_BLOCK // nx + 2
-    assert nx * ny > _FACE_BLOCK and nx * ny % _FACE_BLOCK
     grid_rows = _FACE_BLOCK // nx
     assert ny > grid_rows and ny % grid_rows
     return jitter(uniform_quad_mesh(nx, ny, 10.0), 0.3, seed=27)
@@ -529,8 +529,10 @@ def test_rhs_neighbours_on_non_square_mesh(riemann):
 
 @pytest.mark.parametrize("riemann", ["rusanov", "roe"])
 def test_rhs_across_face_blocks(riemann):
-    # the faces are solved block by block; the references solve them all
-    # at once, so any row a block boundary drops or misreads shows
+    # the finite-volume faces are solved block by block of grid rows; the
+    # references solve them all at once, so any row a block boundary drops
+    # or misreads shows.  The element solver has no blocks and is checked
+    # here on a large mesh
     _assert_rhs_is_reference(_multi_block_mesh(), 1, riemann)
 
 

@@ -134,8 +134,10 @@ def test_jitter_raises_when_rounds_run_out():
 
 
 def test_jitter_rejects_negative_factor():
-    with pytest.raises(ValueError):
-        jitter(uniform_quad_mesh(3, 3, 1.0), -0.1, seed=0)
+    # a NaN factor once passed the check and gave NaN nodes
+    for factor in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="jitter factor must be non-negative"):
+            jitter(uniform_quad_mesh(3, 3, 1.0), factor, seed=0)
 
 
 def test_skew_increases_with_jitter_factor():
@@ -186,6 +188,19 @@ def test_jitter_factor_for_skew_hits_target():
         factor, jm = jitter_factor_for_skew(m, target, seed=3, tol=0.15)
         assert abs(skew_angle(jm).alpha - target) <= 0.15
         assert 0 < factor < 0.95
+
+
+def test_jitter_factor_for_skew_reports_a_missed_target():
+    # on 8x8 with seed 2024 the skew jumps from about 14.05 to 15.84 deg
+    # between factors 0.81 and 0.83, where redraws start, so 15 +- 0.15 deg
+    # is never hit; the mesh nearest the target was once returned silently
+    m = uniform_quad_mesh(8, 8, 10.0)
+    with pytest.raises(ValueError, match=r"within 0\.15 deg of 15 deg; the nearest was 14\.33"):
+        jitter_factor_for_skew(m, 15, seed=2024, tol=0.15)
+    # a NaN target once bisected to a near-uniform mesh
+    for target in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="target skew must be non-negative"):
+            jitter_factor_for_skew(m, target, seed=2024)
 
 
 def test_mesh_file_roundtrip(tmp_path):

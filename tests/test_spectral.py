@@ -343,8 +343,11 @@ def test_order_crossover_under_contraction():
 
 def test_ppw_requires_positive_epsilon():
     curve = dispersion_curve(2, 1.0, n_samples=64)
-    with pytest.raises(ValueError):
-        ppw(curve, 0.0)
+    # every comparison with NaN is false, so a NaN level once read as
+    # resolved at every sample
+    for epsilon in (0.0, -0.01, np.nan, np.inf):
+        with pytest.raises(ValueError, match="error level must be positive and finite"):
+            ppw(curve, epsilon)
 
 
 # --- finite-difference modified wavenumber ------------------------------------

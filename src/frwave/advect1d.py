@@ -337,4 +337,4 @@ def numeric_ppw(table, epsilon=0.01):
     """Points per wavelength from a measured transfer table, first-crossing
     rule on |Re k_hat'/k_hat - 1| (see spectral.ppw)."""
     err = np.abs(table.re_k_hat_prime / table.k_hat - 1.0)
-    return _first_crossing_ppw(table.k_hat, err, epsilon)
+    return _first_crossing_ppw(zip(table.k_hat, err), epsilon)

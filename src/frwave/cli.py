@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .element import HUYNH_G2, CORRECTION_KINDS, reference_element
-from .spectral import (SAMPLED, WEIGHTED, dispersion_curve, filter_kernel,
-                       ppw)
+from .spectral import (SAMPLED, WEIGHTED, dispersion_curve, dispersion_samples,
+                       filter_kernel, ppw)
 from .stability import SCHEMES, cfl_limit, spectral_radius_sweep
 from .advect1d import (FD_ORDERS, FDAdvection1D, FRAdvection1D, TRANSIT, PENCIL,
                        bin_wavenumbers, build_grid, fd_point_grid,
@@ -112,8 +112,8 @@ def cmd_ppw(args):
     rows = []
     for p in _items(args.p, int):
         for gamma in gammas:
-            curve = dispersion_curve(p, gamma, args.kind, n_samples=args.samples)
-            rows.append((p, gamma, args.epsilon, ppw(curve, args.epsilon)))
+            samples = dispersion_samples(p, gamma, args.kind, n_samples=args.samples)
+            rows.append((p, gamma, args.epsilon, ppw(samples, args.epsilon)))
     _emit(args.outdir / "ppw.csv", ["p", "gamma", "epsilon", "ppw"], rows, args)
     return 0
 

@@ -25,7 +25,6 @@ Two neighbour closures are provided:
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -98,12 +97,12 @@ def build_operator(element, gamma, delta_j=None):
     With no width given, delta_j defaults to p+1 so that unit average
     solution-point spacing makes physical and normalised wavenumbers agree.
     """
-    if gamma <= 0:
-        raise ValueError(f"expansion rate must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:        # also NaN
+        raise ValueError(f"expansion rate must be positive and finite, got {gamma}")
     if delta_j is None:
         delta_j = float(element.p + 1)
-    if delta_j <= 0:
-        raise ValueError(f"cell width must be positive, got {delta_j}")
+    if not 0 < delta_j < np.inf:
+        raise ValueError(f"cell width must be positive and finite, got {delta_j}")
     return SemiDiscreteOperator(element=element, delta_j=delta_j, gamma=gamma)
 
 
@@ -126,6 +125,9 @@ class SpectralCurve:
     """Physical-mode (and full-set) phase velocities over k_hat in (0, pi]."""
 
     samples: list
+
+    def __iter__(self):
+        return iter(self.samples)
 
     @property
     def k_hat(self):
@@ -172,20 +174,26 @@ def _match(prev, ev):
 
 
 def _track(op, ks, closure):
-    """Eigenvalues at each of the increasing wavenumbers ks, physical first.
+    """Yield the eigenvalues at each of the increasing wavenumbers ks,
+    physical first.
 
     At a tiny seed wavenumber exactly one eigenvalue sits near 1; the
     branches are ramped geometrically from there to ks[0] and then
-    followed through ks by bipartite matching.  All eigenvalues come from
-    one stacked solve; only the matching is sequential.
+    followed through ks by bipartite matching.  The eigenvalues are solved
+    in stacks of MIN_SAMPLES wavenumbers (the seed and ramp lead the
+    first), each when the matching reaches it, so a consumer that stops
+    early solves only the stacks it has reached.
     """
     k_seed = SEED_KHAT * (op.p + 1) / op.delta_j
     ramp = np.geomspace(k_seed, ks[0], 8)[1:-1]
     ks = np.concatenate([[k_seed], ramp, ks])
-    M = 1j * op.wave_symbol(ks, closure) / ks[:, None, None]
-    seed, *rest = _eigvals(M, ks * op.delta_j / (op.p + 1))
-    seed = seed[np.argsort(np.abs(seed - 1.0))]
-    return list(accumulate(rest, _match, initial=seed))[1 + len(ramp):]
+    for i in range(0, len(ks), MIN_SAMPLES):
+        chunk = ks[i:i + MIN_SAMPLES]
+        M = 1j * op.wave_symbol(chunk, closure) / chunk[:, None, None]
+        for j, ev in enumerate(_eigvals(M, chunk * op.delta_j / (op.p + 1)), i):
+            branches = _match(branches, ev) if j else ev[np.argsort(np.abs(ev - 1.0))]
+            if j > len(ramp):
+                yield branches
 
 
 def modified_phase_velocity(op, k, closure=SAMPLED):
@@ -195,26 +203,34 @@ def modified_phase_velocity(op, k, closure=SAMPLED):
     coarsest dispersion curve (pi / MIN_SAMPLES), so the result is the
     one dispersion_curve reports at the same k.
     """
-    if k <= 0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
+    if not 0 < k < np.inf:            # also NaN
+        raise ValueError(f"wavenumber must be positive and finite, got {k}")
     k_hat = k * op.delta_j / (op.p + 1)
     n = math.ceil(MIN_SAMPLES * k_hat / np.pi)
-    ev = _track(op, np.linspace(k / n, k, n), closure)[-1]
+    *_, ev = _track(op, np.linspace(k / n, k, n), closure)
     return SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev)
 
 
-def dispersion_curve(p, gamma, correction_kind=HUYNH_G2, n_samples=256,
-                     closure=SAMPLED):
-    """Tracked phase-velocity curve over k_hat uniformly sampled in (0, pi]."""
+def dispersion_samples(p, gamma, correction_kind=HUYNH_G2, n_samples=256,
+                       closure=SAMPLED):
+    """Tracked phase velocities at k_hat uniformly sampled in (0, pi], as
+    SpectralSamples in increasing k_hat.  The arguments are checked here;
+    the eigenvalues are solved as the samples are drawn."""
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     element = reference_element(p, correction_kind)
     op = build_operator(element, gamma)
     k_hats = np.linspace(np.pi / n_samples, np.pi, n_samples)
     ks = k_hats * (p + 1) / op.delta_j
-    samples = [SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev)
-               for k_hat, k, ev in zip(k_hats, ks, _track(op, ks, closure))]
-    return SpectralCurve(samples=samples)
+    return (SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev)
+            for k_hat, k, ev in zip(k_hats, ks, _track(op, ks, closure)))
+
+
+def dispersion_curve(p, gamma, correction_kind=HUYNH_G2, n_samples=256,
+                     closure=SAMPLED):
+    """Tracked phase-velocity curve over k_hat uniformly sampled in (0, pi]."""
+    return SpectralCurve(samples=list(dispersion_samples(
+        p, gamma, correction_kind, n_samples, closure)))
 
 
 def filter_kernel(curve, t):
@@ -223,30 +239,34 @@ def filter_kernel(curve, t):
     A unit wave decays like exp(k Im(c) t), so the kernel at each sampled
     k_hat is that factor, normalised to 1 at the resolved end.
     """
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    if not 0 < t < np.inf:            # also NaN
+        raise ValueError(f"time must be positive and finite, got {t}")
     g = np.exp(t * curve.k * curve.c.imag)
     return curve.k_hat, g / g[0]
 
 
-def _first_crossing_ppw(k_hat, err, epsilon):
-    """First-crossing rule: k* is the largest k_hat such that every sample
-    at or below it has err < epsilon.  Returns 2*pi/k*, or inf when even
-    the first sample violates the bound."""
+def _first_crossing_ppw(pairs, epsilon):
+    """First-crossing rule over (k_hat, err) pairs in increasing k_hat: k*
+    is the largest k_hat such that every pair at or below it has
+    err < epsilon.  Returns 2*pi/k*, or inf when even the first pair
+    violates the bound; no pair after the first violation is drawn."""
     if not 0 < epsilon < np.inf:        # also NaN, which every sample passes
         raise ValueError(f"error level must be positive and finite, got {epsilon}")
-    bad = np.nonzero(err >= epsilon)[0]
-    if len(bad) == 0:
-        return 2.0 * np.pi / k_hat[-1]
-    if bad[0] == 0:
-        return UNRESOLVABLE
-    return 2.0 * np.pi / k_hat[bad[0] - 1]
+    resolved = None
+    for k_hat, err in pairs:
+        if err >= epsilon:
+            break
+        resolved = k_hat
+    return UNRESOLVABLE if resolved is None else 2.0 * np.pi / resolved
 
 
-def ppw(curve, epsilon=0.01):
+def ppw(samples, epsilon=0.01):
     """Solution points per wavelength keeping |Re(c) - 1| below epsilon,
-    by the first-crossing rule over the curve's samples."""
-    return _first_crossing_ppw(curve.k_hat, np.abs(curve.c.real - 1.0), epsilon)
+    by the first-crossing rule over SpectralSamples in increasing k_hat (a
+    SpectralCurve, or dispersion_samples, which then stops solving at the
+    first crossing)."""
+    return _first_crossing_ppw(((s.k_hat, abs(s.c.real - 1.0)) for s in samples),
+                               epsilon)
 
 
 def fd_modified_wavenumber(offsets, weights, k):

@@ -1,12 +1,18 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
 from frwave.element import gauss_points, reference_element
-from frwave.spectral import (CLOSURES, SAMPLED, UNRESOLVABLE, WEIGHTED,
-                             EigenSolveError, SemiDiscreteOperator,
-                             SpectralCurve, SpectralSample, build_operator,
-                             dispersion_curve, fd_modified_wavenumber,
-                             filter_kernel, modified_phase_velocity, ppw)
+from frwave.spectral import (CLOSURES, MIN_SAMPLES, SAMPLED, SEED_KHAT,
+                             UNRESOLVABLE, WEIGHTED, EigenSolveError,
+                             SemiDiscreteOperator, SpectralCurve,
+                             SpectralSample, _match, build_operator,
+                             dispersion_curve, dispersion_samples,
+                             fd_modified_wavenumber, filter_kernel,
+                             modified_phase_velocity, ppw)
+
+BAD_POSITIVE = (0.0, -1.0, np.nan, np.inf)
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +69,14 @@ def test_wave_symbol_matches_bruteforce_assembly():
 
 
 def test_build_operator_rejects_bad_parameters():
+    # an infinite expansion rate once gave a PPW, and a NaN one was blamed
+    # on the eigen solve
     e = reference_element(2)
-    with pytest.raises(ValueError):
-        build_operator(e, -1.0)
-    with pytest.raises(ValueError):
-        build_operator(e, 1.0, delta_j=0.0)
+    for bad in BAD_POSITIVE:
+        with pytest.raises(ValueError, match="expansion rate must be positive"):
+            build_operator(e, bad)
+        with pytest.raises(ValueError, match="cell width must be positive"):
+            build_operator(e, 1.0, delta_j=bad)
 
 
 def test_unknown_closure_rejected(op3):
@@ -112,8 +121,10 @@ def test_contracting_grid_damped_low_band():
 
 
 def test_wavenumber_must_be_positive(op3):
-    with pytest.raises(ValueError):
-        modified_phase_velocity(op3, 0.0)
+    # NaN and inf once failed in math.ceil with a conversion error
+    for k in BAD_POSITIVE:
+        with pytest.raises(ValueError, match="wavenumber must be positive"):
+            modified_phase_velocity(op3, k)
 
 
 @pytest.mark.parametrize("closure", [SAMPLED, WEIGHTED])
@@ -147,6 +158,107 @@ def test_eigen_solve_failure_reports_wavenumber(monkeypatch):
     with pytest.raises(EigenSolveError) as err:
         dispersion_curve(3, 1.0, n_samples=64)
     assert err.value.k_hat == pytest.approx(33 * np.pi / 64, rel=1e-12)
+
+
+def _stacked_track(op, ks, closure):
+    """The tracker as one stacked solve of every symbol (seed, ramp and ks)
+    followed by the matching; the reference for the tracker's stacks of
+    MIN_SAMPLES."""
+    k_seed = SEED_KHAT * (op.p + 1) / op.delta_j
+    ramp = np.geomspace(k_seed, ks[0], 8)[1:-1]
+    ks = np.concatenate([[k_seed], ramp, ks])
+    seed, *rest = np.linalg.eigvals(1j * op.wave_symbol(ks, closure)
+                                    / ks[:, None, None])
+    seed = seed[np.argsort(np.abs(seed - 1.0))]
+    return list(accumulate(rest, _match, initial=seed))[1 + len(ramp):]
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+@pytest.mark.parametrize("p", [3, 5])
+def test_stacks_of_min_samples_are_one_stacked_solve(p, closure):
+    # 200 samples: three full stacks and a partial one
+    for gamma in (0.8, 1.2):
+        curve = dispersion_curve(p, gamma, n_samples=200, closure=closure)
+        op = build_operator(reference_element(p), gamma)
+        expect = _stacked_track(op, curve.k, closure)
+        assert len(expect) == len(curve.samples)
+        for s, ev in zip(curve.samples, expect):
+            assert np.array_equal(s.eigenvalues, ev), (gamma, s.k_hat)
+
+
+def _array_ppw(curve, epsilon=0.01):
+    """The first-crossing rule on the whole curve's arrays."""
+    bad = np.nonzero(np.abs(curve.c.real - 1.0) >= epsilon)[0]
+    if len(bad) == 0:
+        return 2.0 * np.pi / curve.k_hat[-1]
+    return UNRESOLVABLE if bad[0] == 0 else 2.0 * np.pi / curve.k_hat[bad[0] - 1]
+
+
+@pytest.mark.parametrize("n_samples", [64, 512])
+def test_streamed_ppw_is_the_curve_ppw(n_samples):
+    for p in range(1, 7):
+        for gamma in (0.6, 0.8, 1.0, 1.2, 1.6):
+            curve = dispersion_curve(p, gamma, n_samples=n_samples)
+            streamed = ppw(dispersion_samples(p, gamma, n_samples=n_samples))
+            assert streamed == ppw(curve) == _array_ppw(curve), (p, gamma)
+
+
+# p=2, gamma=0.8, 512 samples: the first sample with |Re c - 1| >= 0.01 is
+# index 57.  The seed and its six ramp steps lead the first stack of
+# MIN_SAMPLES, so that sample opens the second stack, which ends at index
+# 2 * MIN_SAMPLES - 8 = 120.
+CROSSING, CROSSING_STACK_END = 57, 2 * MIN_SAMPLES - 8
+
+
+@pytest.fixture(scope="module")
+def p2_curve():
+    curve = dispersion_curve(2, 0.8, n_samples=512)
+    assert np.nonzero(np.abs(curve.c.real - 1.0) >= 0.01)[0][0] == CROSSING
+    return curve
+
+
+def test_ppw_solves_no_stack_past_its_crossing(monkeypatch, p2_curve):
+    solved = []
+    symbol = SemiDiscreteOperator.wave_symbol
+
+    def spy(self, k, closure=SAMPLED):
+        solved.extend(np.ravel(k))
+        return symbol(self, k, closure)
+
+    monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol", spy)
+    assert ppw(dispersion_samples(2, 0.8, n_samples=512)) == ppw(p2_curve)
+    assert len(solved) == 2 * MIN_SAMPLES
+    assert max(solved) == p2_curve.k[CROSSING_STACK_END]
+
+
+def _nan_symbols_from(monkeypatch, k_hat):
+    """Make every wave symbol at or above k_hat NaN."""
+    symbol = SemiDiscreteOperator.wave_symbol
+
+    def failing(self, k, closure=SAMPLED):
+        Q = symbol(self, k, closure)
+        bad = np.asarray(k) * self.delta_j / (self.p + 1) >= k_hat
+        return np.where(bad[..., None, None], Q * np.nan, Q)
+
+    monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol", failing)
+
+
+def test_ppw_ignores_failures_past_its_crossing(monkeypatch, p2_curve):
+    # NaN from the first sample past the crossing's stack: that stack is
+    # solved whole, so a failure inside it would still be reported
+    i = CROSSING_STACK_END + 1
+    _nan_symbols_from(monkeypatch, 0.5 * (p2_curve.k_hat[i - 1] + p2_curve.k_hat[i]))
+    assert ppw(dispersion_samples(2, 0.8, n_samples=512)) == ppw(p2_curve)
+    with pytest.raises(EigenSolveError):
+        dispersion_curve(2, 0.8, n_samples=512)
+
+
+@pytest.mark.parametrize("i", [CROSSING, 30, 1])
+def test_ppw_reports_failures_up_to_its_crossing(monkeypatch, p2_curve, i):
+    _nan_symbols_from(monkeypatch, 0.5 * (p2_curve.k_hat[i - 1] + p2_curve.k_hat[i]))
+    with pytest.raises(EigenSolveError) as err:
+        ppw(dispersion_samples(2, 0.8, n_samples=512))
+    assert err.value.k_hat == pytest.approx(p2_curve.k_hat[i], rel=1e-12)
 
 
 def test_eigen_fallback_returns_per_matrix_eigenvalues(monkeypatch):
@@ -293,9 +405,11 @@ def test_kernel_cutoff_diminishing_returns():
 
 
 def test_kernel_requires_positive_time():
+    # a NaN or infinite time once gave an all-NaN kernel
     curve = dispersion_curve(2, 1.0, n_samples=64)
-    with pytest.raises(ValueError):
-        filter_kernel(curve, 0.0)
+    for t in BAD_POSITIVE:
+        with pytest.raises(ValueError, match="time must be positive"):
+            filter_kernel(curve, t)
 
 
 # --- points per wavelength ---------------------------------------------------
@@ -324,6 +438,9 @@ def test_ppw_first_crossing_rule():
     c = np.array([1.0, 1.005, 1.02, 1.005], dtype=complex)  # blip at third
     curve = _synthetic_curve(k_hats, c)
     assert ppw(curve, 0.01) == pytest.approx(2 * np.pi / (0.2 * np.pi))
+    # an error equal to epsilon is a violation
+    curve = _synthetic_curve(k_hats[:2], np.array([1.0, 1.25], dtype=complex))
+    assert ppw(curve, 0.25) == 2 * np.pi / k_hats[0]
 
 
 def test_analytic_ppw_decreases_through_p4():

@@ -44,8 +44,8 @@ def build_grid(N, gamma, L=1.0):
     widths sum exactly to L."""
     if N < 2:
         raise ValueError(f"need at least 2 cells, got {N}")
-    if gamma <= 0 or L <= 0:
-        raise ValueError(f"gamma and L must be positive, got {gamma}, {L}")
+    _require_positive("expansion rate", gamma)
+    _require_positive("domain length", L)
     if gamma == 1.0:
         delta = np.full(N, L / N)
     else:
@@ -72,7 +72,7 @@ class _Operator1D:
 
     Each solver's __init__ sets A, coords (the DoF coordinates), L (the
     period) and min_spacing (the width `--cfl` and the transfer harness's
-    cfl scale tau by)."""
+    cfl scale tau by); each defines _stencil, its interpolant's weights."""
 
     @property
     def dof(self):
@@ -81,6 +81,11 @@ class _Operator1D:
     def rhs(self, u):
         """du/dt = A u."""
         return _apply(self.A, u)
+
+    def resample(self, u, xs):
+        """The solver's interpolant of the state u at the points xs."""
+        idx, vals = self._stencil(np.asarray(xs, dtype=float))
+        return np.einsum("im,im->i", vals, u.reshape(-1)[idx])
 
 
 class FRAdvection1D(_Operator1D):
@@ -105,14 +110,13 @@ class FRAdvection1D(_Operator1D):
                    + np.kron(np.roll(eye, -1, axis=1), element.Cm1))
         self.A /= np.repeat(grid.jacobian, element.n_points)[:, None]
 
-    def resample(self, u, xs):
-        """Evaluate the piecewise interpolant at arbitrary points xs."""
-        xs = np.asarray(xs, dtype=float)
+    def _stencil(self, xs):
+        """Each point's cell as flat state indices, with its Lagrange basis."""
         cell = np.clip(np.searchsorted(self.grid.x, xs, side="right") - 1,
                        0, self.grid.n_cells - 1)
         xi = 2.0 * (xs - self.grid.x[cell]) / self.grid.delta[cell] - 1.0
-        basis = lagrange_values(self.element.xi, xi)   # (len(xs), p+1)
-        return np.einsum("im,im->i", basis, u[cell])
+        flat = np.arange(self.dof).reshape(self.coords.shape)
+        return flat[cell], lagrange_values(self.element.xi, xi)
 
 
 def fd_point_grid(n_points, gamma, L=1.0):
@@ -124,6 +128,7 @@ def fd_point_grid(n_points, gamma, L=1.0):
 def matched_point_expansion(gamma_cell, points_per_cell):
     """Per-point expansion rate giving the same width profile as an
     element grid expanding by gamma_cell per cell."""
+    _require_positive("expansion rate", gamma_cell)   # a root of a negative one is complex
     return gamma_cell ** (1.0 / points_per_cell)
 
 
@@ -167,9 +172,8 @@ class FDAdvection1D(_Operator1D):
         self.A[rows, rows] -= 2.0 * smooth
         self.A[rows, (rows - 1) % M] += smooth
 
-    def resample(self, u, xs):
-        """Local polynomial interpolation (stencil-width windows) onto xs."""
-        xs = np.asarray(xs, dtype=float)
+    def _stencil(self, xs):
+        """Each point's stencil-width window of state indices, with its weights."""
         M = len(self.coords)
         w = len(self.offsets)
         # window anchored in unwrapped index space so points past the last
@@ -178,7 +182,7 @@ class FDAdvection1D(_Operator1D):
         start = nearest - w // 2
         wrap, idx = np.divmod(start[:, None] + np.arange(w)[None, :], M)
         xw = self.coords[idx] + wrap * self.L
-        return np.einsum("im,im->i", lagrange_values(xw, xs), u[idx])
+        return idx, lagrange_values(xw, xs)
 
 
 @dataclass
@@ -233,19 +237,27 @@ def _modal_wavenumber(bins, dt, k):
     return k + 1j * np.log(z_main * np.exp(1j * k * dt)) / dt
 
 
+def _bin_functional(idx, vals, m, dof):
+    """w with w @ u.ravel() = DFT bin m of u resampled by the stencil (idx, vals)."""
+    n = len(vals)
+    f = vals * np.exp(-2j * np.pi * (m * np.arange(n) % n) / n)[:, None]
+    return (np.bincount(idx.ravel(), f.real.ravel(), dof)
+            + 1j * np.bincount(idx.ravel(), f.imag.ravel(), dof))
+
+
 def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
                            window=0.5):
     """Convect single waves and measure the complex transfer per wavenumber.
 
     Each wave k (a positive whole number of wavelengths must fit the
-    domain) is advanced at the requested CFL, the solution is interpolated
-    onto a uniform measurement grid, and Fourier coefficients of the driven bin
-    give the modified wavenumber: phase drift -> Re k', amplitude change
-    -> Im k'.  Every snapshot interval dt is marched as R^steps, with
-    steps = ceil(dt / (cfl * solver.min_spacing)) and R the step matrix
-    stability.update_matrix(solver.A, dt / steps, "RK44"), formed directly
-    (not by eigen-expansion: A is strongly non-normal on stretched meshes);
-    bins with the same dt (every transit bin) share one power.  A
+    domain) is advanced at the requested CFL; the driven DFT bin of the
+    solution resampled at MEASURE_POINTS uniform points (one precomputed row
+    per bin, _bin_functional) gives the modified wavenumber: phase drift ->
+    Re k', amplitude change -> Im k'.  Each snapshot interval dt is marched
+    as R^steps, with steps = ceil(dt / (cfl * solver.min_spacing)) and R the
+    step matrix stability.update_matrix(solver.A, dt / steps, "RK44"), formed
+    directly (not by eigen-expansion: A is strongly non-normal on stretched
+    meshes); bins with the same dt (every transit bin) share one power.  A
     non-finite state raises UnstableSolutionError.
 
     mode="transit" (default) compares the coefficient after convecting for
@@ -267,7 +279,7 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
         _require_positive("window", window)
     L = solver.L
     dof = solver.dof
-    xs = np.arange(MEASURE_POINTS) * (L / MEASURE_POINTS)
+    idx, vals = solver._stencil(np.arange(MEASURE_POINTS) * (L / MEASURE_POINTS))
     raw_tau = cfl * solver.min_spacing
     k_hats, res, ims, trans = [], [], [], []
     P_dt = None     # the snapshot interval P marches; transit bins share it
@@ -292,13 +304,14 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
             P = None    # hold one power at a time
             P = np.linalg.matrix_power(update_matrix(solver.A, dt / steps, "RK44"), steps)
             P_dt = dt
+        w = _bin_functional(idx, vals, m_int, dof)
         u = np.exp(1j * k * solver.coords)
-        bins = [np.fft.fft(solver.resample(u, xs))[m_int]]
+        bins = [w @ u.ravel()]
         for interval in range(1, intervals + 1):
             u = _apply(P, u)
             if not np.all(np.isfinite(u)):
                 raise UnstableSolutionError(interval * steps)
-            bins.append(np.fft.fft(solver.resample(u, xs))[m_int])
+            bins.append(w @ u.ravel())
         if mode == TRANSIT:
             k_prime = k + 1j * np.log((bins[1] / bins[0]) * np.exp(1j * k * dt)) / dt
         else:

@@ -160,9 +160,7 @@ class ICVParams:
     def __post_init__(self):
         # also NaN: icv_primitive divides by the radius and wraps by % extent
         for name in ("strength", "radius", "extent"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"vortex {name} must be a positive finite number, "
-                                 f"got {getattr(self, name)}")
+            _require_positive(f"vortex {name}", getattr(self, name))
 
 
 def icv_primitive(x, y, t, params=None):

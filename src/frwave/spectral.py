@@ -43,6 +43,13 @@ MIN_SAMPLES = 64
 UNRESOLVABLE = math.inf
 
 
+def _require_positive(what, value):
+    """The one rule for a time step, CFL, expansion rate, wavenumber or other
+    size: a NaN or infinite one would otherwise fail far from its cause."""
+    if not 0 < value < np.inf:        # also NaN
+        raise ValueError(f"{what} must be a positive finite number, got {value}")
+
+
 class EigenSolveError(RuntimeError):
     """Eigen decomposition failed; carries the offending wavenumber."""
 
@@ -97,12 +104,10 @@ def build_operator(element, gamma, delta_j=None):
     With no width given, delta_j defaults to p+1 so that unit average
     solution-point spacing makes physical and normalised wavenumbers agree.
     """
-    if not 0 < gamma < np.inf:        # also NaN
-        raise ValueError(f"expansion rate must be positive and finite, got {gamma}")
+    _require_positive("expansion rate", gamma)
     if delta_j is None:
         delta_j = float(element.p + 1)
-    if not 0 < delta_j < np.inf:
-        raise ValueError(f"cell width must be positive and finite, got {delta_j}")
+    _require_positive("cell width", delta_j)
     return SemiDiscreteOperator(element=element, delta_j=delta_j, gamma=gamma)
 
 
@@ -203,8 +208,7 @@ def modified_phase_velocity(op, k, closure=SAMPLED):
     coarsest dispersion curve (pi / MIN_SAMPLES), so the result is the
     one dispersion_curve reports at the same k.
     """
-    if not 0 < k < np.inf:            # also NaN
-        raise ValueError(f"wavenumber must be positive and finite, got {k}")
+    _require_positive("wavenumber", k)
     k_hat = k * op.delta_j / (op.p + 1)
     n = math.ceil(MIN_SAMPLES * k_hat / np.pi)
     *_, ev = _track(op, np.linspace(k / n, k, n), closure)
@@ -239,8 +243,7 @@ def filter_kernel(curve, t):
     A unit wave decays like exp(k Im(c) t), so the kernel at each sampled
     k_hat is that factor, normalised to 1 at the resolved end.
     """
-    if not 0 < t < np.inf:            # also NaN
-        raise ValueError(f"time must be positive and finite, got {t}")
+    _require_positive("time", t)
     g = np.exp(t * curve.k * curve.c.imag)
     return curve.k_hat, g / g[0]
 
@@ -250,8 +253,7 @@ def _first_crossing_ppw(pairs, epsilon):
     is the largest k_hat such that every pair at or below it has
     err < epsilon.  Returns 2*pi/k*, or inf when even the first pair
     violates the bound; no pair after the first violation is drawn."""
-    if not 0 < epsilon < np.inf:        # also NaN, which every sample passes
-        raise ValueError(f"error level must be positive and finite, got {epsilon}")
+    _require_positive("error level", epsilon)     # every sample passes a NaN
     resolved = None
     for k_hat, err in pairs:
         if err >= epsilon:
@@ -287,6 +289,5 @@ def fd_modified_wavenumber(offsets, weights, k):
     weights = np.asarray(weights, dtype=float)
     if offsets.shape != weights.shape:
         raise ValueError(f"stencil size mismatch: {offsets.shape} vs {weights.shape}")
-    if k <= 0:
-        raise ValueError(f"wavenumber must be positive, got {k}")
+    _require_positive("wavenumber", k)
     return -1j / k * np.sum(weights * np.exp(1j * k * offsets))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import HUYNH_G2, reference_element
-from .spectral import WEIGHTED, _eigvals, build_operator
+from .spectral import WEIGHTED, _eigvals, _require_positive, build_operator
 
 #: allowance on rho <= 1 for the weak-instability rule
 WEAK_ALLOWANCE = 1e-3
@@ -49,14 +49,6 @@ def _stages(scheme):
         return SCHEMES[scheme]
     except KeyError:
         raise ValueError(f"unknown RK scheme {scheme!r}; expected one of {sorted(SCHEMES)}")
-
-
-def _require_positive(what, value):
-    """A time step, or a CFL that scales one, must be a positive finite
-    number: a NaN or infinite step would otherwise be blamed on the
-    solution, or give a NaN update matrix."""
-    if not 0 < value < np.inf:        # also NaN
-        raise ValueError(f"{what} must be a positive finite number, got {value}")
 
 
 class BisectionError(RuntimeError):
@@ -177,6 +169,11 @@ def cfl_limit(p, gamma, scheme, correction_kind=HUYNH_G2):
     """
     stages = _stages(scheme)
     _, lam, growth = _wave_symbols(p, gamma, K_SAMPLES, correction_kind)
+    return _detect_limit(lam, growth, stages, f"{scheme}, p={p}, gamma={gamma}")
+
+
+def _detect_limit(lam, growth, stages, entry):
+    """cfl_limit's rules on _wave_symbols' lam and growth; errors name `entry`."""
     trace = {}
 
     def g(cfl):
@@ -189,9 +186,7 @@ def cfl_limit(p, gamma, scheme, correction_kind=HUYNH_G2):
         while g(hi) <= bound(hi):
             lo, hi = hi, hi * 1.6
             if hi > 8.0:
-                raise BisectionError(
-                    f"no stability boundary below CFL=8 for {scheme}, "
-                    f"p={p}, gamma={gamma}")
+                raise BisectionError(f"no stability boundary below CFL=8 for {entry}")
         while hi - lo > CFL_TOL:
             mid = 0.5 * (lo + hi)
             if g(mid) <= bound(mid):

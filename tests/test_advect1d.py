@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from frwave import advect1d
 from frwave.element import gauss_weights, reference_element
 from frwave.spectral import build_operator, modified_phase_velocity
 from frwave.stability import UnstableSolutionError, advance, update_matrix
 from frwave.advect1d import (MEASURE_POINTS, PENCIL, PENCIL_SNAPSHOTS,
                              PENCIL_SPAN, TRANSIT, FDAdvection1D,
-                             FRAdvection1D, _modal_wavenumber,
+                             FRAdvection1D, _bin_functional, _modal_wavenumber,
                              bin_wavenumbers, build_grid, fd_point_grid,
                              matched_point_expansion, numeric_ppw,
                              solution_points, wave_transfer_function,
@@ -50,6 +51,9 @@ def test_build_grid_rejects_degenerate():
         build_grid(4, -0.5, 1.0)
     with pytest.raises(ValueError):
         build_grid(4, 1.0, 0.0)
+    for gamma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="expansion rate must be a positive finite"):
+            build_grid(4, gamma, 1.0)
 
 
 def test_solution_points_linear_map():
@@ -428,6 +432,39 @@ def test_bins_with_one_interval_share_one_power(monkeypatch, mode, powers):
     assert np.array_equal(table.transfer, [t.transfer[0] for t in alone])
     assert np.array_equal(table.re_k_hat_prime,
                           [t.re_k_hat_prime[0] for t in alone])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FRAdvection1D(build_grid(45, 1.2, 1.0), reference_element(3)),
+    lambda: _fd_solver(4),
+], ids=["fr", "fd"])
+def test_bin_functional_is_the_dft_of_the_resampled_state(make):
+    # both sums round relative to the state's size, not the bin's: FD's
+    # top bin is 1e-5 of the largest
+    solver = make()
+    xs = np.arange(MEASURE_POINTS) / MEASURE_POINTS
+    idx, vals = solver._stencil(xs)
+    rng = np.random.default_rng(21)
+    shape = solver.coords.shape
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spectrum = np.fft.fft(solver.resample(u, xs))
+    for m in (1, MEASURE_POINTS // 4, MEASURE_POINTS // 2 - 1):
+        w = _bin_functional(idx, vals, m, solver.dof)
+        assert abs(w @ u.ravel() - spectrum[m]) <= 1e-12 * np.abs(spectrum).max()
+
+
+@pytest.mark.parametrize("mode", [TRANSIT, PENCIL])
+def test_bins_share_one_resampling_stencil(monkeypatch, mode):
+    # the interpolation onto the measurement points is built once per call,
+    # not per bin or per snapshot
+    solver = FRAdvection1D(build_grid(12, 1.0, 1.0), reference_element(3))
+    calls = []
+    lagrange_values = advect1d.lagrange_values
+    monkeypatch.setattr(advect1d, "lagrange_values",
+                        lambda xi, x: calls.append(np.shape(x)) or lagrange_values(xi, x))
+    wave_transfer_function(solver, 2 * np.pi * np.array([3.0, 5.0, 7.0]),
+                           cfl=0.05, mode=mode)
+    assert calls == [(MEASURE_POINTS,)]
 
 
 def test_transit_mode_reports_extra_attenuation():

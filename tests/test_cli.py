@@ -188,19 +188,28 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
     (["wave-test", "--solver", "fr3", "--dof", "33", "--window", "0"],
      "window must be a positive finite number, got 0.0"),
     (["ppw", "--p", "3", "--epsilon", "nan", "--samples", "64"],
-     "error level must be positive and finite, got nan"),
+     "error level must be a positive finite number, got nan"),
     (["ppw", "--p", "3", "--gamma", "inf", "--samples", "64"],
-     "expansion rate must be positive and finite, got inf"),
+     "expansion rate must be a positive finite number, got inf"),
     (["cfl-table", "--schemes", "RK44", "--orders", "4", "--gamma", "nan"],
-     "expansion rate must be positive and finite, got nan"),
+     "expansion rate must be a positive finite number, got nan"),
     (["kernel", "--p", "3", "--gamma", "1.0", "--time", "nan", "--samples", "64"],
-     "time must be positive and finite, got nan"),
+     "time must be a positive finite number, got nan"),
+    (["wave-test", "--solver", "fr3", "--dof", "33", "--gamma", "nan"],
+     "expansion rate must be a positive finite number, got nan"),
+    (["wave-test", "--solver", "fr3", "--dof", "33", "--gamma", "inf"],
+     "expansion rate must be a positive finite number, got inf"),
+    (["wave-test", "--solver", "fd4", "--dof", "33", "--gamma", "nan"],
+     "expansion rate must be a positive finite number, got nan"),
+    (["wave-test", "--solver", "fd4", "--dof", "33", "--gamma", "-1"],
+     "expansion rate must be a positive finite number, got -1.0"),
 ], ids=["wave-test-zero-cfl", "wave-test-negative-cfl", "wave-test-inf-cfl",
         "wave-test-nan-cfl", "wave-test-tiny-cfl", "icv-nan-cfl", "icv-inf-cfl", "icv-negative-cfl",
         "wave-test-no-bin", "icv-negative-steps", "icv-repeated-resolution",
         "wave-test-zero-k", "dispersion-repeated-gamma", "wave-test-nan-window",
         "wave-test-zero-window", "ppw-nan-epsilon", "ppw-inf-gamma",
-        "cfl-table-nan-gamma", "kernel-nan-time"])
+        "cfl-table-nan-gamma", "kernel-nan-time", "wave-test-nan-gamma",
+        "wave-test-inf-gamma", "wave-test-fd-nan-gamma", "wave-test-fd-negative-gamma"])
 def test_unmeasurable_input_rejected(tmp_path, capsys, argv, message):
     rc = main(argv + ["--outdir", str(tmp_path)])
     assert rc == 1

@@ -73,9 +73,9 @@ def test_build_operator_rejects_bad_parameters():
     # on the eigen solve
     e = reference_element(2)
     for bad in BAD_POSITIVE:
-        with pytest.raises(ValueError, match="expansion rate must be positive"):
+        with pytest.raises(ValueError, match="expansion rate must be a positive finite number"):
             build_operator(e, bad)
-        with pytest.raises(ValueError, match="cell width must be positive"):
+        with pytest.raises(ValueError, match="cell width must be a positive finite number"):
             build_operator(e, 1.0, delta_j=bad)
 
 
@@ -123,7 +123,7 @@ def test_contracting_grid_damped_low_band():
 def test_wavenumber_must_be_positive(op3):
     # NaN and inf once failed in math.ceil with a conversion error
     for k in BAD_POSITIVE:
-        with pytest.raises(ValueError, match="wavenumber must be positive"):
+        with pytest.raises(ValueError, match="wavenumber must be a positive finite number"):
             modified_phase_velocity(op3, k)
 
 
@@ -408,7 +408,7 @@ def test_kernel_requires_positive_time():
     # a NaN or infinite time once gave an all-NaN kernel
     curve = dispersion_curve(2, 1.0, n_samples=64)
     for t in BAD_POSITIVE:
-        with pytest.raises(ValueError, match="time must be positive"):
+        with pytest.raises(ValueError, match="time must be a positive finite number"):
             filter_kernel(curve, t)
 
 
@@ -463,7 +463,7 @@ def test_ppw_requires_positive_epsilon():
     # every comparison with NaN is false, so a NaN level once read as
     # resolved at every sample
     for epsilon in (0.0, -0.01, np.nan, np.inf):
-        with pytest.raises(ValueError, match="error level must be positive and finite"):
+        with pytest.raises(ValueError, match="error level must be a positive finite number"):
             ppw(curve, epsilon)
 
 
@@ -499,6 +499,14 @@ def test_cd4_matches_direct_stencil_application():
     c_oracle = derivative / (1j * k * np.exp(1j * k * 0.0))
     c = fd_modified_wavenumber(offsets, weights, k)
     assert c == pytest.approx(c_oracle, abs=1e-13)
+
+
+def test_fd_modified_wavenumber_rejects_bad_wavenumber():
+    # NaN and inf once returned nan+nanj with a RuntimeWarning
+    offsets, weights = _cd4_stencil(0.5)
+    for k in BAD_POSITIVE:
+        with pytest.raises(ValueError, match="wavenumber must be a positive finite number"):
+            fd_modified_wavenumber(offsets, weights, k)
 
 
 def test_fd_modified_wavenumber_shape_mismatch():

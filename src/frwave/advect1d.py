@@ -160,28 +160,28 @@ class FDAdvection1D(_Operator1D):
         self.L = float(L)
         self.offsets = offs
         rows = np.arange(M)
-        wrap, idx = np.divmod(rows[:, None] + offs[None, :], M)
-        dist = points[idx] + wrap * L - points[:, None]
-        centre = int(np.nonzero(offs == 0)[0][0])
-        self.A = np.zeros((M, M))
-        self.A[rows[:, None], idx] = -derivative_matrix(dist)[:, centre]
-        h_bar = 0.5 * (dist[:, centre + 1] - dist[:, centre - 1])
+        idx, xw = self._window(rows)
+        dist = xw - points[:, None]
+        c = -offs[0]        # the window column of the point itself
+        weights = -derivative_matrix(dist)[:, c]
+        h_bar = 0.5 * (dist[:, c + 1] - dist[:, c - 1])
         self.min_spacing = float(h_bar.min())
         smooth = lf_blend / (2.0 * h_bar)
-        self.A[rows, (rows + 1) % M] += smooth
-        self.A[rows, rows] -= 2.0 * smooth
-        self.A[rows, (rows - 1) % M] += smooth
+        weights[:, c - 1:c + 2] += smooth[:, None] * np.array([1.0, -2.0, 1.0])
+        self.A = np.zeros((M, M))
+        self.A[rows[:, None], idx] = weights
+
+    def _window(self, anchor):
+        """The stencil window of each anchor index: its wrapped state indices
+        and its node positions, unwrapped, so a window past the last node
+        reads the periodic images of the first ones."""
+        wrap, idx = np.divmod(anchor[:, None] + self.offsets, len(self.coords))
+        return idx, self.coords[idx] + wrap * self.L
 
     def _stencil(self, xs):
-        """Each point's stencil-width window of state indices, with its weights."""
-        M = len(self.coords)
-        w = len(self.offsets)
-        # window anchored in unwrapped index space so points past the last
-        # node use the periodic images of the first ones
-        nearest = np.searchsorted(self.coords, xs)
-        start = nearest - w // 2
-        wrap, idx = np.divmod(start[:, None] + np.arange(w)[None, :], M)
-        xw = self.coords[idx] + wrap * self.L
+        """Each point's stencil window around its nearest node at or above
+        it, with its Lagrange weights."""
+        idx, xw = self._window(np.searchsorted(self.coords, xs))
         return idx, lagrange_values(xw, xs)
 
 
@@ -332,6 +332,8 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
 def bin_wavenumbers(L, dof, k_hat_max=0.75 * np.pi):
     """All wavenumbers with integer wavelength count whose normalised value
     lies in (0, k_hat_max]; there must be at least one."""
+    if not -np.inf < k_hat_max < np.inf:    # also NaN; the sweep would never end
+        raise ValueError(f"wavenumber limit must be a finite number, got {k_hat_max}")
     ks = []
     m = 1
     while True:

@@ -28,7 +28,7 @@ from .advect1d import (FD_ORDERS, FDAdvection1D, FRAdvection1D, TRANSIT, PENCIL,
                        wave_transfer_function)
 from .mesh2d import (jitter, jitter_factor_for_skew, skew_angle,
                      uniform_quad_mesh, write_mesh)
-from .euler2d import (ErrorReport, FREulerSolver2D, FVEulerSolver2D,
+from .euler2d import (ErrorReport, FREulerSolver2D, FVEulerSolver2D, ICVParams,
                       _require_distinct, ooa, run_icv)
 
 # wave-test's --k and --ppw-epsilon stay out of its manifest: the benchmark
@@ -157,11 +157,11 @@ def _build_1d_solver(spec_text, gamma, dof):
         n_cells = dof // element.n_points
         if n_cells * element.n_points != dof:
             raise ValueError(f"DoF {dof} not divisible by p+1={element.n_points}")
-        return FRAdvection1D(build_grid(n_cells, gamma, 1.0), element)
+        return FRAdvection1D(build_grid(n_cells, gamma), element)
     if order not in FD_ORDERS:      # checked here: the expansion divides by it
         raise ValueError(f"order must be one of {FD_ORDERS}, got {order}")
     gamma_pt = matched_point_expansion(gamma, order)
-    return FDAdvection1D(fd_point_grid(dof, gamma_pt, 1.0), 1.0, order, lf_blend=0.01)
+    return FDAdvection1D(fd_point_grid(dof, gamma_pt), 1.0, order, lf_blend=0.01)
 
 
 def cmd_wave_test(args):
@@ -169,7 +169,7 @@ def cmd_wave_test(args):
     if args.k:
         ks = np.array(_items(args.k))
     else:
-        ks = bin_wavenumbers(1.0, solver.dof, k_hat_max=args.k_hat_max * math.pi)
+        ks = bin_wavenumbers(solver.L, solver.dof, k_hat_max=args.k_hat_max * math.pi)
     table = wave_transfer_function(solver, ks, cfl=args.cfl, mode=args.mode,
                                    window=args.window)
     rows = [(kh, re, im, args.solver, args.gamma, args.cfl, args.mode)
@@ -211,9 +211,9 @@ def cmd_skew(args):
 def _icv_solver(args, n):
     if args.alpha and args.jitter:
         raise ValueError("--alpha and --jitter both set; give one")
-    mesh = uniform_quad_mesh(n, n, 10.0)
+    mesh = uniform_quad_mesh(n, n, ICVParams.extent)
     if args.alpha:
-        _, mesh = jitter_factor_for_skew(mesh, args.alpha, args.seed, tol=0.15)
+        _, mesh = jitter_factor_for_skew(mesh, args.alpha, args.seed)
     elif args.jitter:
         mesh = jitter(mesh, args.jitter, args.seed)
     if args.solver == "fv":

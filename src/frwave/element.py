@@ -43,9 +43,7 @@ def gauss_points(p):
 
 def gauss_weights(p):
     """Quadrature weights paired with gauss_points(p)."""
-    if not 1 <= p <= MAX_ORDER:
-        raise ValueError(f"order p must be in [1, {MAX_ORDER}], got {p}")
-    _, w = npleg.leggauss(p + 1)
+    _, w = npleg.leggauss(gauss_points(p).size)     # gauss_points checks p
     return w
 
 
@@ -176,10 +174,6 @@ class ReferenceElement:
     @property
     def n_points(self):
         return self.p + 1
-
-    def interpolate(self, values, x):
-        """Evaluate the nodal interpolant (values at self.xi) at points x."""
-        return lagrange_values(self.xi, x) @ values
 
 
 def reference_element(p, kind=HUYNH_G2):

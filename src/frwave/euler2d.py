@@ -183,14 +183,6 @@ def icv_primitive(x, y, t, params=None):
 # ---------------------------------------------------------------------------
 # pieces shared by both solvers
 
-def _periodic_neighbours(mesh):
-    """East, west, north and south neighbour of every element of the
-    periodic structured mesh."""
-    ids = np.arange(mesh.n_elements).reshape(mesh.ny, mesh.nx)
-    return (np.roll(ids, -1, axis=1).ravel(), np.roll(ids, 1, axis=1).ravel(),
-            np.roll(ids, -1, axis=0).ravel(), np.roll(ids, 1, axis=0).ravel())
-
-
 def _unit(n):
     """Length and unit components of face vectors n (..., 2)."""
     s = np.linalg.norm(n, axis=-1)
@@ -214,10 +206,10 @@ class _EulerSolver:
     """What the element and finite-volume solvers share beyond the mesh:
     projection to an element-fastest state and the DoF count, from the
     solution points a subclass stores as self.x (n_elem, ..., 2), and one
-    Riemann solve per face: an element owns its east and north faces, and
-    reads its neighbours through the periodic east, west, north and south
-    tables (the element solver with np.take, the finite-volume solver by
-    slicing its grid, whose row-major numbering the tables assume).
+    Riemann solve per face: an element owns its east and north faces.
+    Element j*nx + i is column i of grid row j of the periodic structured
+    mesh; the element solver gathers its neighbours through tables of that
+    numbering, the finite-volume solver reads them as shifts of its grid.
     A subclass sets self.faces = (_unit(n_east), _unit(n_north)) from the
     outward face vectors, scaled by face length (per unit reference length
     for the elements) and shaped (n_elem, ..., 2) to broadcast against a
@@ -235,7 +227,6 @@ class _EulerSolver:
             raise ValueError("non-convex or inverted quad; mesh is tangled")
         self.mesh = mesh
         self.riemann = RIEMANN_SOLVERS[riemann]
-        self.east, self.west, self.north, self.south = _periodic_neighbours(mesh)
 
     def _common_flux(self, axis, UL, UR, b=slice(None), out=None):
         """Length-weighted flux through the east (axis 0) or north (axis 1)
@@ -311,6 +302,10 @@ class FREulerSolver2D(_EulerSolver):
 
     def __init__(self, mesh, p, riemann="rusanov"):
         super().__init__(mesh, riemann)
+        # east, west, north and south neighbour of every element
+        ids = np.arange(mesh.n_elements).reshape(mesh.ny, mesh.nx)
+        self.east, self.west, self.north, self.south = (
+            np.roll(ids, shift, axis=axis).ravel() for axis in (1, 0) for shift in (-1, 1))
         self.element = e = reference_element(p)
         self.T = np.stack([e.ll, e.lr])
         H = np.stack([e.hl, e.hr], axis=1)
@@ -411,17 +406,17 @@ class FVEulerSolver2D(_EulerSolver):
     other, makes the update conservative by construction.  State shape:
     (n_cells, 4), stored element-fastest like the element solver's (a state
     in another layout gives the same values); the solution points are the
-    cell centroids.  Cell j*nx + i is column i of grid row j, the numbering
-    the neighbour tables assume, so rhs reads neighbours as slices of the
-    periodically ghost-padded variable planes (4, ny, nx), and solves the
-    faces in blocks of whole grid rows (_FACE_BLOCK).
+    cell centroids.  Cell j*nx + i is column i of grid row j, so rhs reads
+    neighbours as slices of the periodically ghost-padded variable planes
+    (4, ny, nx), and solves the faces in blocks of whole grid rows
+    (_FACE_BLOCK).
     """
 
     def __init__(self, mesh, riemann="rusanov", metrics="curvilinear"):
         if metrics not in ("curvilinear", "exact"):
             raise ValueError(f"unknown metric mode {metrics!r}")
         super().__init__(mesh, riemann)
-        x, y = np.take(mesh.nodes.T, mesh.elements.T, axis=1)  # (4 corners, n)
+        x, y = np.ascontiguousarray(mesh.corner_coords().T)    # each (4 corners, n)
         nxt = [1, 2, 3, 0]      # each corner's counterclockwise successor
         total = lambda a: a[0] + a[1] + a[2] + a[3]     # left to right
         cross = x * y[nxt] - x[nxt] * y
@@ -443,14 +438,16 @@ class FVEulerSolver2D(_EulerSolver):
             # update stays conservative, but the vectors of a cell no longer
             # sum to zero once jitter moves the centroids, which is what
             # erodes this family of schemes on poor meshes.
-            ids = np.arange(mesh.n_elements)
+            C = centroid.reshape(mesh.ny, mesh.nx, 2)
 
-            def step(neighbour, axis):
-                B = np.take(centroid, neighbour, axis=0)
-                B[neighbour <= ids, axis] += mesh.L     # across the periodic seam
-                return B - centroid
+            def step(axis):
+                # each cell's east (axis 0) or north (axis 1) neighbour's
+                # centroid, the grid shifted by one column or row, less its own
+                B = np.roll(C, -1, axis=1 - axis)
+                np.moveaxis(B, 1 - axis, 0)[-1, ..., axis] += mesh.L  # across the seam
+                return (B - C).reshape(-1, 2)
 
-            n_e, n_n = step(self.east, 0), step(self.north, 1)
+            n_e, n_n = step(0), step(1)
         self.faces = (_unit(n_e), _unit(n_n))
 
     def rhs(self, U):

@@ -171,6 +171,59 @@ def test_fd_stencil_wider_than_grid_rejected():
         FDAdvection1D(pts, 1.0, 8)
 
 
+def _fd_reference(points, L, order, lf_blend, xs):
+    """The FD operator, smallest h_bar and resampling stencil as once
+    assembled: each wrap of the periodic window stated on its own."""
+    from frwave.element import derivative_matrix, lagrange_values
+    M = len(points)
+    half = order // 2
+    offs = np.arange(-2, 2) if order == 3 else np.arange(-half, half + 1)
+    rows = np.arange(M)
+    wrap, idx = np.divmod(rows[:, None] + offs[None, :], M)
+    dist = points[idx] + wrap * L - points[:, None]
+    centre = int(np.nonzero(offs == 0)[0][0])
+    A = np.zeros((M, M))
+    A[rows[:, None], idx] = -derivative_matrix(dist)[:, centre]
+    h_bar = 0.5 * (dist[:, centre + 1] - dist[:, centre - 1])
+    smooth = lf_blend / (2.0 * h_bar)
+    A[rows, (rows + 1) % M] += smooth
+    A[rows, rows] -= 2.0 * smooth
+    A[rows, (rows - 1) % M] += smooth
+    w = len(offs)
+    start = np.searchsorted(points, xs) - w // 2
+    wrap, sidx = np.divmod(start[:, None] + np.arange(w)[None, :], M)
+    xw = points[sidx] + wrap * L
+    return A, float(h_bar.min()), sidx, lagrange_values(xw, xs)
+
+
+def _fd_grids():
+    rng = np.random.default_rng(12)
+    yield fd_point_grid(30, 1.05, 1.0), 1.0
+    yield fd_point_grid(17, 0.93, 2.0), 2.0
+    yield fd_point_grid(9, 1.2, 1.0), 1.0          # as wide as order 8's stencil
+    for n in (11, 24):
+        gaps = rng.uniform(0.2, 1.0, n)
+        L = float(gaps.sum())
+        yield np.concatenate(([0.0], np.cumsum(gaps[:-1]))), L
+
+
+@pytest.mark.parametrize("lf_blend", [0.0, 0.01, 0.02])
+@pytest.mark.parametrize("order", [2, 3, 4, 6, 8])
+def test_fd_assembly_is_the_stated_stencil(order, lf_blend):
+    # one window helper serves the operator and the interpolant; both are
+    # bitwise the assembly that wrapped the window and the smoothing apart
+    for points, L in _fd_grids():
+        xs = np.concatenate((np.linspace(0.0, L, 97, endpoint=False),
+                             points, [points[-1] + 0.5 * (L - points[-1])]))
+        fd = FDAdvection1D(points, L, order, lf_blend=lf_blend)
+        A, spacing, idx, vals = _fd_reference(points, L, order, lf_blend, xs)
+        got_idx, got_vals = fd._stencil(xs)
+        assert np.array_equal(fd.A, A)
+        assert fd.min_spacing == spacing
+        assert np.array_equal(got_idx, idx)
+        assert np.array_equal(got_vals, vals)
+
+
 def test_fd_blend_adds_dissipation_mid_band():
     pts = fd_point_grid(64, 1.0, 1.0)
     k = 2 * np.pi * 10

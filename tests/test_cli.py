@@ -148,8 +148,20 @@ def test_error_exit_code_on_bad_parameters(tmp_path, capsys):
     (["icv", "--solver", "fv", "--resolutions", "8", "--steps", "1",
       "--alpha", "15", "--seed", "2024"],
      "no jitter factor gives a skew within 0.15 deg of 15.0 deg"),
+    (["mesh-gen", "--nx", "4", "--ny", "4", "--length", "nan"],
+     "mesh side length must be a positive finite number, got nan"),
+    (["mesh-gen", "--nx", "4", "--ny", "4", "--length", "inf"],
+     "mesh side length must be a positive finite number, got inf"),
+    (["mesh-gen", "--nx", "4", "--ny", "4", "--length", "0"],
+     "mesh side length must be a positive finite number, got 0.0"),
+    (["mesh-gen", "--nx", "4", "--ny", "4", "--length", "-1"],
+     "mesh side length must be a positive finite number, got -1.0"),
+    (["skew", "--nx", "4", "--ny", "4", "--length", "nan"],
+     "mesh side length must be a positive finite number, got nan"),
 ], ids=["mesh-gen-negative-jitter", "icv-negative-alpha", "icv-alpha-and-jitter",
-        "mesh-gen-nan-jitter", "icv-nan-alpha", "icv-missed-alpha"])
+        "mesh-gen-nan-jitter", "icv-nan-alpha", "icv-missed-alpha",
+        "mesh-gen-nan-length", "mesh-gen-inf-length", "mesh-gen-zero-length",
+        "mesh-gen-negative-length", "skew-nan-length"])
 def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
     rc = main(argv + ["--outdir", str(tmp_path)])
     assert rc == 1
@@ -175,6 +187,10 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
       "--cfl", "-1"], "CFL must be a positive finite number, got -1.0"),
     (["wave-test", "--dof", "32", "--k-hat-max", "0.01", "--ppw-epsilon",
       "0.01"], "no wavenumber bin has k_hat in (0, 0.0314159]"),
+    (["wave-test", "--solver", "fr4", "--dof", "40", "--k-hat-max", "nan"],
+     "wavenumber limit must be a finite number, got nan"),
+    (["wave-test", "--solver", "fr4", "--dof", "40", "--k-hat-max", "inf"],
+     "wavenumber limit must be a finite number, got inf"),
     (["icv", "--solver", "fv", "--resolutions", "4", "--steps", "-3"],
      "step count must be non-negative, got -3"),
     (["icv", "--solver", "fv", "--resolutions", "4,4", "--steps", "2"],
@@ -205,7 +221,8 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "expansion rate must be a positive finite number, got -1.0"),
 ], ids=["wave-test-zero-cfl", "wave-test-negative-cfl", "wave-test-inf-cfl",
         "wave-test-nan-cfl", "wave-test-tiny-cfl", "icv-nan-cfl", "icv-inf-cfl", "icv-negative-cfl",
-        "wave-test-no-bin", "icv-negative-steps", "icv-repeated-resolution",
+        "wave-test-no-bin", "wave-test-nan-k-hat-max", "wave-test-inf-k-hat-max",
+        "icv-negative-steps", "icv-repeated-resolution",
         "wave-test-zero-k", "dispersion-repeated-gamma", "wave-test-nan-window",
         "wave-test-zero-window", "ppw-nan-epsilon", "ppw-inf-gamma",
         "cfl-table-nan-gamma", "kernel-nan-time", "wave-test-nan-gamma",

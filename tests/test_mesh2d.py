@@ -44,6 +44,12 @@ def test_uniform_mesh_rejects_tiny():
         uniform_quad_mesh(1, 2, 1.0)
 
 
+@pytest.mark.parametrize("L", [np.nan, np.inf, 0.0, -2.0])
+def test_uniform_mesh_rejects_side_length_not_positive_finite(L):
+    with pytest.raises(ValueError, match="mesh side length must be a positive finite number"):
+        uniform_quad_mesh(3, 3, L)
+
+
 def test_jitter_factor_zero_identity():
     m = uniform_quad_mesh(5, 5, 1.0)
     jm = jitter(m, 0.0, seed=99)

@@ -331,21 +331,27 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
 
 def bin_wavenumbers(L, dof, k_hat_max=0.75 * np.pi):
     """All wavenumbers with integer wavelength count whose normalised value
-    lies in (0, k_hat_max]; there must be at least one."""
-    if not -np.inf < k_hat_max < np.inf:    # also NaN; the sweep would never end
+    lies in (0, k_hat_max]; there must be at least one, and every one must
+    lie below the measurement Nyquist (MEASURE_POINTS / 2 wavelengths)."""
+    if not -np.inf < k_hat_max < np.inf:    # also NaN
         raise ValueError(f"wavenumber limit must be a finite number, got {k_hat_max}")
-    ks = []
-    m = 1
-    while True:
-        k = 2.0 * np.pi * m / L
-        k_hat = k * L / dof
-        if k_hat > k_hat_max:
-            break
-        ks.append(k)
-        m += 1
-    if not ks:
+
+    def fits(m):        # the bin of m wavelengths is within the limit
+        return 2.0 * np.pi * m / L * L / dof <= k_hat_max
+
+    nyquist = MEASURE_POINTS // 2
+    if fits(nyquist):   # raised before the sweep builds its bins
+        raise ValueError(f"wavenumber {2.0 * np.pi * nyquist / L} above the "
+                         "measurement Nyquist")
+    # the bin count in closed form, then settled by the test each bin passes
+    n = min(max(int(k_hat_max * dof / (2.0 * np.pi)), 0), nyquist - 1)
+    while fits(n + 1):
+        n += 1
+    while n > 0 and not fits(n):
+        n -= 1
+    if n == 0:
         raise ValueError(f"no wavenumber bin has k_hat in (0, {k_hat_max:.6g}]")
-    return np.array(ks)
+    return 2.0 * np.pi * np.arange(1, n + 1) / L
 
 
 def numeric_ppw(table, epsilon=0.01):

@@ -23,9 +23,8 @@ from .spectral import (SAMPLED, WEIGHTED, dispersion_curve, dispersion_samples,
 from .stability import (K_SAMPLES, SCHEMES, _detect_limit, _stages,
                         _wave_symbols, spectral_radius_sweep)
 from .advect1d import (FD_ORDERS, FDAdvection1D, FRAdvection1D, TRANSIT, PENCIL,
-                       bin_wavenumbers, build_grid, fd_point_grid,
-                       matched_point_expansion, numeric_ppw,
-                       wave_transfer_function)
+                       bin_wavenumbers, build_grid, matched_point_expansion,
+                       numeric_ppw, wave_transfer_function)
 from .mesh2d import (jitter, jitter_factor_for_skew, skew_angle,
                      uniform_quad_mesh, write_mesh)
 from .euler2d import (ErrorReport, FREulerSolver2D, FVEulerSolver2D, ICVParams,
@@ -160,8 +159,8 @@ def _build_1d_solver(spec_text, gamma, dof):
         return FRAdvection1D(build_grid(n_cells, gamma), element)
     if order not in FD_ORDERS:      # checked here: the expansion divides by it
         raise ValueError(f"order must be one of {FD_ORDERS}, got {order}")
-    gamma_pt = matched_point_expansion(gamma, order)
-    return FDAdvection1D(fd_point_grid(dof, gamma_pt), 1.0, order, lf_blend=0.01)
+    grid = build_grid(dof, matched_point_expansion(gamma, order))
+    return FDAdvection1D(grid.x[:-1], grid.L, order, lf_blend=0.01)
 
 
 def cmd_wave_test(args):
@@ -293,112 +292,113 @@ class _Subcommand(argparse.ArgumentParser):
         return action
 
 
+_KIND = ("--kind", dict(default=HUYNH_G2, choices=CORRECTION_KINDS))
+_GAMMA = ("--gamma", dict(type=float, default=1.0))
+_GAMMAS = ("--gamma", dict(default="1.0", help="comma-separated list"))
+_SQUARE = (("--nx", dict(type=int, default=19)),
+           ("--ny", dict(type=int, default=19)),
+           ("--length", dict(type=float, default=10.0)))
+
+# each subcommand: name -> (handler, description, its options as
+# (flag, add_argument keywords) beside the --outdir every one takes)
+_SUBCOMMANDS = {
+    "dispersion": (cmd_dispersion, "dispersion/dissipation curves", (
+        ("--p", dict(type=int, default=3)),
+        _GAMMAS,
+        _KIND,
+        ("--samples", dict(type=int, default=256)),
+        ("--closure", dict(default=SAMPLED, choices=(SAMPLED, WEIGHTED))))),
+    "kernel": (cmd_kernel, "implied filter kernel", (
+        ("--p", dict(type=int, default=3)),
+        _GAMMA,
+        _KIND,
+        ("--time", dict(type=float, default=100.0)),
+        ("--samples", dict(type=int, default=256)))),
+    "ppw": (cmd_ppw, "points per wavelength table", (
+        ("--p", dict(default="2,3,4,5", help="comma-separated orders")),
+        _GAMMAS,
+        ("--epsilon", dict(type=float, default=0.01)),
+        _KIND,
+        ("--samples", dict(type=int, default=512)))),
+    "cfl-table": (cmd_cfl_table, "CFL limit table", (
+        ("--schemes", dict(default="RK33,RK44,RK55")),
+        ("--orders", dict(default="3,4,5")),
+        ("--gamma", dict(default="0.7,0.8,0.9,1.0,1.1,1.2,1.3")),
+        _KIND)),
+    "rho-sweep": (cmd_rho_sweep, "spectral radius over wavenumber", (
+        ("--p", dict(type=int, default=3)),
+        _GAMMA,
+        ("--scheme", dict(default="RK44", choices=sorted(SCHEMES))),
+        ("--tau", dict(type=float, required=True)),
+        ("--samples", dict(type=int, default=512)))),
+    "wave-test": (cmd_wave_test, "measured modified wavenumbers", (
+        ("--solver", dict(default="fr4",
+                          help="frN (element, order N) or fdN (stencil order N)")),
+        _GAMMA,
+        ("--dof", dict(type=int, default=180)),
+        ("--k", dict(default="", help="explicit wavenumbers (rad/length)")),
+        ("--k-hat-max", dict(type=float, default=0.75,
+                             help="sweep bins up to this fraction of pi")),
+        ("--cfl", dict(type=float, default=0.05)),
+        ("--mode", dict(default=TRANSIT, choices=(TRANSIT, PENCIL))),
+        ("--window", dict(type=float, default=0.5)),
+        ("--ppw-epsilon", dict(type=float, default=None)))),
+    "mesh-gen": (cmd_mesh_gen, "write a (jittered) quad mesh", (
+        *_SQUARE,
+        ("--jitter", dict(type=float, default=0.0)),
+        ("--seed", dict(type=int, default=0)))),
+    "skew": (cmd_skew, "skew-angle report for jitter factors", (
+        *_SQUARE,
+        ("--factors", dict(default="0.05,0.15,0.4")),
+        ("--seed", dict(type=int, default=0)))),
+    "icv": (cmd_icv, "convecting-vortex error study", (
+        ("--solver", dict(default="fr", choices=("fr", "fv"))),
+        ("--p", dict(type=int, default=4)),
+        ("--resolutions", dict(default="8,16,32")),
+        ("--steps", dict(type=int, default=500)),
+        ("--cfl", dict(type=float, default=0.01)),
+        ("--jitter", dict(type=float, default=0.0)),
+        ("--alpha", dict(type=float, default=0.0,
+                         help="target mesh-average skew angle in degrees")),
+        ("--seed", dict(type=int, default=2024)),
+        ("--riemann", dict(default="rusanov", choices=("rusanov", "roe"))))),
+    "ooa": (cmd_ooa, "order of accuracy from an icv CSV", (
+        ("--csv", dict(required=True)),)),
+}
+
+
 def build_parser():
     """The top-level parser, which takes the subcommand name and the options
-    before it, and each subcommand's parser by name."""
-    subcommands = {}
-
-    def add(name, fn, help):
-        p = subcommands[name] = _Subcommand(prog=f"frwave {name}",
-                                            description=help)
-        p.set_defaults(fn=fn, command=name)
-        p.add_argument("--outdir", type=Path, default="out")
-        return p
-
-    p = add("dispersion", cmd_dispersion, help="dispersion/dissipation curves")
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--gamma", default="1.0", help="comma-separated list")
-    p.add_argument("--kind", default=HUYNH_G2, choices=CORRECTION_KINDS)
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--closure", default=SAMPLED, choices=(SAMPLED, WEIGHTED))
-
-    p = add("kernel", cmd_kernel, help="implied filter kernel")
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--kind", default=HUYNH_G2, choices=CORRECTION_KINDS)
-    p.add_argument("--time", type=float, default=100.0)
-    p.add_argument("--samples", type=int, default=256)
-
-    p = add("ppw", cmd_ppw, help="points per wavelength table")
-    p.add_argument("--p", default="2,3,4,5", help="comma-separated orders")
-    p.add_argument("--gamma", default="1.0", help="comma-separated list")
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--kind", default=HUYNH_G2, choices=CORRECTION_KINDS)
-    p.add_argument("--samples", type=int, default=512)
-
-    p = add("cfl-table", cmd_cfl_table, help="CFL limit table")
-    p.add_argument("--schemes", default="RK33,RK44,RK55")
-    p.add_argument("--orders", default="3,4,5")
-    p.add_argument("--gamma", default="0.7,0.8,0.9,1.0,1.1,1.2,1.3")
-    p.add_argument("--kind", default=HUYNH_G2, choices=CORRECTION_KINDS)
-
-    p = add("rho-sweep", cmd_rho_sweep, help="spectral radius over wavenumber")
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--scheme", default="RK44", choices=sorted(SCHEMES))
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--samples", type=int, default=512)
-
-    p = add("wave-test", cmd_wave_test, help="measured modified wavenumbers")
-    p.add_argument("--solver", default="fr4",
-                   help="frN (element, order N) or fdN (stencil order N)")
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--dof", type=int, default=180)
-    p.add_argument("--k", default="", help="explicit wavenumbers (rad/length)")
-    p.add_argument("--k-hat-max", type=float, default=0.75,
-                   help="sweep bins up to this fraction of pi")
-    p.add_argument("--cfl", type=float, default=0.05)
-    p.add_argument("--mode", default=TRANSIT, choices=(TRANSIT, PENCIL))
-    p.add_argument("--window", type=float, default=0.5)
-    p.add_argument("--ppw-epsilon", type=float, default=None)
-
-    p = add("mesh-gen", cmd_mesh_gen, help="write a (jittered) quad mesh")
-    p.add_argument("--nx", type=int, default=19)
-    p.add_argument("--ny", type=int, default=19)
-    p.add_argument("--length", type=float, default=10.0)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("skew", cmd_skew, help="skew-angle report for jitter factors")
-    p.add_argument("--nx", type=int, default=19)
-    p.add_argument("--ny", type=int, default=19)
-    p.add_argument("--length", type=float, default=10.0)
-    p.add_argument("--factors", default="0.05,0.15,0.4")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("icv", cmd_icv, help="convecting-vortex error study")
-    p.add_argument("--solver", default="fr", choices=("fr", "fv"))
-    p.add_argument("--p", type=int, default=4)
-    p.add_argument("--resolutions", default="8,16,32")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--cfl", type=float, default=0.01)
-    p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=0.0,
-                   help="target mesh-average skew angle in degrees")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--riemann", default="rusanov", choices=("rusanov", "roe"))
-
-    p = add("ooa", cmd_ooa, help="order of accuracy from an icv CSV")
-    p.add_argument("--csv", required=True)
-
+    before it; it lists every subcommand but builds none of their parsers."""
     parser = argparse.ArgumentParser(
         prog="frwave",
         description="Wave-resolution analysis and solvers for the upwinded "
                     "element scheme on stretched and warped meshes.")
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("command", choices=subcommands, metavar="COMMAND",
-                        help="; ".join(f"{name}: {p.description}"
-                                       for name, p in subcommands.items()))
+    listing = "; ".join(f"{name}: {description}"
+                        for name, (_, description, _) in _SUBCOMMANDS.items())
+    parser.add_argument("command", choices=_SUBCOMMANDS, metavar="COMMAND",
+                        help=listing)
     parser.add_argument("options", nargs=argparse.REMAINDER,
                         help="the subcommand's options (frwave COMMAND -h)")
-    return parser, subcommands
+    return parser
+
+
+def subcommand_parser(name):
+    """The parser of subcommand `name` alone, from its _SUBCOMMANDS entry."""
+    handler, description, options = _SUBCOMMANDS[name]
+    parser = _Subcommand(prog=f"frwave {name}", description=description)
+    parser.set_defaults(fn=handler, command=name)
+    parser.add_argument("--outdir", type=Path, default="out")
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
+    return parser
 
 
 def main(argv=None):
-    parser, subcommands = build_parser()
-    top = parser.parse_args(argv)
-    chosen = subcommands[top.command]
+    top = build_parser().parse_args(argv)
+    chosen = subcommand_parser(top.command)
     try:
         options = top.options
         if top.config:

@@ -141,9 +141,10 @@ def correction_derivatives(p, kind=HUYNH_G2):
     return hl, hr
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ReferenceElement:
-    """Immutable bundle of order-p nodal operators on [-1, 1].
+    """Immutable bundle of order-p nodal operators on [-1, 1]; one instance
+    per (p, kind) is shared by every caller of reference_element.
 
     Attributes
     ----------
@@ -176,12 +177,20 @@ class ReferenceElement:
         return self.p + 1
 
 
+_ELEMENTS = {}     # (p, kind) -> its ReferenceElement, built on first use
+
+
 def reference_element(p, kind=HUYNH_G2):
-    """Build the full order-p reference element with the given correction."""
-    xi = gauss_points(p)
-    hl, hr = correction_derivatives(p, kind)
-    D = derivative_matrix(xi)
-    ll = lagrange_values(xi, -1.0)
-    lr = lagrange_values(xi, 1.0)
-    return ReferenceElement(p=p, xi=xi, D=D, ll=ll, lr=lr, hl=hl, hr=hr,
-                            C0=D - np.outer(hl, ll), Cm1=np.outer(hl, lr))
+    """The full order-p reference element with the given correction, built
+    once per (p, kind) and shared: it is read-only."""
+    element = _ELEMENTS.get((p, kind))
+    if element is None:
+        xi = gauss_points(p)
+        hl, hr = correction_derivatives(p, kind)
+        D = derivative_matrix(xi)
+        ll = lagrange_values(xi, -1.0)
+        lr = lagrange_values(xi, 1.0)
+        element = _ELEMENTS[p, kind] = ReferenceElement(
+            p=p, xi=xi, D=D, ll=ll, lr=lr, hl=hl, hr=hr,
+            C0=D - np.outer(hl, ll), Cm1=np.outer(hl, lr))
+    return element

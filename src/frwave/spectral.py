@@ -169,12 +169,17 @@ def _eigvals(M, k_hats):
     return np.stack(out)
 
 
+_linear_sum_assignment = None     # bound by _match's first call
+
+
 def _match(prev, ev):
     """Permute ev so entry i continues branch i of prev (bipartite matching)."""
-    # imported here: SciPy is most of frwave's import time and memory
-    from scipy.optimize import linear_sum_assignment
+    global _linear_sum_assignment
+    if _linear_sum_assignment is None:
+        # imported on first use: SciPy is most of frwave's import time and memory
+        from scipy.optimize import linear_sum_assignment as _linear_sum_assignment
     cost = np.abs(prev[:, None] - ev[None, :])
-    _, cols = linear_sum_assignment(cost)
+    _, cols = _linear_sum_assignment(cost)
     return ev[cols]
 
 

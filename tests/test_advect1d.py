@@ -434,6 +434,42 @@ def test_pencil_mode_matches_analysis_on_uniform_grid():
         assert abs(im - c.imag * kh) < 1e-4
 
 
+def _bins_one_by_one(L, dof, k_hat_max):
+    """The sweep as one bin per pass: the rule bin_wavenumbers states."""
+    ks, m = [], 1
+    while 2.0 * np.pi * m / L * L / dof <= k_hat_max:
+        ks.append(2.0 * np.pi * m / L)
+        m += 1
+    return np.array(ks)
+
+
+@pytest.mark.parametrize("L", [1.0, 0.3, 7.1])
+@pytest.mark.parametrize("dof", [33, 40, 180, 4095])
+def test_bin_count_in_closed_form_is_the_sweep(L, dof):
+    # limits drawn at random and on each side of a bin's own k_hat; at
+    # these bins the closed form's estimate falls on both sides of the count
+    limits = list(np.random.default_rng(dof).uniform(0.001, np.pi, 20))
+    for m in (1, 2, 7, 11, 17, 22, 33, 300):
+        k_hat = 2.0 * np.pi * m / L * L / dof
+        limits += [k_hat, np.nextafter(k_hat, 0.0), np.nextafter(k_hat, 4.0)]
+    for k_hat_max in limits:
+        expect = _bins_one_by_one(L, dof, k_hat_max)
+        if 0 < len(expect) < MEASURE_POINTS // 2:
+            assert bin_wavenumbers(L, dof, k_hat_max).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("k_hat_max", [1e9, 1e300])
+def test_bins_past_the_measurement_nyquist_rejected_at_once(k_hat_max):
+    # the sweep would reach MEASURE_POINTS / 2 wavelengths; it raises
+    # before building a bin (2e10 of them at 1e9)
+    with pytest.raises(ValueError, match="above the measurement Nyquist"):
+        bin_wavenumbers(1.0, 40, k_hat_max)
+    nyquist = 2.0 * np.pi * (MEASURE_POINTS // 2) / 40
+    assert len(bin_wavenumbers(1.0, 40, np.nextafter(nyquist, 0.0))) == MEASURE_POINTS // 2 - 1
+    with pytest.raises(ValueError, match="above the measurement Nyquist"):
+        bin_wavenumbers(1.0, 40, nyquist)
+
+
 @pytest.mark.parametrize("mode", [TRANSIT, PENCIL])
 @pytest.mark.parametrize("make, m, cfl", [
     (lambda: FRAdvection1D(build_grid(45, 1.2, 1.0), reference_element(3)), 45, 0.1),

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import frwave
-from frwave import cli
-from frwave.cli import build_parser, main
+from frwave import cli, element
+from frwave.cli import build_parser, main, subcommand_parser
 from frwave.spectral import SemiDiscreteOperator
 
 
@@ -191,6 +191,8 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "wavenumber limit must be a finite number, got nan"),
     (["wave-test", "--solver", "fr4", "--dof", "40", "--k-hat-max", "inf"],
      "wavenumber limit must be a finite number, got inf"),
+    (["wave-test", "--solver", "fr4", "--dof", "40", "--k-hat-max", "1e9"],
+     "wavenumber 12867.963509103793 above the measurement Nyquist"),
     (["icv", "--solver", "fv", "--resolutions", "4", "--steps", "-3"],
      "step count must be non-negative, got -3"),
     (["icv", "--solver", "fv", "--resolutions", "4,4", "--steps", "2"],
@@ -222,6 +224,7 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
 ], ids=["wave-test-zero-cfl", "wave-test-negative-cfl", "wave-test-inf-cfl",
         "wave-test-nan-cfl", "wave-test-tiny-cfl", "icv-nan-cfl", "icv-inf-cfl", "icv-negative-cfl",
         "wave-test-no-bin", "wave-test-nan-k-hat-max", "wave-test-inf-k-hat-max",
+        "wave-test-huge-k-hat-max",
         "icv-negative-steps", "icv-repeated-resolution",
         "wave-test-zero-k", "dispersion-repeated-gamma", "wave-test-nan-window",
         "wave-test-zero-window", "ppw-nan-epsilon", "ppw-inf-gamma",
@@ -293,8 +296,7 @@ def test_manifest_contains_version_and_config(tmp_path):
 def test_manifest_records_every_parsed_option(tmp_path, argv, resolved):
     assert main(argv + ["--outdir", str(tmp_path)]) == 0
     [path] = tmp_path.glob("*.manifest.json")
-    _, subcommands = build_parser()
-    parser = subcommands[argv[0]]
+    parser = subcommand_parser(argv[0])
     parsed = vars(parser.parse_args(argv[1:]))
     # wave-test leaves these two out until its benchmark references change
     unrecorded = {"k", "ppw_epsilon"} if argv[0] == "wave-test" else set()
@@ -334,10 +336,71 @@ def test_readme_command_lines_parse():
     lines = [line.split("#", 1)[0] for line in block.splitlines()
              if line.startswith("frwave ")]
     assert len(lines) >= 10
-    parser, subcommands = build_parser()
+    parser = build_parser()
     for line in lines:
         top = parser.parse_args(shlex.split(line)[1:])
-        subcommands[top.command].parse_args(top.options)
+        subcommand_parser(top.command).parse_args(top.options)
+
+
+SUBCOMMAND_NAMES = ["dispersion", "kernel", "ppw", "cfl-table", "rho-sweep",
+                    "wave-test", "mesh-gen", "skew", "icv", "ooa"]
+
+
+def test_help_lists_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")     # one help entry per line
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert list(cli._SUBCOMMANDS) == SUBCOMMAND_NAMES
+    for name in SUBCOMMAND_NAMES:
+        description = subcommand_parser(name).description
+        assert description and f"{name}: {description}" in out
+
+
+def test_main_builds_only_the_invoked_subcommand(tmp_path, monkeypatch):
+    built = []
+
+    class Counted(cli._Subcommand):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Subcommand", Counted)
+    assert main(["ppw", "--p", "2", "--samples", "64",
+                 "--outdir", str(tmp_path)]) == 0
+    assert built == ["frwave ppw"]
+
+
+def test_unknown_command_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["no-such-command", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_reruns_in_one_process_are_byte_identical(tmp_path, monkeypatch):
+    # the reference elements are built once per process and then shared:
+    # start from none, so the first runs build them and the second reuse them
+    monkeypatch.setattr(element, "_ELEMENTS", {})
+    runs = {
+        "ppw": ["ppw", "--p", "2,3", "--gamma", "0.8,1.2", "--samples", "64"],
+        "dispersion": ["dispersion", "--p", "3", "--gamma", "1.2",
+                       "--kind", "dg", "--samples", "64"],
+        "wave-fr": ["wave-test", "--solver", "fr4", "--dof", "40",
+                    "--gamma", "1.05", "--k-hat-max", "0.3", "--window", "0.25"],
+        "wave-fd": ["wave-test", "--solver", "fd4", "--dof", "40",
+                    "--gamma", "1.05", "--k-hat-max", "0.3", "--window", "0.25"],
+    }
+    for name in [*runs, *reversed(runs)]:
+        first = tmp_path / "first" / name
+        out = tmp_path / "second" / name if first.exists() else first
+        assert main(runs[name] + ["--outdir", str(out)]) == 0
+    for name in runs:
+        first = {p.name: p.read_bytes() for p in (tmp_path / "first" / name).iterdir()}
+        second = {p.name: p.read_bytes() for p in (tmp_path / "second" / name).iterdir()}
+        assert len(first) >= 2 and first == second
 
 
 def test_config_file_defaults_flags_win(tmp_path):

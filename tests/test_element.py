@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,25 @@ def test_reference_element_arrays_immutable():
     for cell_matrix in (e.C0, e.Cm1):
         with pytest.raises(ValueError):
             cell_matrix[0, 0] = 0.0
+
+
+def test_reference_element_is_built_once_per_order_and_kind():
+    e = reference_element(3)
+    assert reference_element(3) is e and reference_element(3, HUYNH_G2) is e
+    others = [reference_element(3, DG), reference_element(3, REDUCED_ORDER),
+              reference_element(4)]
+    assert len({id(x) for x in [e, *others]}) == 4
+    assert all(x is reference_element(x.p, kind)
+               for x, kind in zip(others, (DG, REDUCED_ORDER, HUYNH_G2)))
+
+
+def test_reference_element_fields_cannot_be_rebound():
+    e = reference_element(3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.D = np.eye(4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.p = 4
+    assert e.D.shape == (4, 4) and e.p == 3
 
 
 def test_cell_matrix_identities():

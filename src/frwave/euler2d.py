@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import reference_element
-from .mesh2d import _corner_jacobians
+from .mesh2d import _corner_jacobians, _edges, _length
 from .stability import _require_positive, advance
 
 GAMMA_GAS = 1.4
@@ -37,9 +37,9 @@ class NonPhysicalStateError(RuntimeError):
 # ---------------------------------------------------------------------------
 # state conversions and fluxes
 
-def primitive_to_conserved(rho, u, v, p):
+def primitive_to_conserved(rho, u, v, p, axis=-1):
     E = p / (GAMMA_GAS - 1.0) + 0.5 * rho * (u * u + v * v)
-    return np.stack([rho, rho * u, rho * v, E], axis=-1)
+    return np.stack([rho, rho * u, rho * v, E], axis=axis)
 
 
 def conserved_to_primitive(U):
@@ -67,26 +67,49 @@ def _normal_flux(U, rho, un, p, nx, ny, out=None):
     return F
 
 
-def rusanov_flux(UL, UR, nx, ny):
-    """Local Lax-Friedrichs: averaged flux plus max-wavespeed penalty."""
-    rhoL, uL, vL, pL = conserved_to_primitive(UL)
-    rhoR, uR, vR, pR = conserved_to_primitive(UR)
-    unL, unR = uL * nx + vL * ny, uR * nx + vR * ny
-    sL = np.abs(unL) + np.sqrt(GAMMA_GAS * pL / rhoL)
-    sR = np.abs(unR) + np.sqrt(GAMMA_GAS * pR / rhoR)
-    smax = np.maximum(sL, sR)
-    # 0.5 * (FL + FR) - 0.5 * smax * (UR - UL), in place
-    F = _normal_flux(UL, rhoL, unL, pL, nx, ny)
-    F += _normal_flux(UR, rhoR, unR, pR, nx, ny)
-    F *= 0.5
-    jump = UR - UL
-    jump *= (0.5 * smax)[..., None]
-    F -= jump
+def _normal_state(U, nx, ny):
+    """Normal momentum m.n, normal velocity un = (m.n) / rho, pressure and
+    fastest normal wave speed |un| + c of conserved states U."""
+    rho, m1, m2, E = (U[..., k] for k in range(4))
+    mn = m1 * nx + m2 * ny
+    un = mn / rho
+    p = (GAMMA_GAS - 1.0) * (E - 0.5 * (m1 * m1 + m2 * m2) / rho)
+    return mn, un, p, np.abs(un) + np.sqrt(GAMMA_GAS * p / rho)
+
+
+def rusanov_flux(UL, UR, nx, ny, out=None):
+    """Local Lax-Friedrichs, 0.5 (FL + FR) - 0.5 smax (UR - UL) with smax
+    the larger side's |un| + c, written into `out` if given (it must not
+    overlap UL or UR), else into a new array in UL's memory order.  Each
+    flux component is summed in place in its slot of `out`, the two
+    pressures entering the momentum as one sum; no full flux or jump array
+    is made."""
+    F = np.empty_like(UL) if out is None else out
+    mnL, unL, pL, sL = _normal_state(UL, nx, ny)
+    mnR, unR, pR, sR = _normal_state(UR, nx, ny)
+    h = 0.5 * np.maximum(sL, sR)
+    ps = pL + pR
+    t = np.empty_like(h)        # the one work array
+    F0, F1, F2, F3 = (F[..., k] for k in range(4))
+    np.add(mnL, mnR, out=F0)
+    for Fk, k, n in ((F1, 1, nx), (F2, 2, ny)):
+        np.multiply(UL[..., k], unL, out=Fk)
+        Fk += np.multiply(UR[..., k], unR, out=t)
+        Fk += np.multiply(ps, n, out=t)
+    np.add(UL[..., 3], pL, out=F3)
+    F3 *= unL
+    np.add(UR[..., 3], pR, out=t)
+    F3 += np.multiply(t, unR, out=t)
+    for k, Fk in enumerate((F0, F1, F2, F3)):
+        Fk *= 0.5
+        np.subtract(UR[..., k], UL[..., k], out=t)
+        Fk -= np.multiply(h, t, out=t)
     return F
 
 
-def roe_flux(UL, UR, nx, ny):
-    """Roe's approximate Riemann solver with a small entropy fix."""
+def roe_flux(UL, UR, nx, ny, out=None):
+    """Roe's approximate Riemann solver with a small entropy fix, written
+    into `out` if given."""
     rhoL, uL, vL, pL = conserved_to_primitive(UL)
     rhoR, uR, vR, pR = conserved_to_primitive(UR)
     nx = np.broadcast_to(nx, rhoL.shape)
@@ -135,7 +158,7 @@ def roe_flux(UL, UR, nx, ny):
             + lam[..., 3:4] * a4[..., None] * K4)
     FL = _normal_flux(UL, rhoL, unL, pL, nx, ny)
     FR = _normal_flux(UR, rhoR, unR, pR, nx, ny)
-    return 0.5 * (FL + FR) - 0.5 * diss
+    return np.subtract(0.5 * (FL + FR), 0.5 * diss, out=out)
 
 
 RIEMANN_SOLVERS = {"rusanov": rusanov_flux, "roe": roe_flux}
@@ -161,6 +184,12 @@ class ICVParams:
         # also NaN: icv_primitive divides by the radius and wraps by % extent
         for name in ("strength", "radius", "extent"):
             _require_positive(f"vortex {name}", getattr(self, name))
+        # any finite free stream and centre will do, zero too; a NaN or
+        # infinite one would project a non-finite state
+        for name, value in (("u_inf", self.u_inf), ("v_inf", self.v_inf),
+                            ("centre[0]", self.centre[0]), ("centre[1]", self.centre[1])):
+            if not -np.inf < value < np.inf:
+                raise ValueError(f"vortex {name} must be a finite number, got {value}")
 
 
 def icv_primitive(x, y, t, params=None):
@@ -185,7 +214,7 @@ def icv_primitive(x, y, t, params=None):
 
 def _unit(n):
     """Length and unit components of face vectors n (..., 2)."""
-    s = np.linalg.norm(n, axis=-1)
+    s = _length(n[..., 0], n[..., 1])
     return s, n[..., 0] / s, n[..., 1] / s
 
 
@@ -217,13 +246,15 @@ class _EulerSolver:
     cells, (n_elem, 1, 2) for the elements, whose straight faces have one
     vector along all p+1 points.
 
-    The mesh must be made of convex counterclockwise quads, checked before
-    any geometry is built: a bilinear map's Jacobian is affine in
-    (xi, eta), so positive corner Jacobians make it positive everywhere in
-    the element."""
+    A subclass builds its geometry from the mesh's corner planes x, y
+    (QuadMesh2D.corner_planes), gathered once and passed to this class,
+    which keeps them no longer than the subclass's __init__.  The mesh must
+    be made of convex counterclockwise quads, checked here before any
+    geometry is built: a bilinear map's Jacobian is affine in (xi, eta), so
+    positive corner Jacobians make it positive everywhere in the element."""
 
-    def __init__(self, mesh, riemann):
-        if np.any(_corner_jacobians(mesh.corner_coords()) <= 0):
+    def __init__(self, mesh, riemann, x, y):
+        if np.any(_corner_jacobians(x, y) <= 0):
             raise ValueError("non-convex or inverted quad; mesh is tangled")
         self.mesh = mesh
         self.riemann = RIEMANN_SOLVERS[riemann]
@@ -233,17 +264,25 @@ class _EulerSolver:
         faces of the element rows b, from the states UL on their inner side
         and UR on their outer side, written into `out` if given."""
         s, nx, ny = self.faces[axis]
-        return np.multiply(self.riemann(UL, UR, nx[b], ny[b]), s[b, ..., None], out=out)
+        F = self.riemann(UL, UR, nx[b], ny[b], out=out)
+        F *= s[b, ..., None]
+        return F
 
     @property
     def dof(self):
         return self.x[..., 0].size
 
+    def length_scale(self):
+        """The length a CFL number is taken over, computed once from the
+        corners by the subclass's __init__."""
+        return self._length_scale
+
     def project(self, fn, t=0.0):
         """Collocate a primitive-state function (x, y, t) -> (rho,u,v,p),
-        stored element-fastest (_element_fastest)."""
+        stored element-fastest: the conserved variables are stacked as
+        planes of the reversed axes and the stack is read reversed."""
         rho, u, v, p = fn(self.x[..., 0], self.x[..., 1], t)
-        return _element_fastest(primitive_to_conserved(rho, u, v, p))
+        return primitive_to_conserved(rho.T, u.T, v.T, p.T, axis=0).T
 
     def max_signal_speed(self, U):
         rho, u, v, p = conserved_to_primitive(U)
@@ -301,7 +340,8 @@ class FREulerSolver2D(_EulerSolver):
     xi = +1 and m2 at eta = +1."""
 
     def __init__(self, mesh, p, riemann="rusanov"):
-        super().__init__(mesh, riemann)
+        x, y = mesh.corner_planes()
+        super().__init__(mesh, riemann, x, y)
         # east, west, north and south neighbour of every element
         ids = np.arange(mesh.n_elements).reshape(mesh.ny, mesh.nx)
         self.east, self.west, self.north, self.south = (
@@ -310,8 +350,8 @@ class FREulerSolver2D(_EulerSolver):
         self.T = np.stack([e.ll, e.lr])
         H = np.stack([e.hl, e.hr], axis=1)
         self.M = np.hstack([e.D - H @ self.T, H])
-        # corners as (n_elem, xi end, eta end, coordinate)
-        X = mesh.corner_coords()[:, [0, 3, 1, 2]].reshape(-1, 2, 2, 2)
+        # corners as (n_elem, xi end, eta end, coordinate), element-fastest
+        X = np.stack([x, y])[:, [0, 1, 3, 2]].reshape(2, 2, 2, -1).T
         N = np.stack([1 - e.xi, 1 + e.xi], axis=1) / 2.0
         dN = np.array([[-0.5, 0.5]])
         self.x = _along(N, _along(N, X, 1), 2)
@@ -325,6 +365,8 @@ class FREulerSolver2D(_EulerSolver):
         self.detJ = _element_fastest(self.m1[..., 0] * self.m2[..., 1]
                                      - self.m1[..., 1] * self.m2[..., 0])
         self.faces = (_unit(m1[:, 1]), _unit(m2[:, :, 1]))
+        # the smallest edge length divided by the points-per-edge count
+        self._length_scale = float(_length(*_edges(x, y)).min()) / e.n_points
 
     def rhs(self, U):
         rho, u, v, p = conserved_to_primitive(U)
@@ -342,24 +384,17 @@ class FREulerSolver2D(_EulerSolver):
         lo, hi = np.moveaxis(_along(self.T, U, axis), axis, 0)
         m, ahead, behind = ((self.m1, self.east, self.west) if axis == 1
                             else (self.m2, self.north, self.south))
-        # a face's transformed flux is the same value on both sides
-        Fc = self._common_flux(axis - 1, hi, _take_rows(lo, ahead))
         q = self.element.n_points
         shape = [4, q, q, len(U)]
         shape[3 - axis] += 2
         B = np.empty(shape).T
         at = lambda k: (slice(None),) * axis + (k,)
+        # a face's transformed flux is the same value on both sides
+        Fc = self._common_flux(axis - 1, hi, _take_rows(lo, ahead), out=B[at(q + 1)])
         B[at(q)] = _take_rows(Fc, behind)
-        B[at(q + 1)] = Fc
         nx, ny = m[..., 0], m[..., 1]
         _normal_flux(U, rho, u * nx + v * ny, p, nx, ny, out=B[at(slice(q))])
         return _along(self.M, B, axis)
-
-    def length_scale(self):
-        """Smallest edge length divided by the points-per-edge count."""
-        X = self.mesh.corner_coords()
-        edges = np.linalg.norm(np.roll(X, -1, axis=1) - X, axis=-1)
-        return float(edges.min()) / self.element.n_points
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +418,7 @@ def _fv_face_states(P, j0, j1):
     hx = rows[..., 2:] - rows[..., :-2]
     hy = P[:, j0 + 2:j1 + 3, 1:-2] - P[:, j0:j1 + 1, 1:-2]
     for h in (hx, hy):
-        h *= 0.5        # the difference per unit index
-        h *= 0.5        # half a cell of it
+        h *= 0.25       # half a cell of the difference per unit index
     C = rows[..., 1:-2]
     faces = (C + hx[..., :-1], rows[..., 2:-1] - hx[..., 1:],
              C + hy[:, :-1], P[:, j0 + 2:j1 + 2, 1:-2] - hy[:, 1:])
@@ -415,8 +449,8 @@ class FVEulerSolver2D(_EulerSolver):
     def __init__(self, mesh, riemann="rusanov", metrics="curvilinear"):
         if metrics not in ("curvilinear", "exact"):
             raise ValueError(f"unknown metric mode {metrics!r}")
-        super().__init__(mesh, riemann)
-        x, y = np.ascontiguousarray(mesh.corner_coords().T)    # each (4 corners, n)
+        x, y = mesh.corner_planes()
+        super().__init__(mesh, riemann, x, y)
         nxt = [1, 2, 3, 0]      # each corner's counterclockwise successor
         total = lambda a: a[0] + a[1] + a[2] + a[3]     # left to right
         cross = x * y[nxt] - x[nxt] * y
@@ -449,6 +483,9 @@ class FVEulerSolver2D(_EulerSolver):
 
             n_e, n_n = step(0), step(1)
         self.faces = (_unit(n_e), _unit(n_n))
+        # the smallest cell diameter, the longer diagonal of each cell
+        dx, dy = x[2:] - x[:2], y[2:] - y[:2]
+        self._length_scale = float(_length(dx, dy).max(axis=0).min())
 
     def rhs(self, U):
         rho = U[..., 0]
@@ -481,13 +518,6 @@ class FVEulerSolver2D(_EulerSolver):
         flux[:, 0] -= N[:, -1]
         flux /= -self.area.reshape(ny, nx)
         return flux.reshape(4, -1).T
-
-    def length_scale(self):
-        """Smallest cell diameter (largest diagonal per cell)."""
-        X = self.mesh.corner_coords()
-        diam = np.maximum(np.linalg.norm(X[:, 2] - X[:, 0], axis=-1),
-                          np.linalg.norm(X[:, 3] - X[:, 1], axis=-1))
-        return float(diam.min())
 
 
 # ---------------------------------------------------------------------------

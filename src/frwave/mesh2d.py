@@ -37,9 +37,9 @@ class QuadMesh2D:
     def n_elements(self):
         return len(self.elements)
 
-    def corner_coords(self):
-        """Element corner coordinates, shape (n_elem, 4, 2)."""
-        return np.take(self.nodes, self.elements, axis=0)
+    def corner_planes(self):
+        """Corner coordinates as planes x, y, each (4, n_elem)."""
+        return _corner_planes(self.nodes, self.elements)
 
 
 def uniform_quad_mesh(nx, ny, L=1.0):
@@ -58,12 +58,33 @@ def uniform_quad_mesh(nx, ny, L=1.0):
     return QuadMesh2D(nodes=nodes, elements=elements, nx=nx, ny=ny, L=float(L))
 
 
-def _corner_jacobians(corners):
-    """Cross products at the four corners of each element (positive for a
-    convex, counterclockwise quad).  corners: (..., 4, 2)."""
-    a = np.roll(corners, -1, axis=-2) - corners     # to the next corner
-    b = np.roll(corners, 1, axis=-2) - corners      # to the previous one
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+def _corner_planes(nodes, elements):
+    """Element corner coordinates as two planes x, y, each (4, n_elem):
+    corner c of element e is (x[c, e], y[c, e])."""
+    return np.take(nodes.T, elements.T, axis=1)
+
+
+def _length(x, y):
+    """Lengths of the 2-vectors (x, y): the value np.linalg.norm gives
+    along their last axis, bit for bit."""
+    return np.sqrt(x * x + y * y)
+
+
+def _edges(x, y):
+    """Edge c of each element, from corner c to corner c+1 (mod 4), as two
+    planes (4, n_elem) from the corner planes x, y."""
+    nxt = [1, 2, 3, 0]
+    return x[nxt] - x, y[nxt] - y
+
+
+def _corner_jacobians(x, y):
+    """Cross products at the four corners of each element, (4, n_elem) from
+    the corner planes x, y (QuadMesh2D.corner_planes): the edge into a
+    corner crossed with the edge out of it, positive for a convex,
+    counterclockwise quad."""
+    ex, ey = _edges(x, y)
+    prv = [3, 0, 1, 2]
+    return ex[prv] * ey - ey[prv] * ex
 
 
 def jitter(mesh, factor, seed):
@@ -89,7 +110,7 @@ def jitter(mesh, factor, seed):
     redo = np.ones(base.shape[:2], dtype=bool)
     for _ in range(101):    # the first draw, then up to 100 redraw rounds
         interior[redo] = base[redo] + step * rng.uniform(-0.5, 0.5, size=(redo.sum(), 2))
-        bad = np.any(_corner_jacobians(np.take(nodes, mesh.elements, axis=0)) <= 0.0, axis=1)
+        bad = np.any(_corner_jacobians(*_corner_planes(nodes, mesh.elements)) <= 0.0, axis=0)
         if not bad.any():
             return QuadMesh2D(nodes=nodes, elements=mesh.elements.copy(),
                               nx=nx, ny=ny, L=mesh.L,
@@ -110,14 +131,12 @@ def skew_angle(mesh):
     """Mesh-average absolute angle by which element cross diagonals
     deviate from square: beta is the (acute) angle between the two
     corner-to-corner diagonals, alpha_e = |beta - 90 degrees|."""
-    corners = mesh.corner_coords()
-    d1 = corners[:, 2] - corners[:, 0]
-    d2 = corners[:, 3] - corners[:, 1]
-    n1 = np.linalg.norm(d1, axis=1)
-    n2 = np.linalg.norm(d2, axis=1)
+    x, y = mesh.corner_planes()
+    (d1x, d2x), (d1y, d2y) = x[2:] - x[:2], y[2:] - y[:2]
+    n1, n2 = _length(d1x, d1y), _length(d2x, d2y)
     if np.any(n1 == 0.0) or np.any(n2 == 0.0):
         raise ValueError("degenerate element: zero-length cross diagonal")
-    cosb = np.abs(np.sum(d1 * d2, axis=1)) / (n1 * n2)
+    cosb = np.abs(d1x * d2x + d1y * d2y) / (n1 * n2)
     beta = np.degrees(np.arccos(np.clip(cosb, -1.0, 1.0)))
     per_element = np.abs(beta - 90.0)
     return SkewReport(alpha=float(per_element.mean()), per_element=per_element)

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,13 +105,22 @@ def _stacked_normal_flux(U, nx, ny):
 
 
 def _stacked_rusanov(UL, UR, nx, ny):
-    rhoL, uL, vL, pL = conserved_to_primitive(UL)
-    rhoR, uR, vR, pR = conserved_to_primitive(UR)
-    sL = np.abs(uL * nx + vL * ny) + np.sqrt(GAMMA_GAS * pL / rhoL)
-    sR = np.abs(uR * nx + vR * ny) + np.sqrt(GAMMA_GAS * pR / rhoR)
-    smax = np.maximum(sL, sR)
-    FL, FR = _stacked_normal_flux(UL, nx, ny), _stacked_normal_flux(UR, nx, ny)
-    return 0.5 * (FL + FR) - 0.5 * smax[..., None] * (UR - UL)
+    # the normal-momentum form: each side's normal momentum m.n, normal
+    # velocity (m.n) / rho, pressure and |un| + c, the two pressures summed
+    # once for the momentum components
+    def side(U):
+        rho, m1, m2, E = (U[..., k] for k in range(4))
+        mn = m1 * nx + m2 * ny
+        un = mn / rho
+        p = (GAMMA_GAS - 1.0) * (E - 0.5 * (m1 * m1 + m2 * m2) / rho)
+        return mn, un, p, np.abs(un) + np.sqrt(GAMMA_GAS * p / rho)
+    (mnL, unL, pL, sL), (mnR, unR, pR, sR) = side(UL), side(UR)
+    ps = pL + pR
+    flux_sum = np.stack([mnL + mnR,
+                         UL[..., 1] * unL + UR[..., 1] * unR + ps * nx,
+                         UL[..., 2] * unL + UR[..., 2] * unR + ps * ny,
+                         (UL[..., 3] + pL) * unL + (UR[..., 3] + pR) * unR], axis=-1)
+    return 0.5 * flux_sum - (0.5 * np.maximum(sL, sR))[..., None] * (UR - UL)
 
 
 def _stacked_roe(UL, UR, nx, ny):
@@ -168,6 +178,53 @@ def test_flux_kernels_keep_their_arithmetic(shape, normal_shape):
                           _stacked_roe(UL, UR, nx, ny))
 
 
+def _face_views(kind, rng):
+    """Left and right states and unit normals in the layouts the solvers
+    hand to a Riemann solver: FR's traces are (ne, q, 4) slots of an
+    element-fastest buffer with one normal per face, (ne, 1); FV's are
+    (cells, 4) rows of variable planes with one normal per cell."""
+    def fill(V, shape):
+        V[...] = primitive_to_conserved(
+            rng.uniform(0.3, 2.0, shape), rng.normal(0.0, 1.5, shape),
+            rng.normal(0.0, 1.5, shape), rng.uniform(0.3, 2.0, shape))
+        return V
+    if kind == "fr":
+        ne, q = 96, 5
+        UL, UR = (fill(np.empty((4, q, 2, ne)).T[:, 1], (ne, q)) for _ in range(2))
+        theta = rng.uniform(0.0, 2.0 * np.pi, (ne, 1))
+    else:
+        cells = 500
+        UL, UR = (fill(np.empty((4, cells)).T, (cells,)) for _ in range(2))
+        theta = rng.uniform(0.0, 2.0 * np.pi, cells)
+    return UL, UR, np.cos(theta), np.sin(theta)
+
+
+@pytest.mark.parametrize("kind", ["fr", "fv"])
+def test_rusanov_is_the_textbook_flux(kind):
+    # 0.5 (FL + FR) - 0.5 smax (UR - UL) from the primitive variables, to
+    # 1e-14 of the size of its terms
+    UL, UR, nx, ny = _face_views(kind, np.random.default_rng(33))
+    FL, FR = euler_normal_flux(UL, nx, ny), euler_normal_flux(UR, nx, ny)
+    smax = np.maximum(*(np.abs(u * nx + v * ny) + np.sqrt(GAMMA_GAS * p / rho)
+                        for rho, u, v, p in map(conserved_to_primitive, (UL, UR))))
+    want = 0.5 * (FL + FR) - 0.5 * smax[..., None] * (UR - UL)
+    terms = 0.5 * (np.abs(FL) + np.abs(FR)) + 0.5 * smax[..., None] * np.abs(UR - UL)
+    assert np.all(np.abs(rusanov_flux(UL, UR, nx, ny) - want) <= 1e-14 * terms)
+
+
+@pytest.mark.parametrize("flux", [rusanov_flux, roe_flux])
+@pytest.mark.parametrize("kind", ["fr", "fv"])
+def test_flux_kernels_write_into_out(kind, flux):
+    # the solvers hand the kernel a slot of their face buffer: it is filled
+    # and returned, bit for bit the allocating call, and nothing else moves
+    UL, UR, nx, ny = _face_views(kind, np.random.default_rng(34))
+    before = UL.copy(), UR.copy()
+    out = np.empty(UL.shape[::-1]).T
+    assert flux(UL, UR, nx, ny, out=out) is out
+    assert np.array_equal(out, flux(UL, UR, nx, ny))
+    assert np.array_equal(UL, before[0]) and np.array_equal(UR, before[1])
+
+
 # --- vortex ------------------------------------------------------------------
 
 def test_icv_far_field_is_free_stream():
@@ -219,6 +276,22 @@ def test_icv_rejects_bad_parameters():
                 ICVParams(**{name: value})
 
 
+def test_icv_rejects_non_finite_stream_and_centre():
+    # a NaN or infinite free stream or centre once projected a non-finite
+    # state, and run_icv then blamed the time step; zero and negative
+    # values stay valid
+    bad = float("nan"), float("inf"), -float("inf")
+    for value in bad:
+        for name, kwargs in (("u_inf", dict(u_inf=value)), ("v_inf", dict(v_inf=value)),
+                             ("centre[0]", dict(centre=(value, 5.0))),
+                             ("centre[1]", dict(centre=(5.0, value)))):
+            with pytest.raises(ValueError, match=rf"vortex {re.escape(name)} must be "
+                               f"a finite number, got {value}"):
+                ICVParams(**kwargs)
+    pr = ICVParams(u_inf=0.0, v_inf=-1.0, centre=(0.0, -2.0))
+    assert all(np.all(np.isfinite(f)) for f in icv_primitive(np.arange(5.0), 1.0, 0.3, pr))
+
+
 # --- element solver ----------------------------------------------------------
 
 def test_fr_free_stream_preserved_on_jittered_mesh():
@@ -232,9 +305,9 @@ def test_fr_mapping_corner_consistency():
     mesh = jitter(uniform_quad_mesh(5, 5, 10.0), 0.25, seed=22)
     solver = FREulerSolver2D(mesh, p=3)
     # mapped solution points stay inside each element's bounding box
-    X = mesh.corner_coords()
-    lo = X.min(axis=1)[:, None, None, :]
-    hi = X.max(axis=1)[:, None, None, :]
+    X = np.stack(mesh.corner_planes(), axis=-1)     # (4 corners, n_elem, 2)
+    lo = X.min(axis=0)[:, None, None, :]
+    hi = X.max(axis=0)[:, None, None, :]
     assert np.all(solver.x >= lo - 1e-12) and np.all(solver.x <= hi + 1e-12)
     assert np.all(solver.detJ > 0)
 
@@ -256,6 +329,31 @@ def test_fr_rejects_tangled_mesh(make, L, node):
     bad = QuadMesh2D(nodes=nodes, elements=mesh.elements, nx=3, ny=3, L=L)
     with pytest.raises(ValueError, match="tangled"):
         make(bad)
+
+
+@pytest.mark.parametrize("metrics", ["curvilinear", "exact"])
+def test_fv_rejects_tangled_mesh(metrics):
+    # the finite-volume solver checks the corners it builds its cells from:
+    # one draw of jitter 0.95 with no redraw tangles cells of the non-square
+    # mesh, moving one node onto or past its north-east neighbour inverts
+    # or collapses a cell, and each is refused; the redrawn mesh is not
+    from frwave.mesh2d import QuadMesh2D, _corner_jacobians
+    mesh = uniform_quad_mesh(9, 6, 10.0)
+    drawn = mesh.nodes.copy()
+    interior = drawn.reshape(7, 10, 2)[1:-1, 1:-1]
+    rng = np.random.Generator(np.random.Philox(key=11))
+    interior += 0.95 * np.array([10.0 / 9, 10.0 / 6]) * rng.uniform(-0.5, 0.5, interior.shape)
+    moved = []
+    for past in (1.0, 1.3):
+        nodes = mesh.nodes.copy()
+        nodes[2 * 10 + 3] += past * (nodes[3 * 10 + 4] - nodes[2 * 10 + 3])
+        moved.append(nodes)
+    for nodes in [drawn] + moved:
+        bad = QuadMesh2D(nodes=nodes, elements=mesh.elements, nx=9, ny=6, L=10.0)
+        assert np.any(_corner_jacobians(*bad.corner_planes()) <= 0)
+        with pytest.raises(ValueError, match="tangled"):
+            FVEulerSolver2D(bad, metrics=metrics)
+    FVEulerSolver2D(jitter(mesh, 0.95, seed=11), metrics=metrics)
 
 
 @pytest.mark.parametrize("riemann", ["rusanov", "roe"])

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from frwave.mesh2d import (MeshTangleError, jitter, jitter_factor_for_skew,
-                           read_mesh, skew_angle, uniform_quad_mesh,
-                           write_mesh)
+from frwave.mesh2d import (MeshTangleError, QuadMesh2D, jitter,
+                           jitter_factor_for_skew, read_mesh, skew_angle,
+                           uniform_quad_mesh, write_mesh)
 
 
 def quad_areas(mesh):
-    X = mesh.corner_coords()
-    x, y = X[..., 0], X[..., 1]
-    cross = x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y
-    return 0.5 * np.abs(cross.sum(axis=1))
+    x, y = mesh.corner_planes()
+    cross = x * np.roll(y, -1, axis=0) - np.roll(x, -1, axis=0) * y
+    return 0.5 * np.abs(cross.sum(axis=0))
 
 
 def test_uniform_mesh_basic_layout():
@@ -33,10 +32,8 @@ def test_uniform_mesh_area_sums():
 
 def test_uniform_mesh_counterclockwise():
     m = uniform_quad_mesh(3, 3, 1.0)
-    X = m.corner_coords()
-    d1 = X[:, 1] - X[:, 0]
-    d2 = X[:, 3] - X[:, 0]
-    assert np.all(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] > 0)
+    x, y = m.corner_planes()
+    assert np.all((x[1] - x[0]) * (y[3] - y[0]) - (y[1] - y[0]) * (x[3] - x[0]) > 0)
 
 
 def test_uniform_mesh_rejects_tiny():
@@ -104,23 +101,46 @@ def test_jitter_keeps_elements_untangled():
     m = uniform_quad_mesh(10, 10, 1.0)
     for factor in (0.45, 0.95):
         jm = jitter(m, factor, seed=11)
-        jac = _corner_jacobians(jm.corner_coords())
+        jac = _corner_jacobians(*jm.corner_planes())
         assert np.all(jac > 0)
     # at 0.95 the one block tangles elements, so redraw rounds ran
-    tangled = _corner_jacobians(_one_block(m, 0.95, 11)[m.elements])
+    nodes = _one_block(m, 0.95, 11)[m.elements.T]
+    tangled = _corner_jacobians(nodes[..., 0], nodes[..., 1])
     assert np.any(tangled <= 0)
 
 
 def test_corner_jacobians_are_the_corner_cross_products():
-    # corner c: (next corner - c) x (previous corner - c)
+    # corner c: (next corner - c) x (previous corner - c), bit for bit; at
+    # factor 0.95 the one-block draw has tangled elements, whose verdicts
+    # must not move either
     from frwave.mesh2d import _corner_jacobians
-    X = jitter(uniform_quad_mesh(5, 3, 2.0), 0.4, seed=6).corner_coords()
-    want = np.empty(X.shape[:2])
-    for c in range(4):
-        a = X[:, (c + 1) % 4] - X[:, c]
-        b = X[:, (c + 3) % 4] - X[:, c]
-        want[:, c] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    assert np.array_equal(_corner_jacobians(X), want)
+    for nx, ny, factor, seed in ((5, 3, 0.4, 6), (10, 10, 0.95, 11)):
+        m = uniform_quad_mesh(nx, ny, 2.0)
+        nodes = _one_block(m, factor, seed)
+        X = nodes[m.elements]
+        want = np.empty(X.shape[:2])
+        for c in range(4):
+            a = X[:, (c + 1) % 4] - X[:, c]
+            b = X[:, (c + 3) % 4] - X[:, c]
+            want[:, c] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        assert np.any(want <= 0) == (factor > 0.5)
+        jm = QuadMesh2D(nodes=nodes, elements=m.elements, nx=nx, ny=ny, L=2.0)
+        x, y = jm.corner_planes()
+        assert np.array_equal(x, X[..., 0].T) and np.array_equal(y, X[..., 1].T)
+        got = _corner_jacobians(x, y)
+        assert np.array_equal(got, want.T)
+        assert np.array_equal(got <= 0, want.T <= 0)
+
+
+def test_vector_length_is_the_norm():
+    # lengths are sqrt(a*a + b*b), which is what np.linalg.norm computes
+    # along a last axis of two: bit for bit, also for tiny, huge, zero and
+    # mixed-scale components
+    from frwave.mesh2d import _length
+    rng = np.random.default_rng(41)
+    v = rng.normal(size=(40_000, 2)) * 10.0 ** rng.uniform(-150, 150, (40_000, 2))
+    v[:4] = [[0.0, 0.0], [0.0, -3.0], [1e-160, 1e-160], [1e150, -1e150]]
+    assert np.array_equal(_length(v[:, 0], v[:, 1]), np.linalg.norm(v, axis=-1))
 
 
 @pytest.mark.parametrize("nx, ny, L, factor, seed", [

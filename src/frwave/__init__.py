@@ -26,12 +26,13 @@ from .spectral import (SAMPLED, WEIGHTED, EigenSolveError, SemiDiscreteOperator,
                        SpectralCurve, SpectralSample, build_operator,
                        dispersion_curve, fd_modified_wavenumber, filter_kernel,
                        modified_phase_velocity, ppw)
-from .stability import (StabilityResult, UnstableSolutionError, advance,
-                        cfl_limit, spectral_radius_sweep, update_matrix)
+from .stability import (StabilityResult, UnstableSolutionError, WaveSymbols,
+                        advance, cfl_limit, spectral_radius_sweep,
+                        update_matrix, wave_symbols)
 from .advect1d import (FDAdvection1D, FRAdvection1D, StretchedGrid1D,
                        TransferTable, bin_wavenumbers, build_grid,
-                       fd_point_grid, matched_point_expansion, numeric_ppw,
-                       solution_points, wave_transfer_function)
+                       matched_point_expansion, numeric_ppw, solution_points,
+                       wave_transfer_function)
 from .mesh2d import (MeshTangleError, QuadMesh2D, SkewReport, jitter,
                      jitter_factor_for_skew, read_mesh, skew_angle,
                      uniform_quad_mesh, write_mesh)

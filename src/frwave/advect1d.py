@@ -119,12 +119,6 @@ class FRAdvection1D(_Operator1D):
         return flat[cell], lagrange_values(self.element.xi, xi)
 
 
-def fd_point_grid(n_points, gamma, L=1.0):
-    """Geometrically expanding point grid on [0, L); spacing wraps at L."""
-    boundaries = build_grid(n_points, gamma, L)
-    return boundaries.x[:-1].copy()
-
-
 def matched_point_expansion(gamma_cell, points_per_cell):
     """Per-point expansion rate giving the same width profile as an
     element grid expanding by gamma_cell per cell."""
@@ -284,6 +278,8 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
     k_hats, res, ims, trans = [], [], [], []
     P_dt = None     # the snapshot interval P marches; transit bins share it
     for k in k_values:
+        if not math.isfinite(k):
+            raise ValueError(f"wavenumber must be a finite number, got {k}")
         m = k * L / (2.0 * np.pi)
         m_int = int(round(m))
         if abs(m - m_int) > 1e-9 * max(1.0, abs(m)) or m_int <= 0:

@@ -20,8 +20,8 @@ from . import __version__
 from .element import HUYNH_G2, CORRECTION_KINDS, reference_element
 from .spectral import (SAMPLED, WEIGHTED, dispersion_curve, dispersion_samples,
                        filter_kernel, ppw)
-from .stability import (K_SAMPLES, SCHEMES, _detect_limit, _stages,
-                        _wave_symbols, spectral_radius_sweep)
+from .stability import (SCHEMES, cfl_limit, spectral_radius_sweep,
+                        wave_symbols)
 from .advect1d import (FD_ORDERS, FDAdvection1D, FRAdvection1D, TRANSIT, PENCIL,
                        bin_wavenumbers, build_grid, matched_point_expansion,
                        numeric_ppw, wave_transfer_function)
@@ -120,14 +120,13 @@ def cmd_ppw(args):
 
 def cmd_cfl_table(args):
     rows = []
-    symbols = {}    # one symbol solve per (p, gamma), shared by every scheme
+    symbols = {}    # one symbol solve per (order, gamma), shared by every scheme
     for scheme, order, gamma in product(_items(args.schemes, str.strip),
                                         _items(args.orders, int),
                                         _items(args.gamma)):
-        stages, p = _stages(scheme), order - 1
-        if (p, gamma) not in symbols:
-            symbols[p, gamma] = _wave_symbols(p, gamma, K_SAMPLES, args.kind)[1:]
-        res = _detect_limit(*symbols[p, gamma], stages, f"{scheme}, p={p}, gamma={gamma}")
+        if (order, gamma) not in symbols:
+            symbols[order, gamma] = wave_symbols(order - 1, gamma, args.kind)
+        res = cfl_limit(symbols[order, gamma], scheme)
         rows.append((scheme, order, gamma, res.cfl_limit, res.detection))
     _emit(args.outdir / "cfl_table.csv",
           ["scheme", "spatial_order", "gamma", "cfl_limit", "detection_rule"],

@@ -127,14 +127,25 @@ class StabilityResult:
     rho_curve: list  # (cfl, max-over-k rho) pairs probed during detection
 
 
-def _wave_symbols(p, gamma, k_samples, correction_kind):
-    """The k_hat sweep, the eigenvalues of the weighted-closure symbol at
-    each k_hat, and the semi-discrete growth rate."""
-    element = reference_element(p, correction_kind)
-    op = build_operator(element, gamma, delta_j=1.0)  # CFL == tau when delta_j = 1
+@dataclass(frozen=True)
+class WaveSymbols:
+    """One (p, gamma) sweep: the k_hat samples, the weighted-closure symbol's
+    eigenvalues lam (a row per k_hat) and the semi-discrete growth rate."""
+    p: int
+    gamma: float
+    k_hat: np.ndarray
+    lam: np.ndarray
+    growth: float
+
+
+def wave_symbols(p, gamma, correction_kind=HUYNH_G2, k_samples=K_SAMPLES):
+    """WaveSymbols over k_samples >= 128 wavenumbers; CFL == tau, as delta_j = 1."""
+    if k_samples < 128:
+        raise ValueError(f"need at least 128 wavenumber samples, got {k_samples}")
+    op = build_operator(reference_element(p, correction_kind), gamma, delta_j=1.0)
     k_hats = np.linspace(np.pi / k_samples, np.pi, k_samples)
     lam = _eigvals(op.wave_symbol(k_hats * (p + 1), WEIGHTED), k_hats)
-    return k_hats, lam, max(0.0, float(np.max(lam.real)))
+    return WaveSymbols(p, gamma, k_hats, lam, max(0.0, float(np.max(lam.real))))
 
 
 def _radii(lam, tau, stages):
@@ -151,15 +162,13 @@ def spectral_radius_sweep(p, gamma, scheme, tau, k_samples=K_SAMPLES):
     Returns (k_hat array, rho array); the max over the sweep is the
     von Neumann stability figure for this tau.
     """
-    if k_samples < 128:
-        raise ValueError(f"need at least 128 wavenumber samples, got {k_samples}")
     stages = _stages(scheme)
-    k_hats, lam, _ = _wave_symbols(p, gamma, k_samples, HUYNH_G2)
-    return k_hats, _radii(lam, tau, stages)
+    symbols = wave_symbols(p, gamma, k_samples=k_samples)
+    return symbols.k_hat, _radii(symbols.lam, tau, stages)
 
 
-def cfl_limit(p, gamma, scheme, correction_kind=HUYNH_G2):
-    """Largest stable CFL = tau/delta_j (unit convection speed).
+def cfl_limit(symbols, scheme):
+    """Largest stable CFL = tau/delta_j (unit speed) of `scheme` on `symbols`.
 
     Two detection rules run on g(CFL) = max over k_hat of rho(R):
     (a) last CFL with g <= 1 + WEAK_ALLOWANCE, and (b) last CFL before g
@@ -168,17 +177,11 @@ def cfl_limit(p, gamma, scheme, correction_kind=HUYNH_G2):
     which rule produced it.
     """
     stages = _stages(scheme)
-    _, lam, growth = _wave_symbols(p, gamma, K_SAMPLES, correction_kind)
-    return _detect_limit(lam, growth, stages, f"{scheme}, p={p}, gamma={gamma}")
-
-
-def _detect_limit(lam, growth, stages, entry):
-    """cfl_limit's rules on _wave_symbols' lam and growth; errors name `entry`."""
     trace = {}
 
     def g(cfl):
         if cfl not in trace:
-            trace[cfl] = float(np.max(_radii(lam, cfl, stages)))
+            trace[cfl] = float(np.max(_radii(symbols.lam, cfl, stages)))
         return trace[cfl]
 
     def last_below(bound):
@@ -186,7 +189,8 @@ def _detect_limit(lam, growth, stages, entry):
         while g(hi) <= bound(hi):
             lo, hi = hi, hi * 1.6
             if hi > 8.0:
-                raise BisectionError(f"no stability boundary below CFL=8 for {entry}")
+                raise BisectionError(f"no stability boundary below CFL=8 for "
+                                     f"{scheme}, p={symbols.p}, gamma={symbols.gamma}")
         while hi - lo > CFL_TOL:
             mid = 0.5 * (lo + hi)
             if g(mid) <= bound(mid):
@@ -196,7 +200,7 @@ def _detect_limit(lam, growth, stages, entry):
         return lo
 
     rule_a = last_below(lambda cfl: 1.0 + WEAK_ALLOWANCE)
-    rule_b = last_below(lambda cfl: SHARP_RISE_MARGIN * np.exp(cfl * growth))
+    rule_b = last_below(lambda cfl: SHARP_RISE_MARGIN * np.exp(cfl * symbols.growth))
     detection = SHARP_INCREASE if rule_b > rule_a + 2 * CFL_TOL else EXCEEDS_UNITY
     return StabilityResult(cfl_limit=max(rule_a, rule_b), detection=detection,
                            rho_curve=sorted(trace.items()))

@@ -11,7 +11,7 @@ from frwave.stability import UnstableSolutionError, advance, update_matrix
 from frwave.advect1d import (MEASURE_POINTS, PENCIL, PENCIL_SNAPSHOTS,
                              PENCIL_SPAN, TRANSIT, FDAdvection1D,
                              FRAdvection1D, _bin_functional, _modal_wavenumber,
-                             bin_wavenumbers, build_grid, fd_point_grid,
+                             bin_wavenumbers, build_grid,
                              matched_point_expansion, numeric_ppw,
                              solution_points, wave_transfer_function,
                              TransferTable)
@@ -136,14 +136,14 @@ def test_fr_operator_eigenvalues_are_the_wave_symbols():
 # --- finite-difference right-hand side ----------------------------------------
 
 def test_fd_rhs_preserves_constants():
-    pts = fd_point_grid(32, 1.05, 1.0)
+    pts = build_grid(32, 1.05, 1.0).x[:-1]
     fd = FDAdvection1D(pts, 1.0, 4, lf_blend=0.01)
     assert np.max(np.abs(fd.rhs(np.ones(32)))) < 1e-11
 
 
 def test_fd_rhs_matches_modified_wavenumber_prediction():
     from frwave.spectral import fd_modified_wavenumber
-    pts = fd_point_grid(64, 1.0, 1.0)
+    pts = build_grid(64, 1.0, 1.0).x[:-1]
     fd = FDAdvection1D(pts, 1.0, 4)
     k = 2 * np.pi * 9
     u = np.exp(1j * k * pts)
@@ -157,7 +157,7 @@ def test_fd_rhs_matches_modified_wavenumber_prediction():
 
 
 def test_fd_scheme_validation():
-    pts = fd_point_grid(16, 1.0, 1.0)
+    pts = build_grid(16, 1.0, 1.0).x[:-1]
     with pytest.raises(ValueError, match="order must be one of"):
         FDAdvection1D(pts, 1.0, 5)
     with pytest.raises(ValueError, match="smoothing fraction"):
@@ -166,7 +166,7 @@ def test_fd_scheme_validation():
 
 
 def test_fd_stencil_wider_than_grid_rejected():
-    pts = fd_point_grid(4, 1.0, 1.0)
+    pts = build_grid(4, 1.0, 1.0).x[:-1]
     with pytest.raises(ValueError):
         FDAdvection1D(pts, 1.0, 8)
 
@@ -198,9 +198,9 @@ def _fd_reference(points, L, order, lf_blend, xs):
 
 def _fd_grids():
     rng = np.random.default_rng(12)
-    yield fd_point_grid(30, 1.05, 1.0), 1.0
-    yield fd_point_grid(17, 0.93, 2.0), 2.0
-    yield fd_point_grid(9, 1.2, 1.0), 1.0          # as wide as order 8's stencil
+    yield build_grid(30, 1.05, 1.0).x[:-1], 1.0
+    yield build_grid(17, 0.93, 2.0).x[:-1], 2.0
+    yield build_grid(9, 1.2, 1.0).x[:-1], 1.0     # as wide as order 8's stencil
     for n in (11, 24):
         gaps = rng.uniform(0.2, 1.0, n)
         L = float(gaps.sum())
@@ -225,7 +225,7 @@ def test_fd_assembly_is_the_stated_stencil(order, lf_blend):
 
 
 def test_fd_blend_adds_dissipation_mid_band():
-    pts = fd_point_grid(64, 1.0, 1.0)
+    pts = build_grid(64, 1.0, 1.0).x[:-1]
     k = 2 * np.pi * 10
     plain = wave_transfer_function(
         FDAdvection1D(pts, 1.0, 4), [k], cfl=0.01, window=0.5)
@@ -244,7 +244,7 @@ def _stretched_fr():
 
 
 def _stretched_fd():
-    pts = fd_point_grid(30, 1.05, 1.0)
+    pts = build_grid(30, 1.05, 1.0).x[:-1]
     gaps = np.diff(np.append(pts, pts[0] + 1.0))     # gaps[i] = x[i+1] - x[i]
     h_bar = 0.5 * (gaps + np.roll(gaps, 1))
     return FDAdvection1D(pts, 1.0, 6, lf_blend=0.01), h_bar.min()
@@ -268,7 +268,7 @@ def _fr_solver(gamma):
 
 
 def _fd_solver(order):
-    pts = fd_point_grid(48, matched_point_expansion(1.1, order), 1.0)
+    pts = build_grid(48, matched_point_expansion(1.1, order), 1.0).x[:-1]
     return FDAdvection1D(pts, 1.0, order, lf_blend=0.01)
 
 
@@ -394,6 +394,14 @@ def test_transfer_rejects_zero_wavenumber():
     solver = FRAdvection1D(build_grid(8, 1.0, 1.0), e)
     with pytest.raises(ValueError, match="wavenumber 0.0 does not fit"):
         wave_transfer_function(solver, [0.0])
+
+
+@pytest.mark.parametrize("k", [np.inf, -np.inf, np.nan])
+def test_transfer_rejects_non_finite_wavenumber(k):
+    # rejected by name before k L / 2 pi is rounded to a whole wavelength count
+    solver = FRAdvection1D(build_grid(8, 1.0, 1.0), reference_element(2))
+    with pytest.raises(ValueError, match=f"wavenumber must be a finite number, got {k}"):
+        wave_transfer_function(solver, [k])
 
 
 def test_transfer_rejects_non_integer_wavelengths():
@@ -592,7 +600,7 @@ def test_resample_exact_for_piecewise_polynomials():
 
 
 def test_fd_resample_accuracy():
-    pts = fd_point_grid(64, 1.0, 1.0)
+    pts = build_grid(64, 1.0, 1.0).x[:-1]
     fd = FDAdvection1D(pts, 1.0, 4)
     f = lambda x: np.sin(2 * np.pi * 3 * x + 0.3)
     xs = np.linspace(0, 1, 200, endpoint=False)

@@ -59,6 +59,26 @@ def test_cfl_table_spot_value(tmp_path):
     assert abs(float(limit) - 0.288) / 0.288 < 0.05
 
 
+def test_cfl_table_solves_each_symbol_once(tmp_path, monkeypatch):
+    # every entry is cfl_limit on its (p, gamma) symbol record, and each
+    # record is solved once for all the schemes that read it
+    calls = {"cfl_limit": 0, "wave_symbols": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["cfl-table", "--schemes", "RK33,RK44,RK55", "--orders", "3,4",
+                 "--gamma", "0.9,1.1", "--outdir", str(tmp_path)]) == 0
+    assert calls == {"cfl_limit": 12, "wave_symbols": 4}
+
+
 def test_cfl_table_row_count(tmp_path):
     rc = main(["cfl-table", "--schemes", "RK33", "--orders", "3",
                "--gamma", "0.9,1.0,1.1", "--outdir", str(tmp_path)])
@@ -199,6 +219,10 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "need at least two distinct resolutions"),
     (["wave-test", "--k", "0", "--ppw-epsilon", "0.01", "--dof", "40"],
      "wavenumber 0.0 does not fit an integer number of wavelengths"),
+    (["wave-test", "--k", "inf", "--dof", "40"],
+     "wavenumber must be a finite number, got inf"),
+    (["wave-test", "--k", "nan", "--dof", "40"],
+     "wavenumber must be a finite number, got nan"),
     (["dispersion", "--p", "2", "--gamma", "1.0,1", "--samples", "64"],
      "repeated --gamma value in 1.0,1"),
     (["wave-test", "--solver", "fr3", "--dof", "33", "--window", "nan"],
@@ -226,7 +250,8 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
         "wave-test-no-bin", "wave-test-nan-k-hat-max", "wave-test-inf-k-hat-max",
         "wave-test-huge-k-hat-max",
         "icv-negative-steps", "icv-repeated-resolution",
-        "wave-test-zero-k", "dispersion-repeated-gamma", "wave-test-nan-window",
+        "wave-test-zero-k", "wave-test-inf-k", "wave-test-nan-k",
+        "dispersion-repeated-gamma", "wave-test-nan-window",
         "wave-test-zero-window", "ppw-nan-epsilon", "ppw-inf-gamma",
         "cfl-table-nan-gamma", "kernel-nan-time", "wave-test-nan-gamma",
         "wave-test-inf-gamma", "wave-test-fd-nan-gamma", "wave-test-fd-negative-gamma"])

@@ -8,7 +8,7 @@ from frwave.spectral import WEIGHTED, SemiDiscreteOperator, build_operator
 from frwave import stability
 from frwave.stability import (EXCEEDS_UNITY, SHARP_INCREASE, BisectionError,
                               advance, cfl_limit, spectral_radius_sweep,
-                              update_matrix)
+                              update_matrix, wave_symbols)
 
 
 def test_unknown_scheme_rejected():
@@ -17,7 +17,7 @@ def test_unknown_scheme_rejected():
     calls = [lambda: update_matrix(np.eye(2), 0.1, "RK99"),
              lambda: advance(decay, np.ones(2), 0.1, "RK99", 1),
              lambda: spectral_radius_sweep(2, 1.0, "RK99", 0.1),
-             lambda: cfl_limit(2, 1.0, "RK99")]
+             lambda: cfl_limit(wave_symbols(2, 1.0), "RK99")]
     for call in calls:
         with pytest.raises(ValueError, match="unknown RK scheme 'RK99'"):
             call()
@@ -84,6 +84,8 @@ def test_expanding_grid_fourth_order_unstable_everywhere():
 def test_sweep_needs_enough_samples():
     with pytest.raises(ValueError):
         spectral_radius_sweep(2, 1.0, "RK44", tau=0.1, k_samples=32)
+    with pytest.raises(ValueError, match="need at least 128 wavenumber samples, got 127"):
+        wave_symbols(2, 1.0, k_samples=127)
 
 
 def test_sweep_rejects_bad_tau():
@@ -204,30 +206,31 @@ def test_cfl_limit_published_spot_values():
         (4, 1.3, "RK55", 0.204),
     ]
     for p, gamma, scheme, ref in cases:
-        res = cfl_limit(p, gamma, scheme)
+        res = cfl_limit(wave_symbols(p, gamma), scheme)
         assert abs(res.cfl_limit - ref) / ref < 0.05
 
 
 def test_cfl_limit_monotone_in_stage_count():
-    limits = [cfl_limit(3, 1.0, s).cfl_limit for s in ("RK33", "RK44", "RK55")]
+    symbols = wave_symbols(3, 1.0)
+    limits = [cfl_limit(symbols, s).cfl_limit for s in ("RK33", "RK44", "RK55")]
     assert limits[0] < limits[1] < limits[2]
 
 
 def test_cfl_limit_monotone_in_order():
-    limits = [cfl_limit(p, 1.0, "RK44").cfl_limit for p in (2, 3, 4)]
+    limits = [cfl_limit(wave_symbols(p, 1.0), "RK44").cfl_limit for p in (2, 3, 4)]
     assert limits[0] > limits[1] > limits[2]
 
 
 def test_detection_tag_for_expanding_grid():
-    res = cfl_limit(3, 1.2, "RK44")
+    res = cfl_limit(wave_symbols(3, 1.2), "RK44")
     assert res.detection == SHARP_INCREASE
     assert res.cfl_limit > 0
 
 
 def test_rho_curve_monotone_beyond_limit():
-    res = cfl_limit(2, 1.0, "RK44")
-    k_hats = np.linspace(np.pi / stability.K_SAMPLES, np.pi, stability.K_SAMPLES)
-    Qs = _symbols(2, 1.0, k_hats)
+    symbols = wave_symbols(2, 1.0)
+    res = cfl_limit(symbols, "RK44")
+    Qs = _symbols(2, 1.0, symbols.k_hat)
     gs = []
     for factor in (1.05, 1.2, 1.5):
         R = update_matrix(Qs, factor * res.cfl_limit, "RK44")
@@ -237,7 +240,7 @@ def test_rho_curve_monotone_beyond_limit():
 
 
 def test_rho_curve_recorded():
-    res = cfl_limit(2, 1.0, "RK33")
+    res = cfl_limit(wave_symbols(2, 1.0), "RK33")
     assert len(res.rho_curve) > 5
     cfls = [c for c, _ in res.rho_curve]
     assert cfls == sorted(cfls)
@@ -248,5 +251,6 @@ def test_cfl_limit_without_boundary_raises(monkeypatch):
     # amplifies, which leaves nothing to bracket below CFL 8
     monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol",
                         lambda self, k, closure: np.zeros(np.shape(k) + self.element.C0.shape))
-    with pytest.raises(BisectionError, match="no stability boundary"):
-        cfl_limit(3, 1.0, "RK44")
+    with pytest.raises(BisectionError,
+                       match="no stability boundary below CFL=8 for RK44, p=3, gamma=1.0"):
+        cfl_limit(wave_symbols(3, 1.0), "RK44")

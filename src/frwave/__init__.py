@@ -27,8 +27,8 @@ from .spectral import (SAMPLED, WEIGHTED, EigenSolveError, SemiDiscreteOperator,
                        dispersion_curve, fd_modified_wavenumber, filter_kernel,
                        modified_phase_velocity, ppw)
 from .stability import (StabilityResult, UnstableSolutionError, WaveSymbols,
-                        advance, cfl_limit, spectral_radius_sweep,
-                        update_matrix, wave_symbols)
+                        advance, cfl_limit, spectral_radii, update_matrix,
+                        wave_symbols)
 from .advect1d import (FDAdvection1D, FRAdvection1D, StretchedGrid1D,
                        TransferTable, bin_wavenumbers, build_grid,
                        matched_point_expansion, numeric_ppw, solution_points,

@@ -331,23 +331,13 @@ def bin_wavenumbers(L, dof, k_hat_max=0.75 * np.pi):
     lie below the measurement Nyquist (MEASURE_POINTS / 2 wavelengths)."""
     if not -np.inf < k_hat_max < np.inf:    # also NaN
         raise ValueError(f"wavenumber limit must be a finite number, got {k_hat_max}")
-
-    def fits(m):        # the bin of m wavelengths is within the limit
-        return 2.0 * np.pi * m / L * L / dof <= k_hat_max
-
-    nyquist = MEASURE_POINTS // 2
-    if fits(nyquist):   # raised before the sweep builds its bins
-        raise ValueError(f"wavenumber {2.0 * np.pi * nyquist / L} above the "
-                         "measurement Nyquist")
-    # the bin count in closed form, then settled by the test each bin passes
-    n = min(max(int(k_hat_max * dof / (2.0 * np.pi)), 0), nyquist - 1)
-    while fits(n + 1):
-        n += 1
-    while n > 0 and not fits(n):
-        n -= 1
-    if n == 0:
+    ks = 2.0 * np.pi * np.arange(1, MEASURE_POINTS // 2 + 1) / L
+    fits = ks * L / dof <= k_hat_max    # a prefix: k_hat rises with the bin
+    if fits[-1]:
+        raise ValueError(f"wavenumber {ks[-1]} above the measurement Nyquist")
+    if not fits[0]:
         raise ValueError(f"no wavenumber bin has k_hat in (0, {k_hat_max:.6g}]")
-    return 2.0 * np.pi * np.arange(1, n + 1) / L
+    return ks[fits]
 
 
 def numeric_ppw(table, epsilon=0.01):

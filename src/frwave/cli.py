@@ -17,11 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .element import HUYNH_G2, CORRECTION_KINDS, reference_element
+from .element import HUYNH_G2, CORRECTION_KINDS, MAX_ORDER, reference_element
 from .spectral import (SAMPLED, WEIGHTED, dispersion_curve, dispersion_samples,
                        filter_kernel, ppw)
-from .stability import (SCHEMES, cfl_limit, spectral_radius_sweep,
-                        wave_symbols)
+from .stability import SCHEMES, cfl_limit, spectral_radii, wave_symbols
 from .advect1d import (FD_ORDERS, FDAdvection1D, FRAdvection1D, TRANSIT, PENCIL,
                        bin_wavenumbers, build_grid, matched_point_expansion,
                        numeric_ppw, wave_transfer_function)
@@ -75,6 +74,13 @@ def _items(text, kind=float):
     return [kind(v) for v in text.split(",")]
 
 
+def _degree(order):
+    """The polynomial degree p = N - 1 of a spatial order N in [2, MAX_ORDER + 1]."""
+    if not 2 <= order <= MAX_ORDER + 1:
+        raise ValueError(f"spatial order must be in [2, {MAX_ORDER + 1}], got {order}")
+    return order - 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -125,7 +131,7 @@ def cmd_cfl_table(args):
                                         _items(args.orders, int),
                                         _items(args.gamma)):
         if (order, gamma) not in symbols:
-            symbols[order, gamma] = wave_symbols(order - 1, gamma, args.kind)
+            symbols[order, gamma] = wave_symbols(_degree(order), gamma, args.kind)
         res = cfl_limit(symbols[order, gamma], scheme)
         rows.append((scheme, order, gamma, res.cfl_limit, res.detection))
     _emit(args.outdir / "cfl_table.csv",
@@ -135,12 +141,12 @@ def cmd_cfl_table(args):
 
 
 def cmd_rho_sweep(args):
-    k_hat, rho = spectral_radius_sweep(args.p, args.gamma, args.scheme,
-                                       args.tau, k_samples=args.samples)
+    symbols = wave_symbols(args.p, args.gamma, k_samples=args.samples)
+    rho = spectral_radii(symbols, args.scheme, args.tau)
     _emit(args.outdir / f"rho_p{args.p}_gamma{_fmt(args.gamma)}_tau{_fmt(args.tau)}.csv",
           ["k_hat", "rho", "p", "gamma", "scheme", "tau"],
           [(kh, r, args.p, args.gamma, args.scheme, args.tau)
-           for kh, r in zip(k_hat, rho)], args)
+           for kh, r in zip(symbols.k_hat, rho)], args)
     return 0
 
 
@@ -151,7 +157,7 @@ def _build_1d_solver(spec_text, gamma, dof):
         raise ValueError(f"unknown solver spec {spec_text!r} (want frN or fdN)")
     order = int(digits)
     if kind == "fr":
-        element = reference_element(order - 1)
+        element = reference_element(_degree(order))
         n_cells = dof // element.n_points
         if n_cells * element.n_points != dof:
             raise ValueError(f"DoF {dof} not divisible by p+1={element.n_points}")

@@ -148,23 +148,15 @@ def wave_symbols(p, gamma, correction_kind=HUYNH_G2, k_samples=K_SAMPLES):
     return WaveSymbols(p, gamma, k_hats, lam, max(0.0, float(np.max(lam.real))))
 
 
-def _radii(lam, tau, stages):
-    """Spectral radius of R = P(tau Q) for each row of symbol eigenvalues
-    lam, which by spectral mapping is max |P(tau lam)|."""
+def spectral_radii(symbols, scheme, tau):
+    """Per-k_hat spectral radius of R = P(tau Q) on a WaveSymbols record,
+    which by spectral mapping is max |P(tau lam)|; the max over the sweep
+    is the von Neumann stability figure for this tau."""
+    stages = _stages(scheme)
     _require_positive("time step", tau)
+    lam = symbols.lam
     amplification = _stage_loop(lambda v: lam * v, np.ones_like(lam), tau, stages)
     return np.max(np.abs(amplification), axis=-1)
-
-
-def spectral_radius_sweep(p, gamma, scheme, tau, k_samples=K_SAMPLES):
-    """Per-wavenumber spectral radius of R at a fixed time step.
-
-    Returns (k_hat array, rho array); the max over the sweep is the
-    von Neumann stability figure for this tau.
-    """
-    stages = _stages(scheme)
-    symbols = wave_symbols(p, gamma, k_samples=k_samples)
-    return symbols.k_hat, _radii(symbols.lam, tau, stages)
 
 
 def cfl_limit(symbols, scheme):
@@ -176,12 +168,11 @@ def cfl_limit(symbols, scheme):
     exp(CFL * r).  The limit is the larger; the detection tag records
     which rule produced it.
     """
-    stages = _stages(scheme)
     trace = {}
 
     def g(cfl):
         if cfl not in trace:
-            trace[cfl] = float(np.max(_radii(symbols.lam, cfl, stages)))
+            trace[cfl] = float(np.max(spectral_radii(symbols, scheme, cfl)))
         return trace[cfl]
 
     def last_below(bound):

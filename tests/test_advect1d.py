@@ -454,8 +454,8 @@ def _bins_one_by_one(L, dof, k_hat_max):
 @pytest.mark.parametrize("L", [1.0, 0.3, 7.1])
 @pytest.mark.parametrize("dof", [33, 40, 180, 4095])
 def test_bin_count_in_closed_form_is_the_sweep(L, dof):
-    # limits drawn at random and on each side of a bin's own k_hat; at
-    # these bins the closed form's estimate falls on both sides of the count
+    # the vectorised test over the candidate bins is the sweep, bitwise, at
+    # limits drawn at random and on each side of a bin's own k_hat
     limits = list(np.random.default_rng(dof).uniform(0.001, np.pi, 20))
     for m in (1, 2, 7, 11, 17, 22, 33, 300):
         k_hat = 2.0 * np.pi * m / L * L / dof
@@ -468,8 +468,8 @@ def test_bin_count_in_closed_form_is_the_sweep(L, dof):
 
 @pytest.mark.parametrize("k_hat_max", [1e9, 1e300])
 def test_bins_past_the_measurement_nyquist_rejected_at_once(k_hat_max):
-    # the sweep would reach MEASURE_POINTS / 2 wavelengths; it raises
-    # before building a bin (2e10 of them at 1e9)
+    # the sweep would reach MEASURE_POINTS / 2 wavelengths; it raises after
+    # testing only those candidate bins (a sweep at 1e9 would build 2e10)
     with pytest.raises(ValueError, match="above the measurement Nyquist"):
         bin_wavenumbers(1.0, 40, k_hat_max)
     nyquist = 2.0 * np.pi * (MEASURE_POINTS // 2) / 40

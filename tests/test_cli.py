@@ -59,10 +59,9 @@ def test_cfl_table_spot_value(tmp_path):
     assert abs(float(limit) - 0.288) / 0.288 < 0.05
 
 
-def test_cfl_table_solves_each_symbol_once(tmp_path, monkeypatch):
-    # every entry is cfl_limit on its (p, gamma) symbol record, and each
-    # record is solved once for all the schemes that read it
-    calls = {"cfl_limit": 0, "wave_symbols": 0}
+def _count_calls(monkeypatch, *names):
+    """Wrap each named cli function with a counter; returns the counts."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         fn = getattr(cli, name)
@@ -72,8 +71,15 @@ def test_cfl_table_solves_each_symbol_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(cli, name, counted(name))
+    return calls
+
+
+def test_cfl_table_solves_each_symbol_once(tmp_path, monkeypatch):
+    # every entry is cfl_limit on its (p, gamma) symbol record, and each
+    # record is solved once for all the schemes that read it
+    calls = _count_calls(monkeypatch, "cfl_limit", "wave_symbols")
     assert main(["cfl-table", "--schemes", "RK33,RK44,RK55", "--orders", "3,4",
                  "--gamma", "0.9,1.1", "--outdir", str(tmp_path)]) == 0
     assert calls == {"cfl_limit": 12, "wave_symbols": 4}
@@ -87,6 +93,14 @@ def test_cfl_table_row_count(tmp_path):
     assert len(rows) == 3
     limits = [float(r[3]) for r in rows]
     assert limits[0] > limits[1] > limits[2]
+
+
+def test_rho_sweep_reads_one_symbol_record(tmp_path, monkeypatch):
+    # rho-sweep solves one record and takes its radii once, as cfl-table does
+    calls = _count_calls(monkeypatch, "wave_symbols", "spectral_radii")
+    assert main(["rho-sweep", "--p", "3", "--gamma", "1.1", "--tau", "0.05",
+                 "--samples", "128", "--outdir", str(tmp_path)]) == 0
+    assert calls == {"wave_symbols": 1, "spectral_radii": 1}
 
 
 def test_rho_sweep_and_kernel(tmp_path):
@@ -235,6 +249,10 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "expansion rate must be a positive finite number, got inf"),
     (["cfl-table", "--schemes", "RK44", "--orders", "4", "--gamma", "nan"],
      "expansion rate must be a positive finite number, got nan"),
+    (["cfl-table", "--schemes", "RK44", "--orders", "1", "--gamma", "1.0"],
+     "spatial order must be in [2, 9], got 1"),
+    (["cfl-table", "--schemes", "RK44", "--orders", "10", "--gamma", "1.0"],
+     "spatial order must be in [2, 9], got 10"),
     (["kernel", "--p", "3", "--gamma", "1.0", "--time", "nan", "--samples", "64"],
      "time must be a positive finite number, got nan"),
     (["wave-test", "--solver", "fr3", "--dof", "33", "--gamma", "nan"],
@@ -253,7 +271,8 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
         "wave-test-zero-k", "wave-test-inf-k", "wave-test-nan-k",
         "dispersion-repeated-gamma", "wave-test-nan-window",
         "wave-test-zero-window", "ppw-nan-epsilon", "ppw-inf-gamma",
-        "cfl-table-nan-gamma", "kernel-nan-time", "wave-test-nan-gamma",
+        "cfl-table-nan-gamma", "cfl-table-order-1", "cfl-table-order-10",
+        "kernel-nan-time", "wave-test-nan-gamma",
         "wave-test-inf-gamma", "wave-test-fd-nan-gamma", "wave-test-fd-negative-gamma"])
 def test_unmeasurable_input_rejected(tmp_path, capsys, argv, message):
     rc = main(argv + ["--outdir", str(tmp_path)])
@@ -553,7 +572,9 @@ def test_ooa_skips_blank_lines(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec, message", [
-    ("fr0", "order p must be in"),
+    ("fr0", "spatial order must be in"),
+    ("fr1", "spatial order must be in [2, 9], got 1"),
+    ("fr10", "spatial order must be in [2, 9], got 10"),
     ("fd0", "order must be one of"),
     ("fr", "unknown solver spec 'fr'"),
     ("frx", "unknown solver spec 'frx'"),

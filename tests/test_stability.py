@@ -7,7 +7,7 @@ from frwave.element import reference_element
 from frwave.spectral import WEIGHTED, SemiDiscreteOperator, build_operator
 from frwave import stability
 from frwave.stability import (EXCEEDS_UNITY, SHARP_INCREASE, BisectionError,
-                              advance, cfl_limit, spectral_radius_sweep,
+                              advance, cfl_limit, spectral_radii,
                               update_matrix, wave_symbols)
 
 
@@ -16,7 +16,7 @@ def test_unknown_scheme_rejected():
     decay = SimpleNamespace(rhs=lambda u: -u)
     calls = [lambda: update_matrix(np.eye(2), 0.1, "RK99"),
              lambda: advance(decay, np.ones(2), 0.1, "RK99", 1),
-             lambda: spectral_radius_sweep(2, 1.0, "RK99", 0.1),
+             lambda: spectral_radii(wave_symbols(2, 1.0), "RK99", 0.1),
              lambda: cfl_limit(wave_symbols(2, 1.0), "RK99")]
     for call in calls:
         with pytest.raises(ValueError, match="unknown RK scheme 'RK99'"):
@@ -67,30 +67,30 @@ def test_update_matrix_rejects_bad_tau():
 # --- radius sweeps -----------------------------------------------------------
 
 def test_contracting_grid_stable_at_small_tau():
-    k_hat, rho = spectral_radius_sweep(2, 0.9, "RK44", tau=0.05)
+    rho = spectral_radii(wave_symbols(2, 0.9), "RK44", 0.05)
     assert np.all(rho <= 1.0 + 1e-12)
 
 
 def test_expanding_grid_third_order_mixed_bands():
-    k_hat, rho = spectral_radius_sweep(2, 1.1, "RK44", tau=0.05)
+    rho = spectral_radii(wave_symbols(2, 1.1), "RK44", 0.05)
     assert np.min(rho) < 1.0 < np.max(rho)
 
 
 def test_expanding_grid_fourth_order_unstable_everywhere():
-    k_hat, rho = spectral_radius_sweep(3, 1.1, "RK44", tau=0.05)
+    rho = spectral_radii(wave_symbols(3, 1.1), "RK44", 0.05)
     assert np.all(rho >= 1.0 - 1e-9)
 
 
 def test_sweep_needs_enough_samples():
     with pytest.raises(ValueError):
-        spectral_radius_sweep(2, 1.0, "RK44", tau=0.1, k_samples=32)
+        spectral_radii(wave_symbols(2, 1.0, k_samples=32), "RK44", 0.1)
     with pytest.raises(ValueError, match="need at least 128 wavenumber samples, got 127"):
         wave_symbols(2, 1.0, k_samples=127)
 
 
 def test_sweep_rejects_bad_tau():
     with pytest.raises(ValueError, match="time step must be a positive finite number"):
-        spectral_radius_sweep(2, 1.0, "RK44", tau=0.0)
+        spectral_radii(wave_symbols(2, 1.0), "RK44", 0.0)
 
 
 @pytest.mark.parametrize("tau", [-0.1, float("nan"), float("inf")],
@@ -101,7 +101,7 @@ def test_time_step_must_be_positive_finite(tau):
     decay = SimpleNamespace(rhs=lambda u: -u)
     calls = [lambda: update_matrix(np.eye(2), tau, "RK44"),
              lambda: advance(decay, np.ones(2), tau, "RK44", 2),
-             lambda: spectral_radius_sweep(2, 1.0, "RK44", tau)]
+             lambda: spectral_radii(wave_symbols(2, 1.0), "RK44", tau)]
     for call in calls:
         with pytest.raises(ValueError,
                            match=f"time step must be a positive finite number, got {tau}"):
@@ -131,12 +131,12 @@ def test_in_place_stage_loop_is_the_formula(monkeypatch):
     rng = np.random.default_rng(8)
     Q = rng.standard_normal((6, 6))
     Qs = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    lam = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
+    symbols = wave_symbols(2, 1.1, k_samples=128)
     fr1d = FRAdvection1D(build_grid(9, 1.15, 1.0), reference_element(3))
     x = fr1d.coords.ravel()
     runs = [lambda: update_matrix(Q, 0.3, "RK44"),
             lambda: update_matrix(Qs, 0.2, "RK55"),
-            lambda: stability._radii(lam, 0.4, 3),
+            lambda: spectral_radii(symbols, "RK33", 0.4),
             lambda: advance(fr1d, np.sin(2 * np.pi * x), 0.01, "RK44", 3)]
     runs += [lambda s=s, U=U: advance(s, U, 1e-3, "RK44", 2) for s, U in _vortex_solvers()]
     new = [run() for run in runs]
@@ -177,10 +177,11 @@ def _symbols(p, gamma, k_hats):
 def test_sweep_is_the_update_matrix_radius(p, gamma):
     # spectral mapping: max |P(tau lam)| equals the spectral radius of the
     # update matrix P(tau Q) formed and solved directly
+    symbols = wave_symbols(p, gamma)
     for scheme in ("RK33", "RK44", "RK55"):
         for tau in (0.05, 0.2):
-            k_hats, rho = spectral_radius_sweep(p, gamma, scheme, tau)
-            R = update_matrix(_symbols(p, gamma, k_hats), tau, scheme)
+            rho = spectral_radii(symbols, scheme, tau)
+            R = update_matrix(_symbols(p, gamma, symbols.k_hat), tau, scheme)
             expect = np.max(np.abs(np.linalg.eigvals(R)), axis=-1)
             assert np.max(np.abs(rho - expect) / expect) < 1e-12
 
@@ -237,6 +238,14 @@ def test_rho_curve_monotone_beyond_limit():
         gs.append(np.max(np.abs(np.linalg.eigvals(R))))
     assert gs[0] <= gs[1] <= gs[2]
     assert gs[0] > 1.0
+
+
+def test_rho_curve_is_the_radii_maximum():
+    # each cfl_limit probe is the max of spectral_radii at that CFL, bitwise
+    symbols = wave_symbols(3, 1.1)
+    for scheme in ("RK33", "RK44", "RK55"):
+        for cfl, rho in cfl_limit(symbols, scheme).rho_curve:
+            assert rho == np.max(spectral_radii(symbols, scheme, cfl))
 
 
 def test_rho_curve_recorded():

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .element import HUYNH_G2, CORRECTION_KINDS, MAX_ORDER, reference_element
-from .spectral import (SAMPLED, WEIGHTED, dispersion_curve, dispersion_samples,
-                       filter_kernel, ppw)
+from .spectral import (SAMPLED, WEIGHTED, _require_positive, dispersion_curve,
+                       dispersion_samples, filter_kernel, ppw)
 from .stability import SCHEMES, cfl_limit, spectral_radii, wave_symbols
 from .advect1d import (FD_ORDERS, FDAdvection1D, FRAdvection1D, TRANSIT, PENCIL,
                        bin_wavenumbers, build_grid, matched_point_expansion,
@@ -141,6 +141,7 @@ def cmd_cfl_table(args):
 
 
 def cmd_rho_sweep(args):
+    _require_positive("time step", args.tau)    # before the symbols are solved
     symbols = wave_symbols(args.p, args.gamma, k_samples=args.samples)
     rho = spectral_radii(symbols, args.scheme, args.tau)
     _emit(args.outdir / f"rho_p{args.p}_gamma{_fmt(args.gamma)}_tau{_fmt(args.tau)}.csv",

@@ -236,18 +236,18 @@ class _EulerSolver:
     projection to an element-fastest state and the DoF count, from the
     solution points a subclass stores as self.x (n_elem, ..., 2), and one
     Riemann solve per face: an element owns its east and north faces.
-    Element j*nx + i is column i of grid row j of the periodic structured
-    mesh; the element solver gathers its neighbours through tables of that
-    numbering, the finite-volume solver reads them as shifts of its grid.
+    Elements are numbered as in QuadMesh2D (element j*nx + i is column i of
+    grid row j); the element solver gathers its neighbours through tables of
+    that numbering, the finite-volume solver reads them as shifts of its grid.
     A subclass sets self.faces = (_unit(n_east), _unit(n_north)) from the
-    outward face vectors, scaled by face length (per unit reference length
-    for the elements) and shaped (n_elem, ..., 2) to broadcast against a
-    face trace without its variable axis: (n_elem, 2) for the finite-volume
-    cells, (n_elem, 1, 2) for the elements, whose straight faces have one
-    vector along all p+1 points.
+    outward face vectors, scaled by face length (per unit reference length for
+    the elements) and shaped (n_elem, ..., 2) to broadcast against a face trace
+    without its variable axis: (n_elem, 2) for the finite-volume cells,
+    (n_elem, 1, 2) for the elements, whose straight faces have one vector along
+    all p+1 points, and self.length_scale, which a CFL number is taken over.
 
     A subclass builds its geometry from the mesh's corner planes x, y
-    (QuadMesh2D.corner_planes), gathered once and passed to this class,
+    (QuadMesh2D.corner_planes), sliced once and passed to this class,
     which keeps them no longer than the subclass's __init__.  The mesh must
     be made of convex counterclockwise quads, checked here before any
     geometry is built: a bilinear map's Jacobian is affine in (xi, eta), so
@@ -271,11 +271,6 @@ class _EulerSolver:
     @property
     def dof(self):
         return self.x[..., 0].size
-
-    def length_scale(self):
-        """The length a CFL number is taken over, computed once from the
-        corners by the subclass's __init__."""
-        return self._length_scale
 
     def project(self, fn, t=0.0):
         """Collocate a primitive-state function (x, y, t) -> (rho,u,v,p),
@@ -366,7 +361,7 @@ class FREulerSolver2D(_EulerSolver):
                                      - self.m1[..., 1] * self.m2[..., 0])
         self.faces = (_unit(m1[:, 1]), _unit(m2[:, :, 1]))
         # the smallest edge length divided by the points-per-edge count
-        self._length_scale = float(_length(*_edges(x, y)).min()) / e.n_points
+        self.length_scale = float(_length(*_edges(x, y)).min()) / e.n_points
 
     def rhs(self, U):
         rho, u, v, p = conserved_to_primitive(U)
@@ -485,7 +480,7 @@ class FVEulerSolver2D(_EulerSolver):
         self.faces = (_unit(n_e), _unit(n_n))
         # the smallest cell diameter, the longer diagonal of each cell
         dx, dy = x[2:] - x[:2], y[2:] - y[:2]
-        self._length_scale = float(_length(dx, dy).max(axis=0).min())
+        self.length_scale = float(_length(dx, dy).max(axis=0).min())
 
     def rhs(self, U):
         rho = U[..., 0]
@@ -568,7 +563,7 @@ def run_icv(solver, steps=500, cfl=0.01):
     equations the stage loop is 2nd order in time (see stability.advance)."""
     _require_positive("CFL", cfl)
     U0 = solver.project(icv_primitive)
-    tau = cfl * solver.length_scale() / solver.max_signal_speed(U0)
+    tau = cfl * solver.length_scale / solver.max_signal_speed(U0)
     U = advance(solver, U0, tau, "RK44", steps)
     exact = solver.project(icv_primitive, t=steps * tau)
     return error_norm(U, exact)

@@ -1,7 +1,7 @@
 """Quadrilateral meshes: uniform grids, seeded node jitter, skew metric.
 
-Meshes are structured (nx by ny quads on a periodic square) but stored
-with explicit nodes and counterclockwise corner connectivity so the
+Meshes are structured (nx by ny quads on a periodic square) and stored as
+their node grid, whose one numbering (QuadMesh2D) places every corner; the
 solvers never rely on smoothness of the node placement.  Jitter draws all
 interior displacements in one block from a counter-based generator (Philox)
 keyed by the seed, so a given (nx, ny, factor, seed) always reproduces the
@@ -25,8 +25,11 @@ class MeshTangleError(RuntimeError):
 
 @dataclass
 class QuadMesh2D:
-    nodes: np.ndarray     # (n_nodes, 2)
-    elements: np.ndarray  # (n_elem, 4) corner indices, counterclockwise
+    """The node grid of an nx-by-ny quad mesh.  Node (i, j), column i of grid
+    row j, is nodes[j*(nx + 1) + i]; element j*nx + i is column i of element
+    row j, with the counterclockwise corners (i, j), (i+1, j), (i+1, j+1),
+    (i, j+1).  Both Euler solvers read neighbours by this numbering."""
+    nodes: np.ndarray     # ((nx + 1)*(ny + 1), 2), in the numbering above
     nx: int
     ny: int
     L: float
@@ -35,11 +38,20 @@ class QuadMesh2D:
 
     @property
     def n_elements(self):
-        return len(self.elements)
+        return self.nx * self.ny
+
+    @property
+    def elements(self):
+        """(n_elem, 4) corner node indices, counterclockwise."""
+        e = np.arange(self.n_elements)
+        first = e + e // self.nx        # node (i, j) of element j*nx + i
+        return np.stack([first, first + 1, first + self.nx + 2, first + self.nx + 1], axis=1)
 
     def corner_planes(self):
-        """Corner coordinates as planes x, y, each (4, n_elem)."""
-        return _corner_planes(self.nodes, self.elements)
+        """Corner planes x, y, each (4, n_elem): corner c of element e is (x[c, e], y[c, e])."""
+        g = np.ascontiguousarray(self.nodes.T).reshape(2, self.ny + 1, self.nx + 1)
+        corners = (g[:, :-1, :-1], g[:, :-1, 1:], g[:, 1:, 1:], g[:, 1:, :-1])
+        return np.stack(corners, axis=1).reshape(2, 4, -1)
 
 
 def uniform_quad_mesh(nx, ny, L=1.0):
@@ -51,17 +63,7 @@ def uniform_quad_mesh(nx, ny, L=1.0):
     ys = np.linspace(0.0, L, ny + 1)
     X, Y = np.meshgrid(xs, ys)
     nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-    j, i = np.divmod(np.arange(nx * ny), nx)    # element j*nx + i
-    first = j * (nx + 1) + i                    # node (i, j)
-    elements = np.stack([first, first + 1, first + nx + 2, first + nx + 1],
-                        axis=1)
-    return QuadMesh2D(nodes=nodes, elements=elements, nx=nx, ny=ny, L=float(L))
-
-
-def _corner_planes(nodes, elements):
-    """Element corner coordinates as two planes x, y, each (4, n_elem):
-    corner c of element e is (x[c, e], y[c, e])."""
-    return np.take(nodes.T, elements.T, axis=1)
+    return QuadMesh2D(nodes=nodes, nx=nx, ny=ny, L=float(L))
 
 
 def _length(x, y):
@@ -104,19 +106,17 @@ def jitter(mesh, factor, seed):
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     nx, ny = mesh.nx, mesh.ny
     step = factor * np.array([mesh.L / nx, mesh.L / ny])
-    nodes = mesh.nodes.copy()
-    interior = nodes.reshape(ny + 1, nx + 1, 2)[1:-1, 1:-1]   # a view
+    out = QuadMesh2D(mesh.nodes.copy(), nx, ny, mesh.L, jitter_factor=factor, seed=int(seed))
+    interior = out.nodes.reshape(ny + 1, nx + 1, 2)[1:-1, 1:-1]   # a view
     base = interior.copy()
     redo = np.ones(base.shape[:2], dtype=bool)
     for _ in range(101):    # the first draw, then up to 100 redraw rounds
         interior[redo] = base[redo] + step * rng.uniform(-0.5, 0.5, size=(redo.sum(), 2))
-        bad = np.any(_corner_jacobians(*_corner_planes(nodes, mesh.elements)) <= 0.0, axis=0)
+        bad = np.any(_corner_jacobians(*out.corner_planes()) <= 0.0, axis=0).reshape(ny, nx)
         if not bad.any():
-            return QuadMesh2D(nodes=nodes, elements=mesh.elements.copy(),
-                              nx=nx, ny=ny, L=mesh.L,
-                              jitter_factor=factor, seed=int(seed))
-        redo = np.isin(np.arange(len(nodes)), mesh.elements[bad])
-        redo = redo.reshape(ny + 1, nx + 1)[1:-1, 1:-1]
+            return out
+        # interior node (i, j) is a corner of elements (i-1 or i, j-1 or j)
+        redo = bad[:-1, :-1] | bad[:-1, 1:] | bad[1:, :-1] | bad[1:, 1:]
     raise MeshTangleError(f"{bad.sum()} elements still tangled after 100 "
                           f"redraw rounds (factor={factor})")
 
@@ -175,9 +175,9 @@ def write_mesh(mesh, path):
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"quadmesh {mesh.nx} {mesh.ny} {float(mesh.L)!r} "
                 f"{float(mesh.jitter_factor)!r} {mesh.seed}\n")
-        f.write(f"{len(mesh.nodes)} {len(mesh.elements)}\n")
+        f.write(f"{len(mesh.nodes)} {mesh.n_elements}\n")
         f.write(("%r %r\n" * len(mesh.nodes)) % tuple(mesh.nodes.ravel().tolist()))
-        f.write(("%d %d %d %d\n" * len(mesh.elements))
+        f.write(("%d %d %d %d\n" * mesh.n_elements)
                 % tuple(mesh.elements.ravel().tolist()))
 
 
@@ -191,6 +191,9 @@ def read_mesh(path):
         n_nodes, n_elem = map(int, f.readline().split())
         tokens = f.read().split()
     nodes = np.array(tokens[:2 * n_nodes], dtype=float).reshape(n_nodes, 2)
-    elements = np.array(tokens[2 * n_nodes:], dtype=int).reshape(n_elem, 4)
-    return QuadMesh2D(nodes=nodes, elements=elements, nx=nx, ny=ny, L=L,
-                      jitter_factor=factor, seed=seed)
+    elements = np.array(tokens[2 * n_nodes:], dtype=int)
+    mesh = QuadMesh2D(nodes=nodes, nx=nx, ny=ny, L=L, jitter_factor=factor, seed=seed)
+    if ((n_nodes, n_elem) != ((nx + 1) * (ny + 1), mesh.n_elements)
+            or not np.array_equal(elements, mesh.elements.ravel())):
+        raise ValueError(f"{path}: {n_nodes} nodes, {n_elem} elements, not a structured {nx}x{ny} mesh")
+    return mesh

@@ -103,6 +103,16 @@ def test_rho_sweep_reads_one_symbol_record(tmp_path, monkeypatch):
     assert calls == {"wave_symbols": 1, "spectral_radii": 1}
 
 
+@pytest.mark.parametrize("tau", ["0", "nan", "-1", "inf"])
+def test_rho_sweep_checks_tau_before_solving(tmp_path, monkeypatch, capsys, tau):
+    # a bad time step once reached spectral_radii only after the symbols
+    # were solved
+    calls = _count_calls(monkeypatch, "wave_symbols")
+    assert main(["rho-sweep", "--p", "3", "--tau", tau, "--outdir", str(tmp_path)]) == 1
+    assert calls == {"wave_symbols": 0}
+    assert "time step must be a positive finite number" in capsys.readouterr().err
+
+
 def test_rho_sweep_and_kernel(tmp_path):
     assert main(["rho-sweep", "--p", "2", "--gamma", "0.9", "--tau", "0.05",
                  "--samples", "128", "--outdir", str(tmp_path)]) == 0
@@ -148,6 +158,16 @@ def test_mesh_gen_and_skew(tmp_path):
     assert rc == 0
     _, rows = read_csv(tmp_path / "skew.csv")
     assert float(rows[0][4]) < float(rows[1][4])
+
+
+def test_mesh_gen_files_round_trip(tmp_path):
+    # redraw rounds included, mesh-gen's files read back as the mesh written
+    from frwave.mesh2d import jitter, read_mesh, uniform_quad_mesh
+    assert main(["mesh-gen", "--nx", "19", "--ny", "19", "--jitter", "0.95",
+                 "--seed", "7", "--outdir", str(tmp_path)]) == 0
+    back = read_mesh(tmp_path / "mesh_19x19_j0.95_s7.txt")
+    assert np.array_equal(back.nodes, jitter(uniform_quad_mesh(19, 19, 10.0), 0.95, 7).nodes)
+    assert (back.nx, back.ny, back.jitter_factor, back.seed) == (19, 19, 0.95, 7)
 
 
 def test_icv_reports_ooa(tmp_path, capsys):

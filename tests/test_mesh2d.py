@@ -124,7 +124,7 @@ def test_corner_jacobians_are_the_corner_cross_products():
             b = X[:, (c + 3) % 4] - X[:, c]
             want[:, c] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
         assert np.any(want <= 0) == (factor > 0.5)
-        jm = QuadMesh2D(nodes=nodes, elements=m.elements, nx=nx, ny=ny, L=2.0)
+        jm = QuadMesh2D(nodes=nodes, nx=nx, ny=ny, L=2.0)
         x, y = jm.corner_planes()
         assert np.array_equal(x, X[..., 0].T) and np.array_equal(y, X[..., 1].T)
         got = _corner_jacobians(x, y)
@@ -177,10 +177,9 @@ def test_skew_angle_hand_computed_quad():
     # diagonals (0,0)-(1,1) and (1,0)-(0,0.5)
     import math
     m = uniform_quad_mesh(2, 2, 1.0)
-    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.5]])
-    elements = np.array([[0, 1, 2, 3]])
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.5], [1.0, 1.0]])
     from frwave.mesh2d import QuadMesh2D
-    quad = QuadMesh2D(nodes=nodes, elements=elements, nx=1, ny=1, L=1.0)
+    quad = QuadMesh2D(nodes=nodes, nx=1, ny=1, L=1.0)
     d1 = np.array([1.0, 1.0])
     d2 = np.array([0.0, 0.5]) - np.array([1.0, 0.0])
     cosb = abs(d1 @ d2) / (np.linalg.norm(d1) * np.linalg.norm(d2))
@@ -197,7 +196,7 @@ def test_skew_angle_rotation_invariant():
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     rotated = m.nodes @ R.T
     from frwave.mesh2d import QuadMesh2D
-    mr = QuadMesh2D(nodes=rotated, elements=m.elements, nx=m.nx, ny=m.ny, L=m.L)
+    mr = QuadMesh2D(nodes=rotated, nx=m.nx, ny=m.ny, L=m.L)
     assert skew_angle(mr).alpha == pytest.approx(base, abs=1e-12)
 
 
@@ -251,8 +250,8 @@ def test_write_mesh_matches_line_by_line_format(tmp_path, shift, scale):
     # the block write must give the file the per-line format gave
     from frwave.mesh2d import QuadMesh2D
     m = jitter(uniform_quad_mesh(6, 4, 3.0), 0.3, seed=9)
-    m = QuadMesh2D(nodes=(m.nodes + shift) * scale, elements=m.elements,
-                   nx=6, ny=4, L=3.0, jitter_factor=0.3, seed=9)
+    m = QuadMesh2D(nodes=(m.nodes + shift) * scale, nx=6, ny=4, L=3.0,
+                   jitter_factor=0.3, seed=9)
     lines = [f"quadmesh {m.nx} {m.ny} {float(m.L)!r} "
              f"{float(m.jitter_factor)!r} {m.seed}\n",
              f"{len(m.nodes)} {len(m.elements)}\n"]
@@ -266,4 +265,81 @@ def test_read_mesh_rejects_other_files(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("trianglemesh 2 2\n")
     with pytest.raises(ValueError):
+        read_mesh(path)
+
+
+def _connectivity(nx, ny):
+    """Explicit (n_elem, 4) counterclockwise corner indices of the grid."""
+    return np.array([[j * (nx + 1) + i, j * (nx + 1) + i + 1,
+                      (j + 1) * (nx + 1) + i + 1, (j + 1) * (nx + 1) + i]
+                     for j in range(ny) for i in range(nx)])
+
+
+def _redraw_reference(mesh, factor, seed):
+    """jitter's nodes as first written: corners gathered through an explicit
+    connectivity every round, and the nodes to redraw found by np.isin."""
+    from frwave.mesh2d import _corner_jacobians
+    nx, ny = mesh.nx, mesh.ny
+    elements = _connectivity(nx, ny)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    step = factor * np.array([mesh.L / nx, mesh.L / ny])
+    nodes = mesh.nodes.copy()
+    interior = nodes.reshape(ny + 1, nx + 1, 2)[1:-1, 1:-1]
+    base = interior.copy()
+    redo = np.ones(base.shape[:2], dtype=bool)
+    for _ in range(101):
+        interior[redo] = base[redo] + step * rng.uniform(-0.5, 0.5, size=(redo.sum(), 2))
+        X = nodes[elements]
+        bad = np.any(_corner_jacobians(X[..., 0].T, X[..., 1].T) <= 0.0, axis=0)
+        if not bad.any():
+            return nodes
+        redo = np.isin(np.arange(len(nodes)), elements[bad])
+        redo = redo.reshape(ny + 1, nx + 1)[1:-1, 1:-1]
+    raise AssertionError("reference ran out of redraw rounds")
+
+
+@pytest.mark.parametrize("nx, ny, factor, seed", [(10, 10, 0.95, 11), (12, 7, 0.9, 3)])
+def test_jitter_redraw_matches_gather_reference(nx, ny, factor, seed):
+    # redraw rounds ran (the one block tangles elements), and the nodes they
+    # pick by slicing the element grid are the ones the gather picked
+    m = uniform_quad_mesh(nx, ny, 1.0)
+    got = jitter(m, factor, seed).nodes
+    assert not np.array_equal(got, _one_block(m, factor, seed))
+    assert np.array_equal(got, _redraw_reference(m, factor, seed))
+
+
+def test_corner_planes_are_the_connectivity_gather(tmp_path):
+    # slices of the node grid, bit for bit the gather over the explicit
+    # connectivity, as C-contiguous planes
+    meshes = [uniform_quad_mesh(3, 2), uniform_quad_mesh(5, 7, 3.0),
+              jitter(uniform_quad_mesh(10, 10), 0.95, 11),
+              jitter(uniform_quad_mesh(12, 7, 2.0), 0.9, 3)]
+    write_mesh(meshes[-1], tmp_path / "mesh.txt")
+    meshes.append(read_mesh(tmp_path / "mesh.txt"))
+    for m in meshes:
+        elements = _connectivity(m.nx, m.ny)
+        assert np.array_equal(m.elements, elements)
+        planes = m.corner_planes()
+        assert planes.shape == (2, 4, m.n_elements)
+        assert all(plane.flags.c_contiguous for plane in planes)
+        assert np.array_equal(planes, np.take(m.nodes.T, elements.T, axis=1))
+
+
+@pytest.mark.parametrize("edit, counts", [
+    (lambda nodes, quads: (nodes, quads[::-1], 64), "81 nodes, 64 elements"),
+    (lambda nodes, quads: (nodes[:-9], quads, 64), "72 nodes, 64 elements"),
+    (lambda nodes, quads: (nodes, quads[:-1], 63), "81 nodes, 63 elements"),
+    (lambda nodes, quads: (nodes, quads, 63), "81 nodes, 63 elements")],
+    ids=["reversed-elements", "short-a-node-row", "element-count", "count-not-lines"])
+def test_read_mesh_rejects_files_the_solvers_would_misread(tmp_path, edit, counts):
+    # both solvers read neighbours by the structured numbering, so a file
+    # listing the same quads in another order once ran and gave a wrong
+    # vortex error (FR) or a NonPhysicalStateError (FV)
+    path = tmp_path / "mesh.txt"
+    write_mesh(jitter(uniform_quad_mesh(8, 8, 10.0), 0.3, seed=2024), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    nodes, quads, n_elem = edit(lines[2:83], lines[83:])
+    path.write_text(lines[0] + f"{len(nodes)} {n_elem}\n" + "".join(nodes + quads),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"mesh\.txt: {counts}, not a structured 8x8 mesh"):
         read_mesh(path)

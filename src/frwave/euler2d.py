@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import reference_element
-from .mesh2d import _corner_jacobians, _edges, _length
+from .mesh2d import _corner_jacobians, _edge, _length
 from .stability import _require_positive, advance
 
 GAMMA_GAS = 1.4
@@ -361,7 +361,8 @@ class FREulerSolver2D(_EulerSolver):
                                      - self.m1[..., 1] * self.m2[..., 0])
         self.faces = (_unit(m1[:, 1]), _unit(m2[:, :, 1]))
         # the smallest edge length divided by the points-per-edge count
-        self.length_scale = float(_length(*_edges(x, y)).min()) / e.n_points
+        shortest = np.min([_length(*_edge(x, y, c)).min() for c in range(4)])
+        self.length_scale = float(shortest) / e.n_points
 
     def rhs(self, U):
         rho, u, v, p = conserved_to_primitive(U)
@@ -401,23 +402,42 @@ class FREulerSolver2D(_EulerSolver):
 _FACE_BLOCK = 4096
 
 
-def _fv_face_states(P, j0, j1):
-    """States on the east faces of grid rows j0..j1-1, on their east
+def _fv_face_states(P):
+    """States on the east faces of a block of grid rows, on their east
     neighbours' west faces, on their north faces and on their north
-    neighbours' south faces, as (cells, 4) rows, from the ghost-padded
-    variable planes P of FVEulerSolver2D.rhs."""
-    rows = P[:, j0 + 1:j1 + 1]
+    neighbours' south faces, as (cells, 4) rows, from the block's
+    ghost-padded variable planes P of FVEulerSolver2D.rhs: the block's rows
+    with one row before and two after, one column before and two after."""
+    rows = P[:, 1:-2]
     # half a cell of the central differences, in place: hx of columns
     # 0..nx, the last one the east neighbour's across the seam, and hy of
-    # rows j0..j1, the last one the north neighbours'
+    # the block's rows and the row after it, the north neighbours'
     hx = rows[..., 2:] - rows[..., :-2]
-    hy = P[:, j0 + 2:j1 + 3, 1:-2] - P[:, j0:j1 + 1, 1:-2]
+    hy = P[:, 2:, 1:-2] - P[:, :-2, 1:-2]
     for h in (hx, hy):
         h *= 0.25       # half a cell of the difference per unit index
     C = rows[..., 1:-2]
     faces = (C + hx[..., :-1], rows[..., 2:-1] - hx[..., 1:],
-             C + hy[:, :-1], P[:, j0 + 2:j1 + 2, 1:-2] - hy[:, 1:])
+             C + hy[:, :-1], P[:, 2:-1, 1:-2] - hy[:, 1:])
     return [A.reshape(4, -1).T for A in faces]
+
+
+def _cell_area_centroid(x, y):
+    """Area (n_cells,) and centroid (n_cells, 2) of each cell from its
+    corner planes x, y, built corner by corner: each sum over the four
+    corners adds its terms left to right, the cross product of corner c
+    with its counterclockwise successor d first."""
+    for c in range(4):
+        d = (c + 1) % 4
+        cross = x[c] * y[d] - x[d] * y[c]
+        terms = (cross, (x[c] + x[d]) * cross, (y[c] + y[d]) * cross)
+        if c == 0:
+            area, sx, sy = terms
+        else:
+            for total, term in zip((area, sx, sy), terms):
+                total += term
+    area *= 0.5
+    return area, np.stack([sx / (6.0 * area), sy / (6.0 * area)], axis=-1)
 
 
 class FVEulerSolver2D(_EulerSolver):
@@ -435,10 +455,12 @@ class FVEulerSolver2D(_EulerSolver):
     other, makes the update conservative by construction.  State shape:
     (n_cells, 4), stored element-fastest like the element solver's (a state
     in another layout gives the same values); the solution points are the
-    cell centroids.  Cell j*nx + i is column i of grid row j, so rhs reads
-    neighbours as slices of the periodically ghost-padded variable planes
-    (4, ny, nx), and solves the faces in blocks of whole grid rows
-    (_FACE_BLOCK).
+    cell centroids.  Cell j*nx + i is column i of grid row j, so rhs solves
+    the faces in blocks of whole grid rows (_FACE_BLOCK), each block reading
+    neighbours as slices of its own periodically ghost-padded variable
+    planes and summing its east and north fluxes straight into the one
+    (4, ny, nx) result; only the last block's north row outlives its block,
+    carried to row 0 after the loop.
     """
 
     def __init__(self, mesh, riemann="rusanov", metrics="curvilinear"):
@@ -446,13 +468,10 @@ class FVEulerSolver2D(_EulerSolver):
             raise ValueError(f"unknown metric mode {metrics!r}")
         x, y = mesh.corner_planes()
         super().__init__(mesh, riemann, x, y)
-        nxt = [1, 2, 3, 0]      # each corner's counterclockwise successor
-        total = lambda a: a[0] + a[1] + a[2] + a[3]     # left to right
-        cross = x * y[nxt] - x[nxt] * y
-        self.area = 0.5 * total(cross)
-        cx = total((x + x[nxt]) * cross) / (6.0 * self.area)
-        cy = total((y + y[nxt]) * cross) / (6.0 * self.area)
-        self.x = centroid = np.stack([cx, cy], axis=-1)
+        self.area, self.x = _cell_area_centroid(x, y)
+        # the smallest cell diameter, the longer diagonal of each cell
+        self.length_scale = float(np.maximum(_length(x[2] - x[0], y[2] - y[0]),
+                                             _length(x[3] - x[1], y[3] - y[1])).min())
 
         if metrics == "exact":
             def edge_normal(a, b):
@@ -467,7 +486,7 @@ class FVEulerSolver2D(_EulerSolver):
             # update stays conservative, but the vectors of a cell no longer
             # sum to zero once jitter moves the centroids, which is what
             # erodes this family of schemes on poor meshes.
-            C = centroid.reshape(mesh.ny, mesh.nx, 2)
+            C = self.x.reshape(mesh.ny, mesh.nx, 2)
 
             def step(axis):
                 # each cell's east (axis 0) or north (axis 1) neighbour's
@@ -477,40 +496,46 @@ class FVEulerSolver2D(_EulerSolver):
                 return (B - C).reshape(-1, 2)
 
             n_e, n_n = step(0), step(1)
+        del x, y        # the corner planes, freed before the faces are normalised
         self.faces = (_unit(n_e), _unit(n_n))
-        # the smallest cell diameter, the longer diagonal of each cell
-        dx, dy = x[2:] - x[:2], y[2:] - y[:2]
-        self.length_scale = float(_length(dx, dy).max(axis=0).min())
 
     def rhs(self, U):
         rho = U[..., 0]
         p = (GAMMA_GAS - 1.0) * (U[..., 3] - 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2) / rho)
         _check_physical(rho, p)
+        del p               # read by the check only
         nx, ny = self.mesh.nx, self.mesh.ny
-        # the variable planes with periodic ghost cells, one row and column
-        # before the grid and two after: grid cell (j, i) is P[:, j+1, i+1]
-        P = np.empty((4, ny + 3, nx + 3))
-        P[:, 1:-2, 1:-2] = U.T.reshape(4, ny, nx)
-        P[:, 1:-2, [0, -2, -1]] = P[:, 1:-2, [nx, 1, 1 + 1 % nx]]
-        P[:, [0, -2, -1]] = P[:, [ny, 1, 1 + 1 % ny]]
-
-        FE, FN = np.empty_like(U), np.empty_like(U)
+        # the variable planes of U and of the result, in U's memory order
+        G = U.T.reshape(4, ny, nx)
+        flux = np.empty_like(U).T.reshape(4, ny, nx)
+        north = None        # the north fluxes of the row before the block
         block = max(1, _FACE_BLOCK // nx)      # grid rows
         for j0 in range(0, ny, block):
             j1 = min(j0 + block, ny)
             b = slice(j0 * nx, j1 * nx)
-            UE, UW_east, UN, US_north = _fv_face_states(P, j0, j1)
-            self._common_flux(0, UE, UW_east, b, out=FE[b])
-            self._common_flux(1, UN, US_north, b, out=FN[b])
-        # a cell's west and south fluxes are its neighbours' east and
-        # north fluxes, leaving through the opposite side: the planes
-        # shifted by one column and by one row, wrapped across the seam
-        E, N = (F.T.reshape(4, ny, nx) for F in (FE, FN))
-        flux = E + N
-        flux[..., 1:] -= E[..., :-1]
-        flux[..., 0] -= E[..., -1]
-        flux[:, 1:] -= N[:, :-1]
-        flux[:, 0] -= N[:, -1]
+            # the block's variable planes with periodic ghost cells, one row
+            # and column before its rows and two after: grid cell (j, i) is
+            # P[:, j - j0 + 1, i + 1]
+            P = np.empty((4, j1 - j0 + 3, nx + 3))
+            P[:, :, 1:-2] = G[:, np.arange(j0 - 1, j1 + 2) % ny]
+            P[..., [0, -2, -1]] = P[..., [nx, 1, 1 + 1 % nx]]
+            UE, UW_east, UN, US_north = _fv_face_states(P)
+            E, N = np.empty((2, 4, j1 - j0, nx))     # the block's flux planes
+            self._common_flux(0, UE, UW_east, b, out=E.reshape(4, -1).T)
+            self._common_flux(1, UN, US_north, b, out=N.reshape(4, -1).T)
+            # a cell's west and south fluxes are its neighbours' east and
+            # north fluxes, leaving through the opposite side: the block's
+            # planes shifted by one column, wrapped across the seam, and by
+            # one row, the first row's from the block before
+            F = flux[:, j0:j1]
+            np.add(E, N, out=F)
+            F[..., 1:] -= E[..., :-1]
+            F[..., 0] -= E[..., -1]
+            F[:, 1:] -= N[:, :-1]
+            if north is not None:
+                F[:, 0] -= north
+            north = N[:, -1]
+        flux[:, 0] -= north             # grid row 0's, across the seam
         flux /= -self.area.reshape(ny, nx)
         return flux.reshape(4, -1).T
 
@@ -530,8 +555,11 @@ def error_norm(computed, exact):
     4-variable 2-norm, plus per-variable RMS."""
     if computed.shape != exact.shape:
         raise ValueError(f"shape mismatch: {computed.shape} vs {exact.shape}")
-    # one point per C-ordered row, so the sums round alike for any layout
-    diff = np.ascontiguousarray((computed - exact).reshape(-1, computed.shape[-1]))
+    # one point per C-ordered row, so the sums round alike for any layout:
+    # the difference is written straight into a C-ordered buffer
+    diff = np.empty(computed.shape, np.result_type(computed, exact))
+    np.subtract(computed, exact, out=diff)
+    diff = diff.reshape(-1, computed.shape[-1])
     theta = float(np.mean(np.linalg.norm(diff, axis=1)))
     per_var = np.sqrt(np.mean(diff ** 2, axis=0))
     return ErrorReport(theta=theta, per_variable=per_var,
@@ -565,5 +593,6 @@ def run_icv(solver, steps=500, cfl=0.01):
     U0 = solver.project(icv_primitive)
     tau = cfl * solver.length_scale / solver.max_signal_speed(U0)
     U = advance(solver, U0, tau, "RK44", steps)
+    del U0
     exact = solver.project(icv_primitive, t=steps * tau)
     return error_norm(U, exact)

@@ -72,21 +72,26 @@ def _length(x, y):
     return np.sqrt(x * x + y * y)
 
 
-def _edges(x, y):
-    """Edge c of each element, from corner c to corner c+1 (mod 4), as two
-    planes (4, n_elem) from the corner planes x, y."""
-    nxt = [1, 2, 3, 0]
-    return x[nxt] - x, y[nxt] - y
+def _edge(x, y, c):
+    """Edge c of each element, from corner c to corner c+1 (mod 4), as its
+    two components from the corner planes x, y."""
+    d = (c + 1) % 4
+    return x[d] - x[c], y[d] - y[c]
 
 
 def _corner_jacobians(x, y):
     """Cross products at the four corners of each element, (4, n_elem) from
     the corner planes x, y (QuadMesh2D.corner_planes): the edge into a
     corner crossed with the edge out of it, positive for a convex,
-    counterclockwise quad."""
-    ex, ey = _edges(x, y)
-    prv = [3, 0, 1, 2]
-    return ex[prv] * ey - ey[prv] * ex
+    counterclockwise quad.  Filled corner by corner, so no edge plane of
+    all four corners is made."""
+    J = np.empty_like(x)
+    ix, iy = _edge(x, y, 3)         # the edge into corner 0
+    for c in range(4):
+        ox, oy = _edge(x, y, c)     # the edge out of corner c, into c+1
+        J[c] = ix * oy - iy * ox
+        ix, iy = ox, oy
+    return J
 
 
 def jitter(mesh, factor, seed):
@@ -182,18 +187,26 @@ def write_mesh(mesh, path):
 
 
 def read_mesh(path):
+    """The mesh of a write_mesh file; a ValueError naming the file if its
+    header, counts, number of values or element numbering are not such a file's."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
-        if header[0] != "quadmesh":
-            raise ValueError(f"{path} is not a quadmesh file")
-        nx, ny = int(header[1]), int(header[2])
-        L, factor, seed = float(header[3]), float(header[4]), int(header[5])
-        n_nodes, n_elem = map(int, f.readline().split())
+        counts = f.readline().split()
         tokens = f.read().split()
+    if len(header) != 6 or header[0] != "quadmesh" or len(counts) != 2:
+        raise ValueError(f"{path} is not a quadmesh file")
+    nx, ny = int(header[1]), int(header[2])
+    L, factor, seed = float(header[3]), float(header[4]), int(header[5])
+    n_nodes, n_elem = map(int, counts)
+    structured = f"{path}: {n_nodes} nodes, {n_elem} elements, not a structured {nx}x{ny} mesh"
+    if (n_nodes, n_elem) != ((nx + 1) * (ny + 1), nx * ny):
+        raise ValueError(structured)
+    if len(tokens) != 2 * n_nodes + 4 * n_elem:
+        raise ValueError(f"{path}: {len(tokens)} values after the counts, "
+                         f"not the {2 * n_nodes + 4 * n_elem} of {n_nodes} nodes and {n_elem} elements")
     nodes = np.array(tokens[:2 * n_nodes], dtype=float).reshape(n_nodes, 2)
     elements = np.array(tokens[2 * n_nodes:], dtype=int)
     mesh = QuadMesh2D(nodes=nodes, nx=nx, ny=ny, L=L, jitter_factor=factor, seed=seed)
-    if ((n_nodes, n_elem) != ((nx + 1) * (ny + 1), mesh.n_elements)
-            or not np.array_equal(elements, mesh.elements.ravel())):
-        raise ValueError(f"{path}: {n_nodes} nodes, {n_elem} elements, not a structured {nx}x{ny} mesh")
+    if not np.array_equal(elements, mesh.elements.ravel()):
+        raise ValueError(structured)
     return mesh

@@ -4,11 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from frwave import euler2d
 from frwave.euler2d import (_FACE_BLOCK, GAMMA_GAS, ErrorReport, FREulerSolver2D,
                             FVEulerSolver2D, ICVParams, NonPhysicalStateError,
                             conserved_to_primitive, error_norm,
@@ -310,6 +312,9 @@ def test_fr_mapping_corner_consistency():
     hi = X.max(axis=0)[:, None, None, :]
     assert np.all(solver.x >= lo - 1e-12) and np.all(solver.x <= hi + 1e-12)
     assert np.all(solver.detJ > 0)
+    # the shortest edge over its p+1 points, bit for bit
+    edges = np.linalg.norm(np.roll(X, -1, axis=0) - X, axis=-1)
+    assert solver.length_scale == float(edges.min()) / 4
 
 
 @pytest.mark.parametrize("make", [lambda m: FREulerSolver2D(m, p=2),
@@ -481,6 +486,27 @@ def test_fv_curvilinear_face_vectors_are_centroid_steps():
                 assert np.array_equal(value, expect)
 
 
+@pytest.mark.parametrize("metrics", ["curvilinear", "exact"])
+def test_fv_cell_geometry_is_the_plane_reference(metrics):
+    # the solver builds its areas, centroids and diagonals corner by corner;
+    # the reference takes them from whole (4, n) corner planes, each sum
+    # over the corners added left to right, and agrees bit for bit
+    for mesh in (jitter(uniform_quad_mesh(12, 7, 10.0), 0.45, seed=11),
+                 _multi_block_mesh()):
+        solver = FVEulerSolver2D(mesh, metrics=metrics)
+        x, y = mesh.corner_planes()
+        nxt = [1, 2, 3, 0]
+        total = lambda a: a[0] + a[1] + a[2] + a[3]
+        cross = x * y[nxt] - x[nxt] * y
+        area = 0.5 * total(cross)
+        centroid = np.stack([total((x + x[nxt]) * cross) / (6.0 * area),
+                             total((y + y[nxt]) * cross) / (6.0 * area)], axis=-1)
+        diagonals = np.linalg.norm(np.stack([x[2:] - x[:2], y[2:] - y[:2]], axis=-1), axis=-1)
+        assert np.array_equal(solver.area, area)
+        assert np.array_equal(solver.x, centroid)
+        assert solver.length_scale == float(diagonals.max(axis=0).min())
+
+
 @pytest.mark.parametrize("riemann", ["rusanov", "roe"])
 @pytest.mark.parametrize("metrics", ["curvilinear", "exact"])
 def test_fv_conservation_of_invariants(metrics, riemann):
@@ -638,6 +664,52 @@ def test_rhs_across_face_blocks(riemann):
 
 
 @pytest.mark.parametrize("riemann", ["rusanov", "roe"])
+def test_rhs_with_one_grid_row_per_face_block(riemann, monkeypatch):
+    # every block is one grid row, so every cell's south flux is the north
+    # row carried from the block before, and row 0's the last block's,
+    # carried across the seam after the loop
+    monkeypatch.setattr(euler2d, "_FACE_BLOCK", 1)
+    _assert_rhs_is_reference(jitter(uniform_quad_mesh(7, 5, 10.0), 0.3, seed=27),
+                             2, riemann)
+
+
+@pytest.mark.parametrize("riemann", ["rusanov", "roe"])
+def test_rhs_where_ghost_rows_wrap_twice(riemann):
+    # with ny = 2 a block's rows j0-1 .. j1+1 are grid rows 1, 0, 1, 0: the
+    # padded block reads each grid row twice
+    _assert_rhs_is_reference(jitter(uniform_quad_mesh(5, 2, 10.0), 0.3, seed=3),
+                             2, riemann)
+
+
+def _traced_peak(fn):
+    """Peak of numpy's traced allocations while fn runs, above what was
+    traced before, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("metrics", ["curvilinear", "exact"])
+def test_fv_set_up_and_rhs_memory(metrics):
+    # tracemalloc counts numpy's data allocations exactly, unlike the
+    # resident size.  At 400^2 the state is 5.12 MB.  The set-up builds its
+    # geometry corner by corner and rhs sums block by block: measured 4.5
+    # and 1.4 states (curvilinear and exact alike), where the whole-plane
+    # set-up and full-size flux planes took 8.7 and 4.6
+    mesh = uniform_quad_mesh(400, 400, 10.0)
+    state = 4 * mesh.n_elements * 8
+    assert _traced_peak(lambda: FVEulerSolver2D(mesh, metrics=metrics)) < 6 * state
+    solver = FVEulerSolver2D(mesh, metrics=metrics)
+    U = solver.project(icv_primitive)
+    assert _traced_peak(lambda: solver.rhs(U)) < 2 * state
+
+
+@pytest.mark.parametrize("riemann", ["rusanov", "roe"])
 @pytest.mark.parametrize("p", [2, 4])
 @pytest.mark.parametrize("mesh", [lambda: jitter(uniform_quad_mesh(7, 5, 10.0), 0.3, seed=27),
                                   _multi_block_mesh], ids=["7x5", "multi-block"])
@@ -685,6 +757,23 @@ def test_error_norm_uniform_density_offset():
     assert rep.theta == pytest.approx(0.25, abs=1e-14)
     assert rep.per_variable[0] == pytest.approx(0.25, abs=1e-14)
     assert np.all(rep.per_variable[1:] == 0.0)
+
+
+@pytest.mark.parametrize("shape", [(60, 4), (12, 5, 5, 4)], ids=["fv", "fr"])
+@pytest.mark.parametrize("layout", ["element-fastest", "C"])
+def test_error_norm_is_the_contiguous_difference(shape, layout):
+    # the difference is written into a C-ordered buffer in one pass; theta
+    # and the per-variable RMS are bit for bit those of the copy of the
+    # difference taken row by row
+    rng = np.random.default_rng(5)
+    a, b = (rng.standard_normal(shape) for _ in range(2))
+    if layout == "element-fastest":
+        a, b = (np.asfortranarray(v) for v in (a, b))
+    diff = np.ascontiguousarray((a - b).reshape(-1, 4))
+    rep = error_norm(a, b)
+    assert rep.theta == float(np.mean(np.linalg.norm(diff, axis=1)))
+    assert np.array_equal(rep.per_variable, np.sqrt(np.mean(diff ** 2, axis=0)))
+    assert rep.dof == diff.shape[0]
 
 
 def test_error_norm_shape_mismatch():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -112,8 +114,8 @@ def test_jitter_keeps_elements_untangled():
 def test_corner_jacobians_are_the_corner_cross_products():
     # corner c: (next corner - c) x (previous corner - c), bit for bit; at
     # factor 0.95 the one-block draw has tangled elements, whose verdicts
-    # must not move either
-    from frwave.mesh2d import _corner_jacobians
+    # must not move either.  Edge c runs from corner c to the next
+    from frwave.mesh2d import _corner_jacobians, _edge
     for nx, ny, factor, seed in ((5, 3, 0.4, 6), (10, 10, 0.95, 11)):
         m = uniform_quad_mesh(nx, ny, 2.0)
         nodes = _one_block(m, factor, seed)
@@ -129,6 +131,8 @@ def test_corner_jacobians_are_the_corner_cross_products():
         assert np.array_equal(x, X[..., 0].T) and np.array_equal(y, X[..., 1].T)
         got = _corner_jacobians(x, y)
         assert np.array_equal(got, want.T)
+        edges = np.roll(X, -1, axis=1) - X
+        assert all(np.array_equal(np.stack(_edge(x, y, c), axis=-1), edges[:, c]) for c in range(4))
         assert np.array_equal(got <= 0, want.T <= 0)
 
 
@@ -265,6 +269,22 @@ def test_read_mesh_rejects_other_files(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("trianglemesh 2 2\n")
     with pytest.raises(ValueError):
+        read_mesh(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", " is not a quadmesh file"),
+    ("quadmesh 2 2 1.0 0.0\n9 4\n", " is not a quadmesh file"),
+    ("quadmesh 2 2 1.0 0.0 0\n", " is not a quadmesh file"),
+    ("quadmesh 2 2 1.0 0.0 0\n9 4\n0.0 0.0\n0.5 0.0\n",
+     ": 4 values after the counts, not the 34 of 9 nodes and 4 elements")],
+    ids=["empty", "five-header-fields", "no-count-line", "short-of-nodes"])
+def test_read_mesh_names_the_file_it_cannot_read(tmp_path, text, message):
+    # these once raised an IndexError, a tuple unpacking error or numpy's
+    # reshape error, none of which named the file
+    path = tmp_path / "mesh.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
         read_mesh(path)
 
 

@@ -44,10 +44,22 @@ def primitive_to_conserved(rho, u, v, p, axis=-1):
 
 def conserved_to_primitive(U):
     rho = U[..., 0]
-    u = U[..., 1] / rho
-    v = U[..., 2] / rho
-    p = (GAMMA_GAS - 1.0) * (U[..., 3] - 0.5 * rho * (u * u + v * v))
+    u, v, p, work = (np.empty_like(rho, dtype=np.result_type(rho, 0.5)) for _ in range(4))
+    _velocity_pressure(U, u, v, p, work)
     return rho, u, v, p
+
+
+def _velocity_pressure(U, u, v, p, work):
+    """Velocity and pressure of conserved states U written into u, v and p,
+    with `work` as scratch space of their shape."""
+    rho = U[..., 0]
+    np.divide(U[..., 1], rho, out=u)
+    np.divide(U[..., 2], rho, out=v)
+    np.multiply(u, u, out=p)
+    p += np.multiply(v, v, out=work)
+    p *= np.multiply(0.5, rho, out=work)
+    np.subtract(U[..., 3], p, out=p)
+    p *= GAMMA_GAS - 1.0
 
 
 def euler_normal_flux(U, nx, ny):
@@ -58,12 +70,19 @@ def euler_normal_flux(U, nx, ny):
 
 def _normal_flux(U, rho, un, p, nx, ny, out=None):
     """euler_normal_flux from U's rho, p and normal velocity un = u nx + v ny,
-    written into `out` if given, else into a new array in U's memory order."""
+    written into `out` if given (it must not overlap U, un or p), else into
+    a new array in U's memory order.  The pressure term of each momentum
+    component is formed in the slot of the next one, so no work array is
+    made."""
     F = np.empty_like(U) if out is None else out
-    F[..., 0] = rho * un
-    F[..., 1] = U[..., 1] * un + p * nx
-    F[..., 2] = U[..., 2] * un + p * ny
-    F[..., 3] = (U[..., 3] + p) * un
+    F0, F1, F2, F3 = (F[..., k] for k in range(4))
+    np.multiply(U[..., 1], un, out=F1)
+    F1 += np.multiply(p, nx, out=F2)
+    np.multiply(U[..., 2], un, out=F2)
+    F2 += np.multiply(p, ny, out=F3)
+    np.add(U[..., 3], p, out=F3)
+    F3 *= un
+    np.multiply(rho, un, out=F0)
     return F
 
 
@@ -241,10 +260,15 @@ class _EulerSolver:
     that numbering, the finite-volume solver reads them as shifts of its grid.
     A subclass sets self.faces = (_unit(n_east), _unit(n_north)) from the
     outward face vectors, scaled by face length (per unit reference length for
-    the elements) and shaped (n_elem, ..., 2) to broadcast against a face trace
-    without its variable axis: (n_elem, 2) for the finite-volume cells,
-    (n_elem, 1, 2) for the elements, whose straight faces have one vector along
-    all p+1 points, and self.length_scale, which a CFL number is taken over.
+    the elements) and shaped (n_elem, ..., 2): (n_elem, 2) for the
+    finite-volume cells, (n_elem, 1, 2) for the elements, whose straight faces
+    have one vector along all p+1 points, and self.length_scale, which a CFL
+    number is taken over.  _common_flux takes one length and unit normal per
+    face point: the finite-volume solver passes its face block's slices of
+    self.faces, the element solver planes built from them once.
+
+    rhs returns a new array.  The element solver's rhs fills work arrays
+    its solver owns, so one solver must not run rhs from two threads at once.
 
     A subclass builds its geometry from the mesh's corner planes x, y
     (QuadMesh2D.corner_planes), sliced once and passed to this class,
@@ -259,13 +283,13 @@ class _EulerSolver:
         self.mesh = mesh
         self.riemann = RIEMANN_SOLVERS[riemann]
 
-    def _common_flux(self, axis, UL, UR, b=slice(None), out=None):
-        """Length-weighted flux through the east (axis 0) or north (axis 1)
-        faces of the element rows b, from the states UL on their inner side
-        and UR on their outer side, written into `out` if given."""
-        s, nx, ny = self.faces[axis]
-        F = self.riemann(UL, UR, nx[b], ny[b], out=out)
-        F *= s[b, ..., None]
+    def _common_flux(self, faces, UL, UR, out):
+        """Length-weighted flux through the faces (s, nx, ny), one length
+        and unit normal per face point, from the states UL on their inner
+        side and UR on their outer side, written into `out`."""
+        s, nx, ny = faces
+        F = self.riemann(UL, UR, nx, ny, out=out)
+        F *= s[..., None]
         return F
 
     @property
@@ -287,11 +311,6 @@ class _EulerSolver:
 
 # ---------------------------------------------------------------------------
 # tensor-product element solver
-
-def _take_rows(A, rows):
-    """np.take(A, rows, axis=0), element-fastest like A."""
-    return np.take(A.T, rows, axis=-1).T
-
 
 def _along(M, X, axis):
     """Apply the matrix M along reference axis 1 (xi) or 2 (eta) of X
@@ -324,11 +343,15 @@ class FREulerSolver2D(_EulerSolver):
 
     with D the nodal derivative matrix, T = [ll; lr] the traces at xi = -1
     and +1, H = [hl, hr] the correction derivatives and Fc the common
-    transformed flux on the two faces.  rhs applies M, of shape (p+1, p+3)
-    and built once, to one element-fastest buffer per axis that holds Fhat
-    at the p+1 points and Fc on the two faces; the xi buffer is freed
-    before the eta one is made, and no work array outlives a call, so rhs
-    is re-entrant.  The bilinear map applies the shape
+    transformed flux on the two faces.  rhs solves Fc on the east and
+    north faces of all elements in one Riemann call, then applies M, of
+    shape (p+1, p+3) and built once, along each axis to an element-fastest
+    buffer that holds Fhat at the p+1 points and Fc on the two faces.
+    rhs returns a new array, but its traces, face states, fluxes and
+    buffers are work arrays the solver owns, sized once for the mesh and
+    refilled by every call (a fresh set per call had glibc trim and
+    re-fault its heap), so one solver must not run rhs from two threads at
+    once.  The bilinear map applies the shape
     functions N = [(1 - xi)/2, (1 + xi)/2] along both axes of the corners,
     so m1 depends on xi only and m2 on eta only (shapes (n_elem, p+1, 1, 2)
     and (n_elem, 1, p+1, 2)), and the east and north face vectors are m1 at
@@ -337,10 +360,6 @@ class FREulerSolver2D(_EulerSolver):
     def __init__(self, mesh, p, riemann="rusanov"):
         x, y = mesh.corner_planes()
         super().__init__(mesh, riemann, x, y)
-        # east, west, north and south neighbour of every element
-        ids = np.arange(mesh.n_elements).reshape(mesh.ny, mesh.nx)
-        self.east, self.west, self.north, self.south = (
-            np.roll(ids, shift, axis=axis).ravel() for axis in (1, 0) for shift in (-1, 1))
         self.element = e = reference_element(p)
         self.T = np.stack([e.ll, e.lr])
         H = np.stack([e.hl, e.hr], axis=1)
@@ -363,34 +382,84 @@ class FREulerSolver2D(_EulerSolver):
         # the smallest edge length divided by the points-per-edge count
         shortest = np.min([_length(*_edge(x, y, c)).min() for c in range(4)])
         self.length_scale = float(shortest) / e.n_points
+        # rhs's face points are ordered (axis, point, element): the east
+        # faces' p+1 points, then the north faces'.  Their lengths and unit
+        # normals are stored per point, and the faces of the elements ahead
+        # (east, north) and behind (west, south) are read through flat
+        # indices into a (variable, side, axis, point, element) trace buffer
+        # and a (variable, axis, point, element) face buffer, side 0 first
+        q, n = e.n_points, mesh.n_elements
+        self._face_points = tuple(
+            np.stack([np.broadcast_to(f[k][:, 0], (q, n)) for f in self.faces]).ravel()
+            for k in range(3))
+        ids = np.arange(n).reshape(mesh.ny, mesh.nx)
+        first = (np.arange(2 * q) * n).reshape(2, q, 1)
+        self._ahead, self._behind = (
+            (first + np.stack([np.roll(ids, shift, axis=1), np.roll(ids, shift, axis=0)])
+             .reshape(2, 1, n)).ravel() for shift in (-1, 1))
+        # rhs's work arrays, one allocation sized once for the mesh and
+        # refilled by every call: a part that holds in turn the traces, then
+        # two work planes beside the faces ahead and the common fluxes, then
+        # the eta product; u, v and p; and the [Fhat; Fc] buffer, which
+        # serves both axes, its xi product made before its eta fill
+        plane, face = q * q * n, 8 * q * n
+        lead = max(2 * plane, 2 * face)
+        size = max(lead + 2 * face, 4 * plane)
+        work = np.empty(size + 3 * plane + 4 * q * (q + 2) * n)
+        self._traces = work[:2 * face].reshape(4, 2, 2, q, n)
+        self._un, self._scratch = work[:2 * plane].reshape(2, q, q, n).transpose(0, 3, 2, 1)
+        self._face, self._Fc = work[lead:lead + 2 * face].reshape(2, 4, 2, q, n)
+        self._eta = work[:4 * plane].reshape(4, q, q * n)
+        self._uvp = work[size:size + 3 * plane].reshape(3, q, q, n).transpose(0, 3, 2, 1)
+        self._padded = work[size + 3 * plane:]
 
     def rhs(self, U):
-        rho, u, v, p = conserved_to_primitive(U)
-        _check_physical(rho, p)
-        # the xi work arrays are freed before the eta ones are made
-        div = self._divergence(U, rho, u, v, p, 1)
-        div += self._divergence(U, rho, u, v, p, 2)
-        return np.divide(div, -self.detJ[..., None], out=div)
+        q, n = self.element.n_points, len(U)
+        # the result's (variable, eta, xi, element) planes, made first,
+        # where the stage before freed a state
+        div = np.empty((4, q, q, n))
+        u, v, p = self._uvp
+        _velocity_pressure(U, u, v, p, self._scratch)
+        _check_physical(U[..., 0], p)
+        Y = np.ascontiguousarray(U.T)       # (variable, eta, xi, element)
+        tr = self._traces
+        np.matmul(self.T, Y, out=tr[:, :, 0].transpose(0, 2, 1, 3))
+        np.matmul(self.T, Y.reshape(4, q, q * n), out=tr[:, :, 1].reshape(4, 2, q * n))
+        # one Riemann solve over the east and north faces, the hi traces
+        # inside and the lo traces of the elements ahead outside; mode
+        # "clip" lets np.take write straight into its out (the indices are
+        # in range), where the default mode fills a copy
+        face, Fc = self._face.reshape(4, -1), self._Fc.reshape(4, -1)
+        np.take(tr.reshape(4, -1), self._ahead, axis=1, out=face, mode="clip")
+        self._common_flux(self._face_points, tr[:, 1].reshape(4, -1).T, face.T, Fc.T)
+        # a face's transformed flux is the same value on both sides: the
+        # west and south fluxes are those of the elements behind
+        np.take(Fc, self._behind, axis=1, out=face, mode="clip")
+        lo, hi = self._face, self._Fc
+        # M [Fhat; Fc] along each reference axis from one element-fastest
+        # buffer: Fhat through the metric rows in slots 0..p, the common
+        # flux on the west or south face in slot p+1 and on the east or
+        # north face in slot p+2
+        B = self._padded.reshape(4, q, q + 2, n)
+        B[:, :, q], B[:, :, q + 1] = lo[:, 0], hi[:, 0]
+        self._point_flux(U, self.m1, B.T[:, :q])
+        np.matmul(self.M, B, out=div)
+        B = self._padded.reshape(4, q + 2, q, n)
+        B[:, q], B[:, q + 1] = lo[:, 1], hi[:, 1]
+        self._point_flux(U, self.m2, B.T[:, :, :q])
+        div += np.matmul(self.M, B.reshape(4, q + 2, q * n), out=self._eta).reshape(4, q, q, n)
+        R = div.T
+        return np.divide(R, -self.detJ[..., None], out=R)
 
-    def _divergence(self, U, rho, u, v, p, axis):
-        """M [Fhat; Fc] along reference axis 1 (xi) or 2 (eta), from one
-        element-fastest buffer: Fhat through the metric rows in slots 0..p,
-        the common flux on the west or south face in slot p+1 and on the
-        east or north face in slot p+2."""
-        lo, hi = np.moveaxis(_along(self.T, U, axis), axis, 0)
-        m, ahead, behind = ((self.m1, self.east, self.west) if axis == 1
-                            else (self.m2, self.north, self.south))
-        q = self.element.n_points
-        shape = [4, q, q, len(U)]
-        shape[3 - axis] += 2
-        B = np.empty(shape).T
-        at = lambda k: (slice(None),) * axis + (k,)
-        # a face's transformed flux is the same value on both sides
-        Fc = self._common_flux(axis - 1, hi, _take_rows(lo, ahead), out=B[at(q + 1)])
-        B[at(q)] = _take_rows(Fc, behind)
+    def _point_flux(self, U, m, out):
+        """The transformed flux through the metric rows m at the solution
+        points, from rhs's u, v and p, written into `out`."""
+        u, v, p = self._uvp
+        un = self._un
         nx, ny = m[..., 0], m[..., 1]
-        _normal_flux(U, rho, u * nx + v * ny, p, nx, ny, out=B[at(slice(q))])
-        return _along(self.M, B, axis)
+        np.multiply(u, nx, out=un)
+        un += np.multiply(v, ny, out=self._scratch)
+        _normal_flux(U, U[..., 0], un, p, nx, ny, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +590,9 @@ class FVEulerSolver2D(_EulerSolver):
             P[..., [0, -2, -1]] = P[..., [nx, 1, 1 + 1 % nx]]
             UE, UW_east, UN, US_north = _fv_face_states(P)
             E, N = np.empty((2, 4, j1 - j0, nx))     # the block's flux planes
-            self._common_flux(0, UE, UW_east, b, out=E.reshape(4, -1).T)
-            self._common_flux(1, UN, US_north, b, out=N.reshape(4, -1).T)
+            faces_e, faces_n = ([f[b] for f in faces] for faces in self.faces)
+            self._common_flux(faces_e, UE, UW_east, E.reshape(4, -1).T)
+            self._common_flux(faces_n, UN, US_north, N.reshape(4, -1).T)
             # a cell's west and south fluxes are its neighbours' east and
             # north fluxes, leaving through the opposite side: the block's
             # planes shifted by one column, wrapped across the seam, and by
@@ -556,14 +626,17 @@ def error_norm(computed, exact):
     if computed.shape != exact.shape:
         raise ValueError(f"shape mismatch: {computed.shape} vs {exact.shape}")
     # one point per C-ordered row, so the sums round alike for any layout:
-    # the difference is written straight into a C-ordered buffer
-    diff = np.empty(computed.shape, np.result_type(computed, exact))
-    np.subtract(computed, exact, out=diff)
-    diff = diff.reshape(-1, computed.shape[-1])
-    theta = float(np.mean(np.linalg.norm(diff, axis=1)))
-    per_var = np.sqrt(np.mean(diff ** 2, axis=0))
-    return ErrorReport(theta=theta, per_variable=per_var,
-                       dof=diff.shape[0])
+    # the difference is written straight into a C-ordered buffer and
+    # squared in place, and both norms sum those squares (each row as
+    # np.linalg.norm does)
+    sq = np.empty(computed.shape, np.result_type(computed, exact))
+    np.subtract(computed, exact, out=sq)
+    sq = sq.reshape(-1, computed.shape[-1])
+    np.multiply(sq, sq, out=sq)
+    norms = np.add.reduce(sq, axis=1)
+    theta = float(np.mean(np.sqrt(norms, out=norms)))
+    per_var = np.sqrt(np.mean(sq, axis=0))
+    return ErrorReport(theta=theta, per_variable=per_var, dof=sq.shape[0])
 
 
 def _require_distinct(resolutions):

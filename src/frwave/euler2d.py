@@ -44,71 +44,66 @@ def primitive_to_conserved(rho, u, v, p, axis=-1):
 
 def conserved_to_primitive(U):
     rho = U[..., 0]
-    u, v, p, work = (np.empty_like(rho, dtype=np.result_type(rho, 0.5)) for _ in range(4))
-    _velocity_pressure(U, u, v, p, work)
-    return rho, u, v, p
+    return rho, U[..., 1] / rho, U[..., 2] / rho, _pressure(U)
 
 
-def _velocity_pressure(U, u, v, p, work):
-    """Velocity and pressure of conserved states U written into u, v and p,
-    with `work` as scratch space of their shape."""
-    rho = U[..., 0]
-    np.divide(U[..., 1], rho, out=u)
-    np.divide(U[..., 2], rho, out=v)
-    np.multiply(u, u, out=p)
-    p += np.multiply(v, v, out=work)
-    p *= np.multiply(0.5, rho, out=work)
-    np.subtract(U[..., 3], p, out=p)
+def _pressure(U, p=None, work=None):
+    """Pressure of conserved states U, the expression of _normal_state bit
+    for bit, formed in place in p with `work` as scratch space of its shape
+    (both new planes in rho's memory order if not given)."""
+    rho, m1, m2, E = (U[..., k] for k in range(4))
+    if p is None:
+        p, work = (np.empty_like(rho, dtype=np.result_type(rho, 0.5)) for _ in range(2))
+    np.multiply(m1, m1, out=p)
+    p += np.multiply(m2, m2, out=work)
+    p *= 0.5
+    p /= rho
+    np.subtract(E, p, out=p)
     p *= GAMMA_GAS - 1.0
+    return p
 
 
 def euler_normal_flux(U, nx, ny):
     """Physical flux of conserved state U through unit normal (nx, ny)."""
-    rho, u, v, p = conserved_to_primitive(U)
-    return _normal_flux(U, rho, u * nx + v * ny, p, nx, ny)
+    return _normal_flux(U, *_normal_state(U, nx, ny), nx, ny)
 
 
-def _normal_flux(U, rho, un, p, nx, ny, out=None):
-    """euler_normal_flux from U's rho, p and normal velocity un = u nx + v ny,
-    written into `out` if given (it must not overlap U, un or p), else into
-    a new array in U's memory order.  The pressure term of each momentum
-    component is formed in the slot of the next one, so no work array is
-    made."""
+def _normal_flux(U, mn, un, p, nx, ny, out=None):
+    """euler_normal_flux from U's normal momentum mn = m.n, normal velocity
+    un = mn / rho and pressure p, written into `out` if given (it must not
+    overlap U, un or p; mn may be its slot 0), else into a new array in U's
+    memory order.  The pressure term of each momentum component is formed
+    in the slot of the next one, so no work array is made."""
     F = np.empty_like(U) if out is None else out
     F0, F1, F2, F3 = (F[..., k] for k in range(4))
+    F0[...] = mn
     np.multiply(U[..., 1], un, out=F1)
     F1 += np.multiply(p, nx, out=F2)
     np.multiply(U[..., 2], un, out=F2)
     F2 += np.multiply(p, ny, out=F3)
     np.add(U[..., 3], p, out=F3)
     F3 *= un
-    np.multiply(rho, un, out=F0)
     return F
 
 
 def _normal_state(U, nx, ny):
-    """Normal momentum m.n, normal velocity un = (m.n) / rho, pressure and
-    fastest normal wave speed |un| + c of conserved states U."""
+    """The state rule of every flux here: normal momentum m.n, normal velocity
+    un = (m.n) / rho and pressure of conserved states U, as _pressure's."""
     rho, m1, m2, E = (U[..., k] for k in range(4))
     mn = m1 * nx + m2 * ny
     un = mn / rho
     p = (GAMMA_GAS - 1.0) * (E - 0.5 * (m1 * m1 + m2 * m2) / rho)
-    return mn, un, p, np.abs(un) + np.sqrt(GAMMA_GAS * p / rho)
+    return mn, un, p
 
 
-def rusanov_flux(UL, UR, nx, ny, out=None):
-    """Local Lax-Friedrichs, 0.5 (FL + FR) - 0.5 smax (UR - UL) with smax
-    the larger side's |un| + c, written into `out` if given (it must not
-    overlap UL or UR), else into a new array in UL's memory order.  Each
-    flux component is summed in place in its slot of `out`, the two
-    pressures entering the momentum as one sum; no full flux or jump array
-    is made."""
-    F = np.empty_like(UL) if out is None else out
-    mnL, unL, pL, sL = _normal_state(UL, nx, ny)
-    mnR, unR, pR, sR = _normal_state(UR, nx, ny)
-    h = 0.5 * np.maximum(sL, sR)
+def _flux_sum(UL, UR, nx, ny, F):
+    """FL + FR summed in place into F, component by component, the two
+    pressures entering the momentum as one sum.  Returns each side's normal
+    velocity and pressure and the work array it used."""
+    mnL, unL, pL = _normal_state(UL, nx, ny)
+    mnR, unR, pR = _normal_state(UR, nx, ny)
     ps = pL + pR
-    t = np.empty_like(h)        # the one work array
+    t = np.empty_like(ps)
     F0, F1, F2, F3 = (F[..., k] for k in range(4))
     np.add(mnL, mnR, out=F0)
     for Fk, k, n in ((F1, 1, nx), (F2, 2, ny)):
@@ -119,7 +114,20 @@ def rusanov_flux(UL, UR, nx, ny, out=None):
     F3 *= unL
     np.add(UR[..., 3], pR, out=t)
     F3 += np.multiply(t, unR, out=t)
-    for k, Fk in enumerate((F0, F1, F2, F3)):
+    return (unL, pL), (unR, pR), t
+
+
+def rusanov_flux(UL, UR, nx, ny, out=None):
+    """Local Lax-Friedrichs, 0.5 (FL + FR) - 0.5 smax (UR - UL) with smax
+    the larger side's |un| + c, written into `out` if given (it must not
+    overlap UL or UR), else into a new array in UL's memory order.  The
+    jump term is subtracted in place from _flux_sum's FL + FR."""
+    F = np.empty_like(UL) if out is None else out
+    (unL, pL), (unR, pR), t = _flux_sum(UL, UR, nx, ny, F)
+    h = 0.5 * np.maximum(np.abs(unL) + np.sqrt(GAMMA_GAS * pL / UL[..., 0]),
+                         np.abs(unR) + np.sqrt(GAMMA_GAS * pR / UR[..., 0]))
+    for k in range(4):
+        Fk = F[..., k]
         Fk *= 0.5
         np.subtract(UR[..., k], UL[..., k], out=t)
         Fk -= np.multiply(h, t, out=t)
@@ -127,57 +135,48 @@ def rusanov_flux(UL, UR, nx, ny, out=None):
 
 
 def roe_flux(UL, UR, nx, ny, out=None):
-    """Roe's approximate Riemann solver with a small entropy fix, written
-    into `out` if given."""
-    rhoL, uL, vL, pL = conserved_to_primitive(UL)
-    rhoR, uR, vR, pR = conserved_to_primitive(UR)
-    nx = np.broadcast_to(nx, rhoL.shape)
-    ny = np.broadcast_to(ny, rhoL.shape)
-    HL = (UL[..., 3] + pL) / rhoL
-    HR = (UR[..., 3] + pR) / rhoR
+    """Roe's approximate Riemann solver with Harten's entropy fix on the
+    acoustic waves, 0.5 (FL + FR) - 0.5 sum |lam| alpha K over the waves,
+    written like rusanov_flux: half of each wave's |lam| alpha times its
+    eigenvector K is subtracted in place from _flux_sum's FL + FR, whose
+    side pressures and normal velocities give the jumps."""
+    F = np.empty_like(UL) if out is None else out
+    (unL, pL), (unR, pR), t = _flux_sum(UL, UR, nx, ny, F)
+    rhoL, rhoR = UL[..., 0], UR[..., 0]
     sqL, sqR = np.sqrt(rhoL), np.sqrt(rhoR)
-    w = sqL / (sqL + sqR)
-    u = w * uL + (1 - w) * uR
-    v = w * vL + (1 - w) * vR
-    H = w * HL + (1 - w) * HR
+    # the Roe averages (sqL qL + sqR qR) / (sqL + sqR) of u, v and H, each
+    # side's sqrt(rho) q as m / sqrt(rho) or (E + p) / sqrt(rho)
+    u, v, H = ((qL / sqL + qR / sqR) / (sqL + sqR) for qL, qR in (
+        (UL[..., 1], UR[..., 1]), (UL[..., 2], UR[..., 2]),
+        (UL[..., 3] + pL, UR[..., 3] + pR)))
     q2 = u * u + v * v
     a2 = (GAMMA_GAS - 1.0) * (H - 0.5 * q2)
     a = np.sqrt(np.maximum(a2, 1e-300))
     un = u * nx + v * ny
-    ut = -u * ny + v * nx
-    unL, unR = uL * nx + vL * ny, uR * nx + vR * ny
-
-    drho = rhoR - rhoL
-    dp = pR - pL
-    dun = unR - unL
-    dut = (-uR * ny + vR * nx) - (-uL * ny + vL * nx)
-
-    lam = np.stack([np.abs(un - a), np.abs(un), np.abs(un + a), np.abs(un)], axis=-1)
-    # Harten entropy fix on the acoustic waves
+    dp, z = pR - pL, sqL * sqR * a * (unR - unL)
+    # half of each wave's |lam| alpha: the acoustic waves un -+ a with the
+    # entropy fix, then the entropy and shear waves un, the shear wave's
+    # alpha from the jump of the tangential velocity (m2 nx - m1 ny) / rho
     eps = 0.05 * a
-    for i in (0, 2):
-        l = lam[..., i]
-        lam[..., i] = np.where(l < eps, (l * l / eps + eps) * 0.5, l)
-
-    rho_roe = np.sqrt(rhoL * rhoR)
-    a1 = (dp - rho_roe * a * dun) / (2.0 * a2)
-    a2_ = drho - dp / a2
-    a3 = (dp + rho_roe * a * dun) / (2.0 * a2)
-    a4 = rho_roe * dut
-
-    one = np.ones_like(u)
-    K1 = np.stack([one, u - a * nx, v - a * ny, H - un * a], axis=-1)
-    K2 = np.stack([one, u, v, 0.5 * q2], axis=-1)
-    K3 = np.stack([one, u + a * nx, v + a * ny, H + un * a], axis=-1)
-    K4 = np.stack([np.zeros_like(u), -ny, nx, ut], axis=-1)
-
-    diss = (lam[..., 0:1] * a1[..., None] * K1
-            + lam[..., 1:2] * a2_[..., None] * K2
-            + lam[..., 2:3] * a3[..., None] * K3
-            + lam[..., 3:4] * a4[..., None] * K4)
-    FL = _normal_flux(UL, rhoL, unL, pL, nx, ny)
-    FR = _normal_flux(UR, rhoR, unR, pR, nx, ny)
-    return np.subtract(0.5 * (FL + FR), 0.5 * diss, out=out)
+    fix = lambda l: np.where(l < eps, (l * l / eps + eps) * 0.5, l)
+    h1, h3 = (0.5 * fix(np.abs(un + sign * a)) * ((dp + sign * z) / (2.0 * a2))
+              for sign in (-1.0, 1.0))
+    s = 0.5 * np.abs(un)
+    h2 = s * ((rhoR - rhoL) - dp / a2)
+    h4 = s * (sqL * sqR * ((UR[..., 2] * nx - UR[..., 1] * ny) / rhoR
+                           - (UL[..., 2] * nx - UL[..., 1] * ny) / rhoL))
+    # K1, K3 = (1, u -+ a nx, v -+ a ny, H -+ a un), K2 = (1, u, v, q2 / 2)
+    # and K4 = (0, -ny, nx, v nx - u ny)
+    for k, q, n, K2, K4 in ((0, 1.0, 0.0, 1.0, 0.0), (1, u, nx, u, -ny), (2, v, ny, v, nx),
+                            (3, H, un, 0.5 * q2, v * nx - u * ny)):
+        Fk = F[..., k]
+        Fk *= 0.5
+        np.multiply(a, n, out=t)
+        Fk -= h1 * (q - t)
+        Fk -= h2 * K2
+        Fk -= h3 * (q + t)
+        Fk -= h4 * K4
+    return F
 
 
 RIEMANN_SOLVERS = {"rusanov": rusanov_flux, "roe": roe_flux}
@@ -399,28 +398,26 @@ class FREulerSolver2D(_EulerSolver):
              .reshape(2, 1, n)).ravel() for shift in (-1, 1))
         # rhs's work arrays, one allocation sized once for the mesh and
         # refilled by every call: a part that holds in turn the traces, then
-        # two work planes beside the faces ahead and the common fluxes, then
-        # the eta product; u, v and p; and the [Fhat; Fc] buffer, which
+        # a work plane beside the faces ahead and the common fluxes, then
+        # the eta product; the pressure; and the [Fhat; Fc] buffer, which
         # serves both axes, its xi product made before its eta fill
         plane, face = q * q * n, 8 * q * n
-        lead = max(2 * plane, 2 * face)
+        lead = max(plane, 2 * face)
         size = max(lead + 2 * face, 4 * plane)
-        work = np.empty(size + 3 * plane + 4 * q * (q + 2) * n)
+        work = np.empty(size + plane + 4 * q * (q + 2) * n)
         self._traces = work[:2 * face].reshape(4, 2, 2, q, n)
-        self._un, self._scratch = work[:2 * plane].reshape(2, q, q, n).transpose(0, 3, 2, 1)
+        self._un = work[:plane].reshape(q, q, n).T
         self._face, self._Fc = work[lead:lead + 2 * face].reshape(2, 4, 2, q, n)
         self._eta = work[:4 * plane].reshape(4, q, q * n)
-        self._uvp = work[size:size + 3 * plane].reshape(3, q, q, n).transpose(0, 3, 2, 1)
-        self._padded = work[size + 3 * plane:]
+        self._p = work[size:size + plane].reshape(q, q, n).T
+        self._padded = work[size + plane:]
 
     def rhs(self, U):
         q, n = self.element.n_points, len(U)
         # the result's (variable, eta, xi, element) planes, made first,
         # where the stage before freed a state
         div = np.empty((4, q, q, n))
-        u, v, p = self._uvp
-        _velocity_pressure(U, u, v, p, self._scratch)
-        _check_physical(U[..., 0], p)
+        _check_physical(U[..., 0], _pressure(U, self._p, self._un))
         Y = np.ascontiguousarray(U.T)       # (variable, eta, xi, element)
         tr = self._traces
         np.matmul(self.T, Y, out=tr[:, :, 0].transpose(0, 2, 1, 3))
@@ -453,13 +450,14 @@ class FREulerSolver2D(_EulerSolver):
 
     def _point_flux(self, U, m, out):
         """The transformed flux through the metric rows m at the solution
-        points, from rhs's u, v and p, written into `out`."""
-        u, v, p = self._uvp
-        un = self._un
+        points, by euler_normal_flux's rule from rhs's pressure, written into
+        `out`: the normal momentum m.n straight into its slot 0."""
         nx, ny = m[..., 0], m[..., 1]
-        np.multiply(u, nx, out=un)
-        un += np.multiply(v, ny, out=self._scratch)
-        _normal_flux(U, U[..., 0], un, p, nx, ny, out=out)
+        mn, un = out[..., 0], self._un
+        np.multiply(U[..., 1], nx, out=mn)
+        mn += np.multiply(U[..., 2], ny, out=un)
+        np.divide(mn, U[..., 0], out=un)
+        _normal_flux(U, mn, un, self._p, nx, ny, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +541,8 @@ class FVEulerSolver2D(_EulerSolver):
                                              _length(x[3] - x[1], y[3] - y[1])).min())
 
         if metrics == "exact":
-            def edge_normal(a, b):
-                return np.stack([y[b] - y[a], -(x[b] - x[a])], axis=-1)
-            n_e, n_n = edge_normal(1, 2), edge_normal(2, 3)
+            # the east and north edges (corners 1 to 2, 2 to 3) rotated clockwise
+            n_e, n_n = (np.stack([ey, -ex], axis=-1) for ex, ey in (_edge(x, y, 1), _edge(x, y, 2)))
         else:
             # curvilinear metric shortcut: the mesh is taken to be a smooth
             # mapping of the index grid, and each face vector is the step
@@ -569,10 +566,7 @@ class FVEulerSolver2D(_EulerSolver):
         self.faces = (_unit(n_e), _unit(n_n))
 
     def rhs(self, U):
-        rho = U[..., 0]
-        p = (GAMMA_GAS - 1.0) * (U[..., 3] - 0.5 * (U[..., 1] ** 2 + U[..., 2] ** 2) / rho)
-        _check_physical(rho, p)
-        del p               # read by the check only
+        _check_physical(U[..., 0], _pressure(U))
         nx, ny = self.mesh.nx, self.mesh.ny
         # the variable planes of U and of the result, in U's memory order
         G = U.T.reshape(4, ny, nx)

@@ -103,6 +103,7 @@ def cmd_dispersion(args):
 
 
 def cmd_kernel(args):
+    _require_positive("time", args.time)    # before the curve is solved
     curve = dispersion_curve(args.p, args.gamma, args.kind,
                              n_samples=args.samples)
     k_hat, g = filter_kernel(curve, args.time)

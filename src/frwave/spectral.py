@@ -169,18 +169,58 @@ def _eigvals(M, k_hats):
     return np.stack(out)
 
 
-_linear_sum_assignment = None     # bound by _match's first call
+def _assign(cost):
+    """Columns of the least-cost assignment of the square matrix cost (row
+    r takes column cols[r]): Kuhn-Munkres by shortest augmenting paths with
+    row and column potentials.  The matrices are (p+1)x(p+1), so plain
+    Python lists."""
+    n = len(cost)
+    cost = cost.tolist()
+    u, v = [0.0] * n, [0.0] * (n + 1)
+    row_of = [-1] * (n + 1)           # column n roots each augmenting search
+    for i in range(n):
+        row_of[n], j0 = i, n
+        minv, way, used = [math.inf] * n, [n] * n, [False] * (n + 1)
+        while row_of[j0] != -1:       # grow the search tree to a free column
+            used[j0] = True
+            r = row_of[j0]
+            delta, j1 = math.inf, n
+            for j in range(n):
+                if not used[j]:
+                    reduced = cost[r][j] - u[r] - v[j]
+                    if reduced < minv[j]:
+                        minv[j], way[j] = reduced, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                elif j < n:
+                    minv[j] -= delta
+            j0 = j1
+        while j0 != n:                # augment along the path back to the root
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    cols = np.empty(n, dtype=int)
+    cols[row_of[:n]] = np.arange(n)
+    return cols
 
 
-def _match(prev, ev):
-    """Permute ev so entry i continues branch i of prev (bipartite matching)."""
-    global _linear_sum_assignment
-    if _linear_sum_assignment is None:
-        # imported on first use: SciPy is most of frwave's import time and memory
-        from scipy.optimize import linear_sum_assignment as _linear_sum_assignment
-    cost = np.abs(prev[:, None] - ev[None, :])
-    _, cols = _linear_sum_assignment(cost)
-    return ev[cols]
+def _match(before, evs):
+    """For each row r of the eigenvalue stacks (m, n), the columns cols[r]
+    such that evs[r, cols[r]] continues before[r] at least total distance.
+
+    Where the nearest columns of a row form a permutation, they reach the
+    lower bound (the sum of the row minima) and are the assignment; only the
+    other rows are solved by _assign."""
+    cost = np.abs(before[:, :, None] - evs[:, None, :])
+    cols = np.argmin(cost, axis=-1)
+    collide = np.any(np.sort(cols, axis=-1) != np.arange(cols.shape[-1]), axis=-1)
+    for r in np.flatnonzero(collide):
+        cols[r] = _assign(cost[r])
+    return cols
 
 
 def _track(op, ks, closure):
@@ -189,10 +229,12 @@ def _track(op, ks, closure):
 
     At a tiny seed wavenumber exactly one eigenvalue sits near 1; the
     branches are ramped geometrically from there to ks[0] and then
-    followed through ks by bipartite matching.  The eigenvalues are solved
-    in stacks of MIN_SAMPLES wavenumbers (the seed and ramp lead the
-    first), each when the matching reaches it, so a consumer that stops
-    early solves only the stacks it has reached.
+    followed through ks by least-distance matching of each wavenumber's
+    eigenvalues to the last's.  The eigenvalues are solved in stacks of
+    MIN_SAMPLES wavenumbers (the seed and ramp lead the first), each when
+    the tracking reaches it, and each stack is matched in one pass (_match)
+    on the solver's own eigenvalue order, the branch order composed along
+    it; a consumer that stops early solves only the stacks it has reached.
     """
     k_seed = SEED_KHAT * (op.p + 1) / op.delta_j
     ramp = np.geomspace(k_seed, ks[0], 8)[1:-1]
@@ -200,8 +242,14 @@ def _track(op, ks, closure):
     for i in range(0, len(ks), MIN_SAMPLES):
         chunk = ks[i:i + MIN_SAMPLES]
         M = 1j * op.wave_symbol(chunk, closure) / chunk[:, None, None]
-        for j, ev in enumerate(_eigvals(M, chunk * op.delta_j / (op.p + 1)), i):
-            branches = _match(branches, ev) if j else ev[np.argsort(np.abs(ev - 1.0))]
+        evs = _eigvals(M, chunk * op.delta_j / (op.p + 1))
+        if i == 0:    # the seed matches itself, sorted nearest 1 first
+            branches = evs[0][np.argsort(np.abs(evs[0] - 1.0))]
+        before = np.concatenate([branches[None], evs[:-1]])
+        order = np.arange(evs.shape[-1])    # each branch's column in ev
+        for j, (ev, cols) in enumerate(zip(evs, _match(before, evs)), i):
+            order = cols[order]
+            branches = ev[order]
             if j > len(ramp):
                 yield branches
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shlex
@@ -520,11 +521,46 @@ def test_config_help_key_ignored(tmp_path):
     assert (tmp_path / "dispersion_p2_gamma1.csv").exists()
 
 
-def test_cli_import_does_not_load_scipy():
-    # SciPy is most of the CLI's start-up time; only tracked curves need it
+def test_tracked_curve_commands_do_not_load_scipy(tmp_path):
+    # the branch tracking is frwave's own: SciPy is a test dependency only
     env = dict(os.environ, PYTHONPATH=str(Path(frwave.__file__).parents[1]))
-    code = "import sys, frwave.cli; sys.exit(int('scipy' in sys.modules))"
+    code = ("import sys\n"
+            "from frwave.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "for argv in (['ppw', '--p', '2,5', '--gamma', '0.8,1.2'],\n"
+            "             ['dispersion', '--p', '5', '--samples', '64'],\n"
+            "             ['kernel', '--p', '5', '--time', '10', '--samples', '64']):\n"
+            "    assert main(argv + ['--outdir', out]) == 0\n"
+            "sys.exit(int('scipy' in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert len(list(tmp_path.glob("*.csv"))) == 3
+
+
+def test_runtime_imports_only_stdlib_numpy_and_frwave():
+    # pyproject.toml's runtime dependencies are numpy alone
+    allowed = set(sys.stdlib_module_names) | {"numpy", "frwave"}
+    for path in sorted(Path(frwave.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)
+
+
+def test_kernel_time_checked_before_solving(tmp_path, capsys, monkeypatch):
+    calls = []
+    symbol = SemiDiscreteOperator.wave_symbol
+    monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol",
+                        lambda self, *a, **kw: calls.append(1) or symbol(self, *a, **kw))
+    rc = main(["kernel", "--p", "3", "--time", "0", "--samples", "64",
+               "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert "error: time must be a positive finite number, got 0.0" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,12 +2,15 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from frwave import spectral
 from frwave.element import gauss_points, reference_element
 from frwave.spectral import (CLOSURES, MIN_SAMPLES, SAMPLED, SEED_KHAT,
                              UNRESOLVABLE, WEIGHTED, EigenSolveError,
                              SemiDiscreteOperator, SpectralCurve,
-                             SpectralSample, _match, build_operator,
+                             SpectralSample, _assign, _match,
+                             build_operator,
                              dispersion_curve, dispersion_samples,
                              fd_modified_wavenumber, filter_kernel,
                              modified_phase_velocity, ppw)
@@ -160,23 +163,34 @@ def test_eigen_solve_failure_reports_wavenumber(monkeypatch):
     assert err.value.k_hat == pytest.approx(33 * np.pi / 64, rel=1e-12)
 
 
+def _scipy_match(prev, ev):
+    """Permute ev so entry i continues branch i of prev, by SciPy's
+    least-cost assignment."""
+    _, cols = linear_sum_assignment(np.abs(prev[:, None] - ev[None, :]))
+    return ev[cols]
+
+
 def _stacked_track(op, ks, closure):
     """The tracker as one stacked solve of every symbol (seed, ramp and ks)
-    followed by the matching; the reference for the tracker's stacks of
-    MIN_SAMPLES."""
+    followed by SciPy's matching, one wavenumber at a time; the reference
+    for the tracker's stacks of MIN_SAMPLES and their matching."""
     k_seed = SEED_KHAT * (op.p + 1) / op.delta_j
     ramp = np.geomspace(k_seed, ks[0], 8)[1:-1]
     ks = np.concatenate([[k_seed], ramp, ks])
     seed, *rest = np.linalg.eigvals(1j * op.wave_symbol(ks, closure)
                                     / ks[:, None, None])
     seed = seed[np.argsort(np.abs(seed - 1.0))]
-    return list(accumulate(rest, _match, initial=seed))[1 + len(ramp):]
+    return list(accumulate(rest, _scipy_match, initial=seed))[1 + len(ramp):]
 
 
 @pytest.mark.parametrize("closure", CLOSURES)
-@pytest.mark.parametrize("p", [3, 5])
-def test_stacks_of_min_samples_are_one_stacked_solve(p, closure):
-    # 200 samples: three full stacks and a partial one
+@pytest.mark.parametrize("p", [3, 5, 8])
+def test_stacks_of_min_samples_are_one_stacked_solve(monkeypatch, p, closure):
+    # 200 samples: three full stacks and a partial one.  From p = 5 on, some
+    # wavenumbers' nearest eigenvalues collide and go through _assign.
+    exact = []
+    monkeypatch.setattr(spectral, "_assign",
+                        lambda cost: exact.append(cost) or _assign(cost))
     for gamma in (0.8, 1.2):
         curve = dispersion_curve(p, gamma, n_samples=200, closure=closure)
         op = build_operator(reference_element(p), gamma)
@@ -184,6 +198,28 @@ def test_stacks_of_min_samples_are_one_stacked_solve(p, closure):
         assert len(expect) == len(curve.samples)
         for s, ev in zip(curve.samples, expect):
             assert np.array_equal(s.eigenvalues, ev), (gamma, s.k_hat)
+    assert bool(exact) == (p >= 5)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_assign_is_scipys_assignment(n):
+    rng = np.random.default_rng(n)
+    rows = np.arange(n)
+    for _ in range(50):
+        cost = rng.random((n, n))
+        assert np.array_equal(_assign(cost), linear_sum_assignment(cost)[1])
+        # integer costs tie: any least-cost assignment will do
+        cost = rng.integers(0, 4, (n, n)).astype(float)
+        cols = _assign(cost)
+        assert np.array_equal(np.sort(cols), rows)
+        assert cost[rows, cols].sum() == cost[linear_sum_assignment(cost)].sum()
+
+
+def test_match_solves_colliding_nearest_columns():
+    # both 0 and 0.4 are nearest 0.1; the least total distance sends 0.4 to 10
+    before = np.array([[0.0, 0.4], [0.0, 0.4]])
+    evs = np.array([[0.1, 10.0], [0.5, 0.1]])
+    assert _match(before, evs).tolist() == [[0, 1], [1, 0]]
 
 
 def _array_ppw(curve, epsilon=0.01):

@@ -86,7 +86,7 @@ def _degree(order):
 
 def cmd_dispersion(args):
     gammas = _items(args.gamma)
-    if len(set(gammas)) < len(gammas):      # each gamma names its own file
+    if len({_fmt(g) for g in gammas}) < len(gammas):    # _fmt(gamma) names the file
         raise ValueError(f"repeated --gamma value in {args.gamma}")
     for gamma in gammas:
         curve = dispersion_curve(args.p, gamma, args.kind,

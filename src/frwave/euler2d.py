@@ -48,9 +48,10 @@ def conserved_to_primitive(U):
 
 
 def _pressure(U, p=None, work=None):
-    """Pressure of conserved states U, the expression of _normal_state bit
-    for bit, formed in place in p with `work` as scratch space of its shape
-    (both new planes in rho's memory order if not given)."""
+    """Pressure (gamma - 1) (E - 0.5 (m1 m1 + m2 m2) / rho) of conserved
+    states U, the one pressure rule here, formed in place in p with `work`
+    as scratch space of its shape (both new planes in rho's memory order if
+    not given)."""
     rho, m1, m2, E = (U[..., k] for k in range(4))
     if p is None:
         p, work = (np.empty_like(rho, dtype=np.result_type(rho, 0.5)) for _ in range(2))
@@ -88,12 +89,9 @@ def _normal_flux(U, mn, un, p, nx, ny, out=None):
 
 def _normal_state(U, nx, ny):
     """The state rule of every flux here: normal momentum m.n, normal velocity
-    un = (m.n) / rho and pressure of conserved states U, as _pressure's."""
-    rho, m1, m2, E = (U[..., k] for k in range(4))
-    mn = m1 * nx + m2 * ny
-    un = mn / rho
-    p = (GAMMA_GAS - 1.0) * (E - 0.5 * (m1 * m1 + m2 * m2) / rho)
-    return mn, un, p
+    un = (m.n) / rho and _pressure of conserved states U."""
+    mn = U[..., 1] * nx + U[..., 2] * ny
+    return mn, mn / U[..., 0], _pressure(U)
 
 
 def _flux_sum(UL, UR, nx, ny, F):
@@ -266,9 +264,6 @@ class _EulerSolver:
     face point: the finite-volume solver passes its face block's slices of
     self.faces, the element solver planes built from them once.
 
-    rhs returns a new array.  The element solver's rhs fills work arrays
-    its solver owns, so one solver must not run rhs from two threads at once.
-
     A subclass builds its geometry from the mesh's corner planes x, y
     (QuadMesh2D.corner_planes), sliced once and passed to this class,
     which keeps them no longer than the subclass's __init__.  The mesh must
@@ -396,21 +391,12 @@ class FREulerSolver2D(_EulerSolver):
         self._ahead, self._behind = (
             (first + np.stack([np.roll(ids, shift, axis=1), np.roll(ids, shift, axis=0)])
              .reshape(2, 1, n)).ravel() for shift in (-1, 1))
-        # rhs's work arrays, one allocation sized once for the mesh and
-        # refilled by every call: a part that holds in turn the traces, then
-        # a work plane beside the faces ahead and the common fluxes, then
-        # the eta product; the pressure; and the [Fhat; Fc] buffer, which
-        # serves both axes, its xi product made before its eta fill
-        plane, face = q * q * n, 8 * q * n
-        lead = max(plane, 2 * face)
-        size = max(lead + 2 * face, 4 * plane)
-        work = np.empty(size + plane + 4 * q * (q + 2) * n)
-        self._traces = work[:2 * face].reshape(4, 2, 2, q, n)
-        self._un = work[:plane].reshape(q, q, n).T
-        self._face, self._Fc = work[lead:lead + 2 * face].reshape(2, 4, 2, q, n)
-        self._eta = work[:4 * plane].reshape(4, q, q * n)
-        self._p = work[size:size + plane].reshape(q, q, n).T
-        self._padded = work[size + plane:]
+        # rhs's work arrays, one per role, sized once for the mesh
+        self._traces = np.empty((4, 2, 2, q, n))
+        self._face, self._Fc = (np.empty((4, 2, q, n)) for _ in range(2))
+        self._un, self._p = (np.empty((q, q, n)).T for _ in range(2))
+        self._eta = np.empty((4, q, q * n))
+        self._padded = np.empty(4 * q * (q + 2) * n)
 
     def rhs(self, U):
         q, n = self.element.n_points, len(U)

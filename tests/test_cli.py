@@ -260,6 +260,8 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "wavenumber must be a finite number, got nan"),
     (["dispersion", "--p", "2", "--gamma", "1.0,1", "--samples", "64"],
      "repeated --gamma value in 1.0,1"),
+    (["dispersion", "--p", "2", "--gamma", "1.0,1.0000000000001", "--samples", "64"],
+     "repeated --gamma value in 1.0,1.0000000000001"),
     (["wave-test", "--solver", "fr3", "--dof", "33", "--window", "nan"],
      "window must be a positive finite number, got nan"),
     (["wave-test", "--solver", "fr3", "--dof", "33", "--window", "0"],
@@ -290,7 +292,8 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
         "wave-test-huge-k-hat-max",
         "icv-negative-steps", "icv-repeated-resolution",
         "wave-test-zero-k", "wave-test-inf-k", "wave-test-nan-k",
-        "dispersion-repeated-gamma", "wave-test-nan-window",
+        "dispersion-repeated-gamma", "dispersion-gamma-repeated-in-file-name",
+        "wave-test-nan-window",
         "wave-test-zero-window", "ppw-nan-epsilon", "ppw-inf-gamma",
         "cfl-table-nan-gamma", "cfl-table-order-1", "cfl-table-order-10",
         "kernel-nan-time", "wave-test-nan-gamma",

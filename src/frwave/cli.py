@@ -228,6 +228,8 @@ def _icv_solver(args, n):
 
 
 def cmd_icv(args):
+    if args.steps < 1:             # a run that marches nothing measures nothing
+        raise ValueError(f"step count must be positive, got {args.steps}")
     resolutions = _items(args.resolutions, int)
     if len(resolutions) >= 2:      # checked before any march
         _require_distinct(resolutions)

@@ -24,7 +24,7 @@ Two neighbour closures are provided:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class EigenSolveError(RuntimeError):
         super().__init__(f"eigen solve failed at k_hat={k_hat!r} {detail}".strip())
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SemiDiscreteOperator:
     """The semi-discrete upwinded update of one cell of width delta_j whose
     upwind neighbour is delta_j/gamma wide.
@@ -66,12 +66,14 @@ class SemiDiscreteOperator:
     The element's cell matrices C0 and Cm1 act on the cell's own and the
     upwind neighbour's nodal values; wave_symbol scales them by the
     Jacobians Jj = delta_j/2 and Jjm1 = delta_j/(2 gamma), half cell widths
-    (the reference interval has length 2).
+    (the reference interval has length 2).  Frozen, so the branches that
+    modified_phase_velocity keeps on it (_paths) are always its own.
     """
 
     element: ReferenceElement
     delta_j: float
     gamma: float
+    _paths: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def p(self):
@@ -223,6 +225,13 @@ def _match(before, evs):
     return cols
 
 
+def _phase_eigvals(op, ks, closure):
+    """Eigenvalues (in the solver's order) of the phase-velocity problem
+    i Q(k) / k at each wavenumber of the array ks, in one stacked solve."""
+    M = 1j * op.wave_symbol(ks, closure) / ks[:, None, None]
+    return _eigvals(M, ks * op.delta_j / (op.p + 1))
+
+
 def _track(op, ks, closure):
     """Yield the eigenvalues at each of the increasing wavenumbers ks,
     physical first.
@@ -240,9 +249,7 @@ def _track(op, ks, closure):
     ramp = np.geomspace(k_seed, ks[0], 8)[1:-1]
     ks = np.concatenate([[k_seed], ramp, ks])
     for i in range(0, len(ks), MIN_SAMPLES):
-        chunk = ks[i:i + MIN_SAMPLES]
-        M = 1j * op.wave_symbol(chunk, closure) / chunk[:, None, None]
-        evs = _eigvals(M, chunk * op.delta_j / (op.p + 1))
+        evs = _phase_eigvals(op, ks[i:i + MIN_SAMPLES], closure)
         if i == 0:    # the seed matches itself, sorted nearest 1 first
             branches = evs[0][np.argsort(np.abs(evs[0] - 1.0))]
         before = np.concatenate([branches[None], evs[:-1]])
@@ -259,12 +266,30 @@ def modified_phase_velocity(op, k, closure=SAMPLED):
 
     The branches are followed in k_hat steps no longer than those of the
     coarsest dispersion curve (pi / MIN_SAMPLES), so the result is the
-    one dispersion_curve reports at the same k.
+    one dispersion_curve reports at the same k.  Up to k_hat = pi /
+    MIN_SAMPLES they are ramped from the seed straight to k.  Above it they
+    are read at the last point below k of op's grid g_j = j pi / MIN_SAMPLES
+    in k_hat, which op tracks once per closure over max(MIN_SAMPLES, n)
+    points and keeps (a point past its end tracks a longer grid); the
+    eigenvalues at k are solved and matched to them.  A sweep of k on one
+    operator so solves one grid and then one matrix per query.  Each grid
+    point is j times one step, and the tracking to it is the same on every
+    grid, so no answer depends on the grid's length or the query order.
     """
     _require_positive("wavenumber", k)
     k_hat = k * op.delta_j / (op.p + 1)
     n = math.ceil(MIN_SAMPLES * k_hat / np.pi)
-    *_, ev = _track(op, np.linspace(k / n, k, n), closure)
+    ks = np.array([k], dtype=float)
+    if n == 1:
+        *_, ev = _track(op, ks, closure)
+        return SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev)
+    path = op._paths.get(closure, [])
+    if len(path) < n - 1:
+        step = np.pi / MIN_SAMPLES * (op.p + 1) / op.delta_j
+        grid = np.arange(1, max(MIN_SAMPLES, n) + 1) * step
+        path = op._paths[closure] = list(_track(op, grid, closure))
+    evs = _phase_eigvals(op, ks, closure)
+    ev = evs[0][_match(path[n - 2][None], evs)[0]]
     return SpectralSample(k=k, k_hat=k_hat, eigenvalues=ev)
 
 

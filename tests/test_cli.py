@@ -249,7 +249,9 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
     (["wave-test", "--solver", "fr4", "--dof", "40", "--k-hat-max", "1e9"],
      "wavenumber 12867.963509103793 above the measurement Nyquist"),
     (["icv", "--solver", "fv", "--resolutions", "4", "--steps", "-3"],
-     "step count must be non-negative, got -3"),
+     "step count must be positive, got -3"),
+    (["icv", "--solver", "fv", "--resolutions", "8,16,32", "--steps", "0"],
+     "step count must be positive, got 0"),
     (["icv", "--solver", "fv", "--resolutions", "4,4", "--steps", "2"],
      "need at least two distinct resolutions"),
     (["wave-test", "--k", "0", "--ppw-epsilon", "0.01", "--dof", "40"],
@@ -290,7 +292,7 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
         "wave-test-nan-cfl", "wave-test-tiny-cfl", "icv-nan-cfl", "icv-inf-cfl", "icv-negative-cfl",
         "wave-test-no-bin", "wave-test-nan-k-hat-max", "wave-test-inf-k-hat-max",
         "wave-test-huge-k-hat-max",
-        "icv-negative-steps", "icv-repeated-resolution",
+        "icv-negative-steps", "icv-zero-steps", "icv-repeated-resolution",
         "wave-test-zero-k", "wave-test-inf-k", "wave-test-nan-k",
         "dispersion-repeated-gamma", "dispersion-gamma-repeated-in-file-name",
         "wave-test-nan-window",

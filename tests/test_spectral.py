@@ -1,3 +1,5 @@
+import dataclasses
+import math
 from itertools import accumulate
 
 import numpy as np
@@ -21,6 +23,26 @@ BAD_POSITIVE = (0.0, -1.0, np.nan, np.inf)
 @pytest.fixture(scope="module")
 def op3():
     return build_operator(reference_element(3), 1.0)
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The wavenumber of each wave symbol formed from now on, one entry per
+    row of every stack."""
+    rows = []
+    symbol = SemiDiscreteOperator.wave_symbol
+
+    def spy(self, k, closure=SAMPLED):
+        rows.extend(np.ravel(k))
+        return symbol(self, k, closure)
+
+    monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol", spy)
+    return rows
+
+
+#: rows the tracker solves before its first wavenumber: the seed and the six
+#: steps of its ramp
+LEAD_ROWS = 7
 
 
 # --- operator assembly -------------------------------------------------------
@@ -149,6 +171,68 @@ def test_phase_velocity_upper_band_stays_physical():
     assert abs(c - (1.0194 - 0.3866j)) < 1e-3
 
 
+def _retracked(op, k, closure):
+    """The eigenvalues at k tracked afresh along the seed, its ramp and n
+    equal steps up to k, the path modified_phase_velocity took per query
+    before operators kept their grid."""
+    n = math.ceil(MIN_SAMPLES * k * op.delta_j / (op.p + 1) / np.pi)
+    *_, ev = spectral._track(op, np.linspace(k / n, k, n), closure)
+    return ev
+
+
+#: criterion 5's bins at gamma = 1 (p = 3, 8 cells) and one k_hat past pi,
+#: whose grid point below it lies past the first MIN_SAMPLES
+C5_K_HATS = [2.0 * np.pi * m / 32 for m in range(1, 12)]
+PAST_PI = 1.3 * np.pi
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+@pytest.mark.parametrize("gamma", [0.9, 1.0, 1.1])
+def test_phase_velocity_grid_is_tracked_once_per_operator(solved, gamma, closure):
+    # one operator answers a sweep in either order with a fresh operator's
+    # eigenvalues (and the per-query retrack's), bit for bit, solving its
+    # grid of MIN_SAMPLES once and then one row per query
+    element = reference_element(3)
+    ks = [*C5_K_HATS, PAST_PI]        # delta_j = p + 1, so k = k_hat
+    expect = {k: modified_phase_velocity(build_operator(element, gamma), k,
+                                         closure).eigenvalues for k in ks}
+    for k in ks:
+        assert np.array_equal(expect[k], _retracked(build_operator(element, gamma),
+                                                    k, closure)), k
+    long_grid = math.ceil(MIN_SAMPLES * PAST_PI / np.pi)   # to the point above it
+    assert long_grid > MIN_SAMPLES
+
+    def rows(op, queries):
+        solved.clear()
+        for k in queries:
+            got = modified_phase_velocity(op, k, closure).eigenvalues
+            assert np.array_equal(got, expect[k]), (k, closure)
+        return len(solved)
+
+    forward = build_operator(element, gamma)
+    assert rows(forward, ks[:-1]) == LEAD_ROWS + MIN_SAMPLES + len(C5_K_HATS)
+    assert rows(forward, ks[-1:]) == LEAD_ROWS + long_grid + 1
+    reverse = build_operator(element, gamma)
+    assert rows(reverse, ks[:-2:-1]) == LEAD_ROWS + long_grid + 1
+    assert rows(reverse, ks[-2::-1]) == len(C5_K_HATS)
+
+
+def test_operator_is_frozen_and_replace_starts_afresh(solved):
+    # a changed gamma or delta_j can only be a new operator, which tracks
+    # its own grid
+    element = reference_element(3)
+    op = build_operator(element, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.gamma = 2.0
+    k = 0.5 * np.pi * 4 / op.delta_j
+    modified_phase_velocity(op, k)
+    solved.clear()
+    got = modified_phase_velocity(dataclasses.replace(op, gamma=1.2), k)
+    assert len(solved) == LEAD_ROWS + MIN_SAMPLES + 1
+    want = modified_phase_velocity(build_operator(element, 1.2), k)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+
+
 def test_eigen_solve_failure_reports_wavenumber(monkeypatch):
     symbol = SemiDiscreteOperator.wave_symbol
 
@@ -253,15 +337,7 @@ def p2_curve():
     return curve
 
 
-def test_ppw_solves_no_stack_past_its_crossing(monkeypatch, p2_curve):
-    solved = []
-    symbol = SemiDiscreteOperator.wave_symbol
-
-    def spy(self, k, closure=SAMPLED):
-        solved.extend(np.ravel(k))
-        return symbol(self, k, closure)
-
-    monkeypatch.setattr(SemiDiscreteOperator, "wave_symbol", spy)
+def test_ppw_solves_no_stack_past_its_crossing(solved, p2_curve):
     assert ppw(dispersion_samples(2, 0.8, n_samples=512)) == ppw(p2_curve)
     assert len(solved) == 2 * MIN_SAMPLES
     assert max(solved) == p2_curve.k[CROSSING_STACK_END]

@@ -88,9 +88,10 @@ def cmd_dispersion(args):
     gammas = _items(args.gamma)
     if len({_fmt(g) for g in gammas}) < len(gammas):    # _fmt(gamma) names the file
         raise ValueError(f"repeated --gamma value in {args.gamma}")
-    for gamma in gammas:
-        curve = dispersion_curve(args.p, gamma, args.kind,
-                                 n_samples=args.samples, closure=args.closure)
+    curves = [dispersion_curve(args.p, gamma, args.kind, n_samples=args.samples,
+                               closure=args.closure)
+              for gamma in gammas]    # every curve solved before any file
+    for gamma, curve in zip(gammas, curves):
         rows = []
         for s in curve.samples:
             for i, ev in enumerate(s.eigenvalues):

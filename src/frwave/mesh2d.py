@@ -188,25 +188,30 @@ def write_mesh(mesh, path):
 
 def read_mesh(path):
     """The mesh of a write_mesh file; a ValueError naming the file if its
-    header, counts, number of values or element numbering are not such a file's."""
+    header, counts, number of values, numbers or element numbering are not
+    such a file's."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
         counts = f.readline().split()
         tokens = f.read().split()
     if len(header) != 6 or header[0] != "quadmesh" or len(counts) != 2:
         raise ValueError(f"{path} is not a quadmesh file")
-    nx, ny = int(header[1]), int(header[2])
-    L, factor, seed = float(header[3]), float(header[4]), int(header[5])
-    n_nodes, n_elem = map(int, counts)
+    try:
+        nx, ny = int(header[1]), int(header[2])
+        L, factor, seed = float(header[3]), float(header[4]), int(header[5])
+        n_nodes, n_elem = map(int, counts)
+        nodes = np.array(tokens[:2 * n_nodes], dtype=float)
+        elements = np.array(tokens[2 * n_nodes:], dtype=int)
+    except ValueError as exc:       # a field that is not a number
+        raise ValueError(f"{path}: {exc}") from exc
     structured = f"{path}: {n_nodes} nodes, {n_elem} elements, not a structured {nx}x{ny} mesh"
     if (n_nodes, n_elem) != ((nx + 1) * (ny + 1), nx * ny):
         raise ValueError(structured)
     if len(tokens) != 2 * n_nodes + 4 * n_elem:
         raise ValueError(f"{path}: {len(tokens)} values after the counts, "
                          f"not the {2 * n_nodes + 4 * n_elem} of {n_nodes} nodes and {n_elem} elements")
-    nodes = np.array(tokens[:2 * n_nodes], dtype=float).reshape(n_nodes, 2)
-    elements = np.array(tokens[2 * n_nodes:], dtype=int)
-    mesh = QuadMesh2D(nodes=nodes, nx=nx, ny=ny, L=L, jitter_factor=factor, seed=seed)
+    mesh = QuadMesh2D(nodes=nodes.reshape(n_nodes, 2), nx=nx, ny=ny, L=L,
+                      jitter_factor=factor, seed=seed)
     if not np.array_equal(elements, mesh.elements.ravel()):
         raise ValueError(structured)
     return mesh

@@ -173,41 +173,20 @@ def _eigvals(M, k_hats):
 
 def _assign(cost):
     """Columns of the least-cost assignment of the square matrix cost (row
-    r takes column cols[r]): Kuhn-Munkres by shortest augmenting paths with
-    row and column potentials.  The matrices are (p+1)x(p+1), so plain
-    Python lists."""
-    n = len(cost)
-    cost = cost.tolist()
-    u, v = [0.0] * n, [0.0] * (n + 1)
-    row_of = [-1] * (n + 1)           # column n roots each augmenting search
-    for i in range(n):
-        row_of[n], j0 = i, n
-        minv, way, used = [math.inf] * n, [n] * n, [False] * (n + 1)
-        while row_of[j0] != -1:       # grow the search tree to a free column
-            used[j0] = True
-            r = row_of[j0]
-            delta, j1 = math.inf, n
-            for j in range(n):
-                if not used[j]:
-                    reduced = cost[r][j] - u[r] - v[j]
-                    if reduced < minv[j]:
-                        minv[j], way[j] = reduced, j0
-                    if minv[j] < delta:
-                        delta, j1 = minv[j], j
-            for j in range(n + 1):
-                if used[j]:
-                    u[row_of[j]] += delta
-                    v[j] -= delta
-                elif j < n:
-                    minv[j] -= delta
-            j0 = j1
-        while j0 != n:                # augment along the path back to the root
-            j1 = way[j0]
-            row_of[j0] = row_of[j1]
-            j0 = j1
-    cols = np.empty(n, dtype=int)
-    cols[row_of[:n]] = np.arange(n)
-    return cols
+    r takes column cols[r]), by an exact search over sets of columns: row by
+    row, the cheapest way to give the rows so far each set, keyed by its
+    bitmask.  The matrices are (p+1)x(p+1) and gauss_points rejects p > 8,
+    so n <= 9 and there are at most 2**9 = 512 sets."""
+    best = {0: (0.0, ())}           # columns taken -> (total, cols)
+    for row in cost.tolist():
+        reached = {}
+        for used, (total, cols) in best.items():
+            for j, c in enumerate(row):
+                key, t = used | 1 << j, total + c
+                if key != used and t < reached.get(key, (math.inf,))[0]:
+                    reached[key] = (t, cols + (j,))
+        best = reached
+    return np.array(best[(1 << len(cost)) - 1][1])
 
 
 def _match(before, evs):
@@ -319,11 +298,17 @@ def filter_kernel(curve, t):
     """Implied low-pass kernel of running the scheme for time t.
 
     A unit wave decays like exp(k Im(c) t), so the kernel at each sampled
-    k_hat is that factor, normalised to 1 at the resolved end.
+    k_hat is that factor, normalised to 1 at the resolved end.  A time so
+    long that a factor overflows, or the first underflows to zero, leaves a
+    kernel that is not finite, which is a ValueError naming the time.
     """
     _require_positive("time", t)
-    g = np.exp(t * curve.k * curve.c.imag)
-    return curve.k_hat, g / g[0]
+    with np.errstate(all="ignore"):
+        g = np.exp(t * curve.k * curve.c.imag)
+        g = g / g[0]
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"time {t} gives a kernel that is not finite")
+    return curve.k_hat, g
 
 
 def _first_crossing_ppw(pairs, epsilon):

@@ -162,6 +162,9 @@ def test_fd_scheme_validation():
         FDAdvection1D(pts, 1.0, 5)
     with pytest.raises(ValueError, match="smoothing fraction"):
         FDAdvection1D(pts, 1.0, 4, lf_blend=0.05)
+    for bad in (pts[::-1], np.concatenate([pts[:3], pts[2:]])):
+        with pytest.raises(ValueError, match="points must be strictly increasing"):
+            FDAdvection1D(bad, 1.0, 4)
     assert list(FDAdvection1D(pts, 1.0, 3).offsets) == [-2, -1, 0, 1]
 
 

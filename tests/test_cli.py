@@ -183,6 +183,20 @@ def test_icv_reports_ooa(tmp_path, capsys):
     assert rc == 0
 
 
+def test_icv_jitter_row_is_run_icv_on_the_jittered_mesh(tmp_path):
+    from frwave.euler2d import FVEulerSolver2D, run_icv
+    from frwave.mesh2d import jitter, uniform_quad_mesh
+    assert main(["icv", "--solver", "fv", "--jitter", "0.3", "--resolutions",
+                 "8", "--steps", "2", "--outdir", str(tmp_path)]) == 0
+    header, [row] = read_csv(tmp_path / "icv_fv.csv")
+    fields = dict(zip(header, row))
+    assert float(fields["jitter"]) == 0.3
+    mesh = jitter(uniform_quad_mesh(8, 8, 10.0), 0.3, 2024)
+    rep = run_icv(FVEulerSolver2D(mesh), steps=2, cfl=0.01)
+    assert [fields[f"err_{v}"] for v in ("rho", "rhou", "rhov", "E")] \
+        == [cli._fmt(e) for e in rep.per_variable]
+
+
 def test_error_exit_code_on_bad_parameters(tmp_path, capsys):
     rc = main(["dispersion", "--p", "0", "--outdir", str(tmp_path)])
     assert rc == 1
@@ -203,6 +217,8 @@ def test_error_exit_code_on_bad_parameters(tmp_path, capsys):
     (["icv", "--solver", "fv", "--resolutions", "8", "--steps", "1",
       "--alpha", "15", "--seed", "2024"],
      "no jitter factor gives a skew within 0.15 deg of 15.0 deg"),
+    (["icv", "--solver", "fv", "--resolutions", "8", "--steps", "1",
+      "--alpha", "40"], "target skew 40.0 deg unreachable below factor 0.95"),
     (["mesh-gen", "--nx", "4", "--ny", "4", "--length", "nan"],
      "mesh side length must be a positive finite number, got nan"),
     (["mesh-gen", "--nx", "4", "--ny", "4", "--length", "inf"],
@@ -215,6 +231,7 @@ def test_error_exit_code_on_bad_parameters(tmp_path, capsys):
      "mesh side length must be a positive finite number, got nan"),
 ], ids=["mesh-gen-negative-jitter", "icv-negative-alpha", "icv-alpha-and-jitter",
         "mesh-gen-nan-jitter", "icv-nan-alpha", "icv-missed-alpha",
+        "icv-unreachable-alpha",
         "mesh-gen-nan-length", "mesh-gen-inf-length", "mesh-gen-zero-length",
         "mesh-gen-negative-length", "skew-nan-length"])
 def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
@@ -264,6 +281,10 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "repeated --gamma value in 1.0,1"),
     (["dispersion", "--p", "2", "--gamma", "1.0,1.0000000000001", "--samples", "64"],
      "repeated --gamma value in 1.0,1.0000000000001"),
+    (["dispersion", "--p", "2", "--gamma", "1.0,nan", "--samples", "64"],
+     "expansion rate must be a positive finite number, got nan"),
+    (["wave-test", "--solver", "fr4", "--dof", "181"],
+     "DoF 181 not divisible by p+1=4"),
     (["wave-test", "--solver", "fr3", "--dof", "33", "--window", "nan"],
      "window must be a positive finite number, got nan"),
     (["wave-test", "--solver", "fr3", "--dof", "33", "--window", "0"],
@@ -280,6 +301,8 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "spatial order must be in [2, 9], got 10"),
     (["kernel", "--p", "3", "--gamma", "1.0", "--time", "nan", "--samples", "64"],
      "time must be a positive finite number, got nan"),
+    (["kernel", "--p", "2", "--gamma", "0.8", "--time", "1e12", "--samples", "64"],
+     "time 1000000000000.0 gives a kernel that is not finite"),
     (["wave-test", "--solver", "fr3", "--dof", "33", "--gamma", "nan"],
      "expansion rate must be a positive finite number, got nan"),
     (["wave-test", "--solver", "fr3", "--dof", "33", "--gamma", "inf"],
@@ -295,10 +318,11 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
         "icv-negative-steps", "icv-zero-steps", "icv-repeated-resolution",
         "wave-test-zero-k", "wave-test-inf-k", "wave-test-nan-k",
         "dispersion-repeated-gamma", "dispersion-gamma-repeated-in-file-name",
+        "dispersion-later-nan-gamma", "wave-test-dof-not-divisible",
         "wave-test-nan-window",
         "wave-test-zero-window", "ppw-nan-epsilon", "ppw-inf-gamma",
         "cfl-table-nan-gamma", "cfl-table-order-1", "cfl-table-order-10",
-        "kernel-nan-time", "wave-test-nan-gamma",
+        "kernel-nan-time", "kernel-unrepresentable-time", "wave-test-nan-gamma",
         "wave-test-inf-gamma", "wave-test-fd-nan-gamma", "wave-test-fd-negative-gamma"])
 def test_unmeasurable_input_rejected(tmp_path, capsys, argv, message):
     rc = main(argv + ["--outdir", str(tmp_path)])
@@ -516,6 +540,12 @@ def test_config_value_outside_choices_rejected(tmp_path, capsys, line):
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_skips_comments_and_blank_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# p = 3\n\np = 2\n   # samples = 512\n\nsamples = 64\n")
+    assert cli._load_config(cfg) == {"p": "2", "samples": "64"}
 
 
 def test_config_help_key_ignored(tmp_path):

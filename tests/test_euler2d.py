@@ -528,6 +528,11 @@ def test_fv_free_stream_on_uniform_mesh():
     assert np.max(np.abs(solver.rhs(U))) < 1e-13
 
 
+def test_fv_rejects_unknown_metric_mode():
+    with pytest.raises(ValueError, match="unknown metric mode 'bogus'"):
+        FVEulerSolver2D(uniform_quad_mesh(4, 4, 10.0), metrics="bogus")
+
+
 def test_fv_exact_metrics_free_stream_on_jittered_mesh():
     mesh = jitter(uniform_quad_mesh(8, 8, 10.0), 0.3, seed=25)
     solver = FVEulerSolver2D(mesh, metrics="exact")

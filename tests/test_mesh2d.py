@@ -272,16 +272,33 @@ def test_read_mesh_rejects_other_files(tmp_path):
         read_mesh(path)
 
 
+# write_mesh's file of uniform_quad_mesh(2, 2, 1.0); each malformed file
+# below changes one field of it
+_MESH_2X2 = ("quadmesh 2 2 1.0 0.0 0\n9 4\n"
+             + "".join(f"{x} {y}\n" for y in (0.0, 0.5, 1.0) for x in (0.0, 0.5, 1.0))
+             + "0 1 4 3\n1 2 5 4\n3 4 7 6\n4 5 8 7\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ("", " is not a quadmesh file"),
     ("quadmesh 2 2 1.0 0.0\n9 4\n", " is not a quadmesh file"),
     ("quadmesh 2 2 1.0 0.0 0\n", " is not a quadmesh file"),
     ("quadmesh 2 2 1.0 0.0 0\n9 4\n0.0 0.0\n0.5 0.0\n",
-     ": 4 values after the counts, not the 34 of 9 nodes and 4 elements")],
-    ids=["empty", "five-header-fields", "no-count-line", "short-of-nodes"])
+     ": 4 values after the counts, not the 34 of 9 nodes and 4 elements"),
+    (_MESH_2X2.replace("quadmesh 2 2", "quadmesh two 2"),
+     ": invalid literal for int() with base 10: 'two'"),
+    (_MESH_2X2.replace("0.5 0.5\n", "0.5 zero\n"),
+     ": could not convert string to float: 'zero'"),
+    (_MESH_2X2.replace("9 4\n", "9 four\n"),
+     ": invalid literal for int() with base 10: 'four'"),
+    (_MESH_2X2.replace("4 5 8 7", "4 5 8 6.5"),
+     ": invalid literal for int() with base 10: '6.5'")],
+    ids=["empty", "five-header-fields", "no-count-line", "short-of-nodes",
+         "word-in-header", "word-for-coordinate", "word-for-count",
+         "fractional-element-index"])
 def test_read_mesh_names_the_file_it_cannot_read(tmp_path, text, message):
-    # these once raised an IndexError, a tuple unpacking error or numpy's
-    # reshape error, none of which named the file
+    # these once raised an IndexError, a tuple unpacking error, numpy's
+    # reshape error or a bare conversion error, none of which named the file
     path = tmp_path / "mesh.txt"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):

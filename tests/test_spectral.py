@@ -524,6 +524,15 @@ def test_kernel_requires_positive_time():
             filter_kernel(curve, t)
 
 
+@pytest.mark.parametrize("t", [1e8, 1e12])
+def test_kernel_rejects_a_time_it_cannot_represent(t):
+    # exp(t k Im c) once overflowed (1e8: inf from the second sample on) or
+    # underflowed at the normaliser (1e12: NaN at the first sample)
+    curve = dispersion_curve(2, 0.8)
+    with pytest.raises(ValueError, match=f"time {t} gives a kernel that is not finite"):
+        filter_kernel(curve, t)
+
+
 # --- points per wavelength ---------------------------------------------------
 
 def _synthetic_curve(k_hats, c_values, p=3):

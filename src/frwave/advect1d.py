@@ -41,7 +41,9 @@ class StretchedGrid1D:
 
 def build_grid(N, gamma, L=1.0):
     """N-cell geometric grid on [0, L]; the first width is scaled so the
-    widths sum exactly to L."""
+    widths sum exactly to L.  An expansion rate so far from 1 that floating
+    point cannot place every boundary strictly after the one before it
+    (a width of zero, or a boundary that repeats) is a ValueError."""
     if N < 2:
         raise ValueError(f"need at least 2 cells, got {N}")
     _require_positive("expansion rate", gamma)
@@ -53,6 +55,9 @@ def build_grid(N, gamma, L=1.0):
         delta = d1 * gamma ** np.arange(N)
     x = np.concatenate(([0.0], np.cumsum(delta)))
     x[-1] = L
+    if not np.all(np.diff(x) > 0):     # also NaN
+        raise ValueError(f"{N} cells expanding by {gamma} do not have distinct "
+                         f"boundaries in floating point")
     return StretchedGrid1D(x=x, delta=delta, jacobian=delta / 2.0, L=L)
 
 
@@ -198,8 +203,9 @@ PENCIL_SNAPSHOTS = 16
 PENCIL_MAX_MODES = 4
 
 
-def _modal_wavenumber(bins, dt, k):
-    """Dominant-mode wavenumber from a bin time series (SVD matrix pencil).
+def _dominant_factor(bins):
+    """The dominant mode's factor per snapshot, from a bin time series (SVD
+    matrix pencil).
 
     The prescribed wave excites every branch of the discrete system; the
     series is fit as a short sum of exponentials and the mode contributing
@@ -227,8 +233,7 @@ def _modal_wavenumber(bins, dt, k):
     residues, *_ = np.linalg.lstsq(V, b, rcond=None)
     contribution = [np.sum(np.abs(residues[i] * z[i] ** np.arange(n)))
                     for i in range(len(z))]
-    z_main = z[int(np.argmax(contribution))]
-    return k + 1j * np.log(z_main * np.exp(1j * k * dt)) / dt
+    return z[int(np.argmax(contribution))]
 
 
 def _bin_functional(idx, vals, m, dof):
@@ -308,10 +313,8 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
             if not np.all(np.isfinite(u)):
                 raise UnstableSolutionError(interval * steps)
             bins.append(w @ u.ravel())
-        if mode == TRANSIT:
-            k_prime = k + 1j * np.log((bins[1] / bins[0]) * np.exp(1j * k * dt)) / dt
-        else:
-            k_prime = _modal_wavenumber(bins, dt, k)
+        z = bins[1] / bins[0] if mode == TRANSIT else _dominant_factor(bins)
+        k_prime = k + 1j * np.log(z * np.exp(1j * k * dt)) / dt
         transfer = bins[-1] / bins[0]
         k_hats.append(k * L / dof)
         res.append(k_prime.real * L / dof)

@@ -254,20 +254,24 @@ def cmd_icv(args):
 
 
 def cmd_ooa(args):
-    """Order of accuracy from an icv CSV produced by cmd_icv."""
+    """Order of accuracy from an icv CSV produced by cmd_icv; a ValueError
+    naming the file if it lacks a column or a row is not such a CSV's."""
     rows = []
     with open(args.csv, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
-        idx_dof = header.index("dof")
-        idx_theta = header.index("theta")
-        for line in filter(str.strip, f):   # blank lines carry no row
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise ValueError(f"{args.csv}: a row has {len(parts)} fields, "
-                                 f"the header has {len(header)}")
-            rows.append(ErrorReport(theta=float(parts[idx_theta]),
-                                    per_variable=np.zeros(4),
-                                    dof=int(parts[idx_dof])))
+        try:
+            idx_dof = header.index("dof")
+            idx_theta = header.index("theta")
+            for line in filter(str.strip, f):   # blank lines carry no row
+                parts = line.strip().split(",")
+                if len(parts) != len(header):
+                    raise ValueError(f"a row has {len(parts)} fields, "
+                                     f"the header has {len(header)}")
+                rows.append(ErrorReport(theta=float(parts[idx_theta]),
+                                        per_variable=np.zeros(4),
+                                        dof=int(parts[idx_dof])))
+        except ValueError as exc:       # a missing column or a field that is not a number
+            raise ValueError(f"{args.csv}: {exc}") from exc
     print(f"ooa: {ooa(rows):.4f}")
     return 0
 
@@ -287,21 +291,6 @@ def _load_config(path):
     return out
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand's parser; maps its value-taking options' destinations
-    to their flags, so that a config file sets those and nothing else."""
-
-    def __init__(self, *args, **kwargs):
-        self.options = {}
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.nargs != 0:           # -h takes no value
-            self.options[action.dest] = action.option_strings[-1]
-        return action
-
-
 _KIND = ("--kind", dict(default=HUYNH_G2, choices=CORRECTION_KINDS))
 _GAMMA = ("--gamma", dict(type=float, default=1.0))
 _GAMMAS = ("--gamma", dict(default="1.0", help="comma-separated list"))
@@ -310,7 +299,9 @@ _SQUARE = (("--nx", dict(type=int, default=19)),
            ("--length", dict(type=float, default=10.0)))
 
 # each subcommand: name -> (handler, description, its options as
-# (flag, add_argument keywords) beside the --outdir every one takes)
+# (flag, add_argument keywords) beside the --outdir every one takes).  No
+# entry sets dest, so a flag's config key is its argparse destination: the
+# flag without "--", "-" read as "_"
 _SUBCOMMANDS = {
     "dispersion": (cmd_dispersion, "dispersion/dissipation curves", (
         ("--p", dict(type=int, default=3)),
@@ -398,7 +389,7 @@ def build_parser():
 def subcommand_parser(name):
     """The parser of subcommand `name` alone, from its _SUBCOMMANDS entry."""
     handler, description, options = _SUBCOMMANDS[name]
-    parser = _Subcommand(prog=f"frwave {name}", description=description)
+    parser = argparse.ArgumentParser(prog=f"frwave {name}", description=description)
     parser.set_defaults(fn=handler, command=name)
     parser.add_argument("--outdir", type=Path, default="out")
     for flag, kwargs in options:
@@ -415,9 +406,9 @@ def main(argv=None):
             # config values go in front of the flags, so the parser checks
             # them like flags and a flag still wins (the last one counts)
             config = _load_config(top.config)
-            options = [f"{flag}={config[key]}"
-                       for key, flag in chosen.options.items()
-                       if key in config] + options
+            flags = ["--outdir", *(flag for flag, _ in _SUBCOMMANDS[top.command][2])]
+            options = [f"{flag}={config[key]}" for flag in flags
+                       if (key := flag[2:].replace("-", "_")) in config] + options
         args = chosen.parse_args(options)
         return args.fn(args)
     except (OSError, ValueError, RuntimeError) as exc:

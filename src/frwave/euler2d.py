@@ -234,11 +234,6 @@ def _unit(n):
     return s, n[..., 0] / s, n[..., 1] / s
 
 
-def _element_fastest(a):
-    """a with its axes stored in reverse order: the element axis fastest."""
-    return np.ascontiguousarray(a.T).T
-
-
 def _check_physical(rho, p):
     """Raise NonPhysicalStateError at the first element where rho or p <= 0."""
     if np.all(rho > 0) and np.all(p > 0):
@@ -294,8 +289,7 @@ class _EulerSolver:
         """Collocate a primitive-state function (x, y, t) -> (rho,u,v,p),
         stored element-fastest: the conserved variables are stacked as
         planes of the reversed axes and the stack is read reversed."""
-        rho, u, v, p = fn(self.x[..., 0], self.x[..., 1], t)
-        return primitive_to_conserved(rho.T, u.T, v.T, p.T, axis=0).T
+        return primitive_to_conserved(*fn(*self.x.T, t), axis=0).T
 
     def max_signal_speed(self, U):
         rho, u, v, p = conserved_to_primitive(U)
@@ -306,16 +300,10 @@ class _EulerSolver:
 # ---------------------------------------------------------------------------
 # tensor-product element solver
 
-def _along(M, X, axis):
-    """Apply the matrix M along reference axis 1 (xi) or 2 (eta) of X
-    (n_elem, xi, eta, c) as one matrix product over all elements of the
-    element-fastest X.T (c, eta, xi, n_elem); the result is element-fastest.
-    An X in another layout is first copied to this one, changing no value."""
-    Y = np.ascontiguousarray(X.T)
-    if axis == 1:
-        return (M @ Y).T
-    c, _, xi, ne = Y.shape
-    return (M @ Y.reshape(c, -1, xi * ne)).reshape(c, -1, xi, ne).T
+def _eta(M, G):
+    """Apply the matrix M along the eta axis of G (c, eta, xi, n_elem)."""
+    c, _, xi, ne = G.shape
+    return (M @ G.reshape(c, -1, xi * ne)).reshape(c, -1, xi, ne)
 
 
 class FREulerSolver2D(_EulerSolver):
@@ -324,7 +312,8 @@ class FREulerSolver2D(_EulerSolver):
     (element, xi index, eta index, variable), stored element-fastest (axes
     in reverse memory order, variable slowest) like self.x, m1, m2 and
     detJ, so each operator along a reference axis is one matrix product
-    over all elements (_along).  project returns this layout and rhs keeps
+    over all elements.  The geometry is built in the order it is stored and
+    read through its .T views.  project returns this layout and rhs keeps
     it; a state in another layout gives the same values.
 
     The residual is the 1D scheme applied along each reference axis to the
@@ -358,21 +347,21 @@ class FREulerSolver2D(_EulerSolver):
         self.T = np.stack([e.ll, e.lr])
         H = np.stack([e.hl, e.hr], axis=1)
         self.M = np.hstack([e.D - H @ self.T, H])
-        # corners as (n_elem, xi end, eta end, coordinate), element-fastest
-        X = np.stack([x, y])[:, [0, 1, 3, 2]].reshape(2, 2, 2, -1).T
+        # the geometry is built in the order it is stored, (coordinate, eta,
+        # xi, element): N and dN apply along xi as M @ G, along eta by _eta
+        G = np.stack([x, y])[:, [0, 1, 3, 2]].reshape(2, 2, 2, -1)
         N = np.stack([1 - e.xi, 1 + e.xi], axis=1) / 2.0
         dN = np.array([[-0.5, 0.5]])
-        self.x = _along(N, _along(N, X, 1), 2)
+        self.x = _eta(N, N @ G).T
         # metric rows on the element edges: m1 at xi = -1, +1 (a rotated
         # x_eta) and m2 at eta = -1, +1 (a rotated x_xi)
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-        m1 = _along(dN, X, 2) @ rot
-        m2 = _along(dN, X, 1) @ rot.T
-        self.m1 = _along(N, m1, 1)
-        self.m2 = _along(N, m2, 2)
-        self.detJ = _element_fastest(self.m1[..., 0] * self.m2[..., 1]
-                                     - self.m1[..., 1] * self.m2[..., 0])
-        self.faces = (_unit(m1[:, 1]), _unit(m2[:, :, 1]))
+        m1 = (rot.T @ _eta(dN, G).reshape(2, -1)).reshape(2, 1, 2, -1)
+        m2 = (rot @ (dN @ G).reshape(2, -1)).reshape(2, 2, 1, -1)
+        self.faces = (_unit(m1[:, :, 1].T), _unit(m2[:, 1].T))
+        m1, m2 = N @ m1, _eta(N, m2)
+        self.m1, self.m2 = m1.T, m2.T
+        self.detJ = (m1[0] * m2[1] - m1[1] * m2[0]).T
         # the smallest edge length divided by the points-per-edge count
         shortest = np.min([_length(*_edge(x, y, c)).min() for c in range(4)])
         self.length_scale = float(shortest) / e.n_points

@@ -151,12 +151,18 @@ def wave_symbols(p, gamma, correction_kind=HUYNH_G2, k_samples=K_SAMPLES):
 def spectral_radii(symbols, scheme, tau):
     """Per-k_hat spectral radius of R = P(tau Q) on a WaveSymbols record,
     which by spectral mapping is max |P(tau lam)|; the max over the sweep
-    is the von Neumann stability figure for this tau."""
+    is the von Neumann stability figure for this tau.  A time step so
+    large that P(tau lam) overflows gives radii that are not finite, which
+    is a ValueError naming the time step."""
     stages = _stages(scheme)
     _require_positive("time step", tau)
     lam = symbols.lam
-    amplification = _stage_loop(lambda v: lam * v, np.ones_like(lam), tau, stages)
-    return np.max(np.abs(amplification), axis=-1)
+    with np.errstate(all="ignore"):
+        amplification = _stage_loop(lambda v: lam * v, np.ones_like(lam), tau, stages)
+        rho = np.max(np.abs(amplification), axis=-1)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError(f"time step {tau} gives spectral radii that are not finite")
+    return rho
 
 
 def cfl_limit(symbols, scheme):

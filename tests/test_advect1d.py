@@ -10,7 +10,7 @@ from frwave.spectral import build_operator, modified_phase_velocity
 from frwave.stability import UnstableSolutionError, advance, update_matrix
 from frwave.advect1d import (MEASURE_POINTS, PENCIL, PENCIL_SNAPSHOTS,
                              PENCIL_SPAN, TRANSIT, FDAdvection1D,
-                             FRAdvection1D, _bin_functional, _modal_wavenumber,
+                             FRAdvection1D, _bin_functional, _dominant_factor,
                              bin_wavenumbers, build_grid,
                              matched_point_expansion, numeric_ppw,
                              solution_points, wave_transfer_function,
@@ -54,6 +54,13 @@ def test_build_grid_rejects_degenerate():
     for gamma in (np.nan, np.inf):
         with pytest.raises(ValueError, match="expansion rate must be a positive finite"):
             build_grid(4, gamma, 1.0)
+    # rates so far from 1 that floating point gives a cell of zero width
+    # (1e-40) or a boundary that repeats (one at 0.01, nine at 1e-20)
+    for gamma in (1e-40, 0.01, 1e-20):
+        with pytest.raises(ValueError, match=f"10 cells expanding by {gamma} do not have "
+                                             "distinct boundaries"):
+            build_grid(10, gamma, 1.0)
+    assert np.all(np.diff(build_grid(100, 0.7, 1.0).x) > 0)
 
 
 def test_solution_points_linear_map():
@@ -430,6 +437,12 @@ def test_transfer_cfl_invariance():
     assert max(vals) - min(vals) < 1e-4
 
 
+def test_pencil_without_a_propagating_mode_is_an_error():
+    # a bin that vanishes after the first snapshot fits only the factor 0
+    with pytest.raises(RuntimeError, match="no propagating mode found"):
+        _dominant_factor(np.eye(PENCIL_SNAPSHOTS)[0])
+
+
 def test_pencil_mode_matches_analysis_on_uniform_grid():
     p = 3
     e = reference_element(p)
@@ -505,7 +518,7 @@ def test_harness_is_the_stepwise_march(make, m, cfl, mode):
     if mode == TRANSIT:
         k_prime = k + 1j * np.log(bins[1] / bins[0] * np.exp(1j * k * dt)) / dt
     else:
-        k_prime = _modal_wavenumber(bins, dt, k)
+        k_prime = k + 1j * np.log(_dominant_factor(bins) * np.exp(1j * k * dt)) / dt
     table = wave_transfer_function(solver, [k], cfl=cfl, mode=mode,
                                    window=window)
     transfer = bins[-1] / bins[0]

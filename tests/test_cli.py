@@ -311,6 +311,10 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "expansion rate must be a positive finite number, got nan"),
     (["wave-test", "--solver", "fd4", "--dof", "33", "--gamma", "-1"],
      "expansion rate must be a positive finite number, got -1.0"),
+    (["rho-sweep", "--tau", "1e300", "--samples", "128"],
+     "time step 1e+300 gives spectral radii that are not finite"),
+    (["wave-test", "--solver", "fr4", "--dof", "40", "--gamma", "1e-40"],
+     "10 cells expanding by 1e-40 do not have distinct boundaries in floating point"),
 ], ids=["wave-test-zero-cfl", "wave-test-negative-cfl", "wave-test-inf-cfl",
         "wave-test-nan-cfl", "wave-test-tiny-cfl", "icv-nan-cfl", "icv-inf-cfl", "icv-negative-cfl",
         "wave-test-no-bin", "wave-test-nan-k-hat-max", "wave-test-inf-k-hat-max",
@@ -323,7 +327,8 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
         "wave-test-zero-window", "ppw-nan-epsilon", "ppw-inf-gamma",
         "cfl-table-nan-gamma", "cfl-table-order-1", "cfl-table-order-10",
         "kernel-nan-time", "kernel-unrepresentable-time", "wave-test-nan-gamma",
-        "wave-test-inf-gamma", "wave-test-fd-nan-gamma", "wave-test-fd-negative-gamma"])
+        "wave-test-inf-gamma", "wave-test-fd-nan-gamma", "wave-test-fd-negative-gamma",
+        "rho-sweep-overflowing-tau", "wave-test-unplaceable-gamma"])
 def test_unmeasurable_input_rejected(tmp_path, capsys, argv, message):
     rc = main(argv + ["--outdir", str(tmp_path)])
     assert rc == 1
@@ -363,6 +368,29 @@ def test_ooa_rejects_short_row(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("solver,n,theta\nfv,16,0.01\nfv,64,0.001\n", "'dof' is not in list"),
+    ("solver,dof,theta\nfv,16,abc\nfv,64,0.001\n",
+     "could not convert string to float: 'abc'"),
+], ids=["no-dof-column", "non-numeric-theta"])
+def test_ooa_errors_name_the_file(tmp_path, capsys, text, message):
+    csv = tmp_path / "icv_fv.csv"
+    csv.write_text(text)
+    assert main(["ooa", "--csv", str(csv)]) == 1
+    assert f"error: {csv}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", list(cli._SUBCOMMANDS))
+def test_config_keys_are_the_parser_destinations(name):
+    # main reads a flag's config key as the flag without "--", "-" read as
+    # "_"; that is argparse's destination as long as no table entry sets dest
+    required = {"rho-sweep": ["--tau", "0.1"], "ooa": ["--csv", "x.csv"]}
+    parsed = vars(subcommand_parser(name).parse_args(required.get(name, [])))
+    keys = {flag[2:].replace("-", "_")
+            for flag in ["--outdir", *(flag for flag, _ in cli._SUBCOMMANDS[name][2])]}
+    assert keys == set(parsed) - {"fn", "command"}
+
+
 def test_manifest_contains_version_and_config(tmp_path):
     main(["kernel", "--p", "2", "--gamma", "1.0", "--time", "50",
           "--samples", "64", "--outdir", str(tmp_path)])
@@ -395,7 +423,7 @@ def test_manifest_records_every_parsed_option(tmp_path, argv, resolved):
     # wave-test leaves these two out until its benchmark references change
     unrecorded = {"k", "ppw_epsilon"} if argv[0] == "wave-test" else set()
     expect = {key: parsed[key]
-              for key in set(parser.options) - {"outdir"} - unrecorded}
+              for key in set(parsed) - {"fn", "command", "outdir"} - unrecorded}
     assert json.loads(path.read_text()) == {
         **expect, **resolved, "command": argv[0], "version": frwave.__version__}
 
@@ -455,15 +483,14 @@ def test_help_lists_every_subcommand(capsys, monkeypatch):
 def test_main_builds_only_the_invoked_subcommand(tmp_path, monkeypatch):
     built = []
 
-    class Counted(cli._Subcommand):
-        def __init__(self, *args, **kwargs):
-            built.append(kwargs["prog"])
-            super().__init__(*args, **kwargs)
+    def counted(name):
+        built.append(name)
+        return subcommand_parser(name)
 
-    monkeypatch.setattr(cli, "_Subcommand", Counted)
+    monkeypatch.setattr(cli, "subcommand_parser", counted)
     assert main(["ppw", "--p", "2", "--samples", "64",
                  "--outdir", str(tmp_path)]) == 0
-    assert built == ["frwave ppw"]
+    assert built == ["ppw"]
 
 
 def test_unknown_command_exits_2(tmp_path, capsys):

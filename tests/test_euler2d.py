@@ -206,7 +206,7 @@ def test_one_pressure_rule():
     U = primitive_to_conserved(rng.uniform(0.3, 2.0, shape), rng.normal(0.0, 1.5, shape),
                                rng.normal(0.0, 1.5, shape), rng.uniform(0.3, 2.0, shape))
     solver = FREulerSolver2D(uniform_quad_mesh(5, 8, 10.0), p=4)
-    for V in (U, euler2d._element_fastest(U)):
+    for V in (U, np.ascontiguousarray(U.T).T):
         p = conserved_to_primitive(V)[3]
         assert np.array_equal(euler2d._normal_state(V, 0.6, 0.8)[2], p)
         # random point states need not give physical face traces; only the
@@ -934,6 +934,13 @@ def test_ooa_needs_two_points():
     with pytest.raises(ValueError, match="two distinct resolutions"):
         ooa([ErrorReport(theta=t, per_variable=np.zeros(4), dof=16)
              for t in (1e-2, 2e-2)])
+
+
+def test_dof_counts_solution_points():
+    # (p+1)^2 points per element for FR, one per cell for FV
+    mesh = uniform_quad_mesh(4, 3, 10.0)
+    assert FREulerSolver2D(mesh, 2).dof == 108
+    assert FVEulerSolver2D(mesh).dof == 12
 
 
 def test_run_icv_smoke_and_dof_accounting():

@@ -193,6 +193,12 @@ def test_skew_angle_hand_computed_quad():
     assert report.per_element[0] == pytest.approx(18.434948822922, abs=1e-6)
 
 
+def test_skew_angle_rejects_a_zero_length_diagonal():
+    # the squared diagonals of 5e-201-wide cells underflow to zero
+    with pytest.raises(ValueError, match="zero-length cross diagonal"):
+        skew_angle(uniform_quad_mesh(2, 2, 1e-200))
+
+
 def test_skew_angle_rotation_invariant():
     m = jitter(uniform_quad_mesh(9, 9, 1.0), 0.25, seed=17)
     base = skew_angle(m).alpha

@@ -373,6 +373,22 @@ def test_ppw_reports_failures_up_to_its_crossing(monkeypatch, p2_curve, i):
     assert err.value.k_hat == pytest.approx(p2_curve.k_hat[i], rel=1e-12)
 
 
+def test_eigen_fallback_names_a_non_finite_single_solve(monkeypatch):
+    # the stacked solve and the single solve of the second matrix give NaN
+    # in place of the eigenvalue 2; the error names that matrix's k_hat
+    eigvals = np.linalg.eigvals
+
+    def nan_for_two(a):
+        ev = eigvals(a)
+        return np.where(ev == 2.0, np.nan, ev)
+
+    monkeypatch.setattr(np.linalg, "eigvals", nan_for_two)
+    M = np.stack([s * np.eye(2) for s in (1.0, 2.0, 3.0)])
+    with pytest.raises(EigenSolveError, match="non-finite eigenvalues") as err:
+        spectral._eigvals(M, [0.1, 0.2, 0.3])
+    assert err.value.k_hat == 0.2
+
+
 def test_eigen_fallback_returns_per_matrix_eigenvalues(monkeypatch):
     # a failed stacked solve whose matrices all solve one by one must give
     # the same curve

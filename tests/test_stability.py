@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,6 +92,17 @@ def test_sweep_needs_enough_samples():
 def test_sweep_rejects_bad_tau():
     with pytest.raises(ValueError, match="time step must be a positive finite number"):
         spectral_radii(wave_symbols(2, 1.0), "RK44", 0.0)
+
+
+def test_sweep_rejects_a_time_step_whose_radii_overflow():
+    # P(tau lam) overflows to inf at 1e77 and to NaN (inf - inf) at 1e300;
+    # 1e60 still gives finite radii
+    symbols = wave_symbols(3, 1.0, k_samples=128)
+    for tau in (1e77, 1e300):
+        with pytest.raises(ValueError, match=re.escape(f"time step {tau} gives spectral "
+                                                       "radii that are not finite")):
+            spectral_radii(symbols, "RK44", tau)
+    assert np.all(np.isfinite(spectral_radii(symbols, "RK44", 1e60)))
 
 
 @pytest.mark.parametrize("tau", [-0.1, float("nan"), float("inf")],

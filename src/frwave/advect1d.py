@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .element import derivative_matrix, lagrange_values
-from .spectral import _first_crossing_ppw
-from .stability import UnstableSolutionError, _require_positive, update_matrix
+from .spectral import _first_crossing_ppw, _require_positive
+from .stability import UnstableSolutionError, update_matrix
 
 FD_ORDERS = (2, 3, 4, 6, 8)
 MEASURE_POINTS = 4096
@@ -51,8 +51,10 @@ def build_grid(N, gamma, L=1.0):
     if gamma == 1.0:
         delta = np.full(N, L / N)
     else:
-        d1 = L * (1.0 - gamma) / (1.0 - gamma ** N)
-        delta = d1 * gamma ** np.arange(N)
+        g = np.float64(gamma)
+        with np.errstate(all="ignore"):     # an overflow gives inf, caught below
+            d1 = L * (1.0 - g) / (1.0 - g ** N)
+            delta = d1 * g ** np.arange(N)
     x = np.concatenate(([0.0], np.cumsum(delta)))
     x[-1] = L
     if not np.all(np.diff(x) > 0):     # also NaN
@@ -191,7 +193,6 @@ class TransferTable:
     k_hat: np.ndarray
     re_k_hat_prime: np.ndarray
     im_k_hat_prime: np.ndarray
-    transfer: np.ndarray
 
 
 TRANSIT = "transit"
@@ -268,8 +269,9 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
     that the pointwise initial projection also excites ("window" is
     ignored).  When no mode dominates the bin (stretched meshes, upper
     band), the pencil may return a frequency that is not an eigenvalue of
-    the discrete operator.  The tabulated transfer is the end-to-end ratio
-    in both modes.
+    the discrete operator.  Every wavenumber is checked before the first
+    march; a measured factor that is zero or not finite (a window so long
+    that the wave decays to nothing) is a RuntimeError.
     """
     if mode not in (TRANSIT, PENCIL):
         raise ValueError(f"unknown measurement mode {mode!r}")
@@ -280,8 +282,7 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
     dof = solver.dof
     idx, vals = solver._stencil(np.arange(MEASURE_POINTS) * (L / MEASURE_POINTS))
     raw_tau = cfl * solver.min_spacing
-    k_hats, res, ims, trans = [], [], [], []
-    P_dt = None     # the snapshot interval P marches; transit bins share it
+    m_ints = []     # each wave's whole number of wavelengths
     for k in k_values:
         if not math.isfinite(k):
             raise ValueError(f"wavenumber must be a finite number, got {k}")
@@ -293,6 +294,10 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
                 f"wavelengths in a domain of length {L}")
         if 2 * m_int >= MEASURE_POINTS:
             raise ValueError(f"wavenumber {k} above the measurement Nyquist")
+        m_ints.append(m_int)
+    k_hats, res, ims = [], [], []
+    P_dt = None     # the snapshot interval P marches; transit bins share it
+    for k, m_int in zip(k_values, m_ints):
         if mode == TRANSIT:
             dt, intervals = window * L, 1
         else:
@@ -314,17 +319,17 @@ def wave_transfer_function(solver, k_values, cfl=0.01, mode=TRANSIT,
                 raise UnstableSolutionError(interval * steps)
             bins.append(w @ u.ravel())
         z = bins[1] / bins[0] if mode == TRANSIT else _dominant_factor(bins)
+        if not (np.isfinite(z) and z != 0):
+            raise RuntimeError(f"wavenumber {k} has a measured factor of {z} "
+                               f"over a window of {dt}, not a nonzero finite one")
         k_prime = k + 1j * np.log(z * np.exp(1j * k * dt)) / dt
-        transfer = bins[-1] / bins[0]
         k_hats.append(k * L / dof)
         res.append(k_prime.real * L / dof)
         ims.append(k_prime.imag * L / dof)
-        trans.append(transfer)
     return TransferTable(
         k_hat=np.array(k_hats),
         re_k_hat_prime=np.array(res),
         im_k_hat_prime=np.array(ims),
-        transfer=np.array(trans),
     )
 
 

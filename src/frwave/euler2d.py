@@ -21,7 +21,8 @@ import numpy as np
 
 from .element import reference_element
 from .mesh2d import _corner_jacobians, _edge, _length
-from .stability import _require_positive, advance
+from .spectral import _require_positive
+from .stability import advance
 
 GAMMA_GAS = 1.4
 
@@ -264,10 +265,14 @@ class _EulerSolver:
     which keeps them no longer than the subclass's __init__.  The mesh must
     be made of convex counterclockwise quads, checked here before any
     geometry is built: a bilinear map's Jacobian is affine in (xi, eta), so
-    positive corner Jacobians make it positive everywhere in the element."""
+    positive corner Jacobians make it positive everywhere in the element.
+    A NaN corner Jacobian counts as tangled."""
 
     def __init__(self, mesh, riemann, x, y):
-        if np.any(_corner_jacobians(x, y) <= 0):
+        if riemann not in RIEMANN_SOLVERS:
+            raise ValueError(f"unknown Riemann solver {riemann!r}; expected one of "
+                             f"{tuple(RIEMANN_SOLVERS)}")
+        if not np.all(_corner_jacobians(x, y) > 0):     # also NaN
             raise ValueError("non-convex or inverted quad; mesh is tangled")
         self.mesh = mesh
         self.riemann = RIEMANN_SOLVERS[riemann]

@@ -103,25 +103,29 @@ def jitter(mesh, factor, seed):
     corner moves by at most factor/2 per axis, so every corner Jacobian is
     at least (1 - 2 factor) times the cell area.  Above it, each round
     redraws, again in one block, every interior node of every element with
-    a non-positive corner Jacobian; MeshTangleError after 100 rounds.
+    a corner Jacobian that is not positive (NaN included); MeshTangleError
+    after 100 rounds.
     Deterministic for a fixed seed.
     """
     if not 0 <= factor < np.inf:        # also NaN
         raise ValueError(f"jitter factor must be non-negative and finite, got {factor}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     nx, ny = mesh.nx, mesh.ny
-    step = factor * np.array([mesh.L / nx, mesh.L / ny])
     out = QuadMesh2D(mesh.nodes.copy(), nx, ny, mesh.L, jitter_factor=factor, seed=int(seed))
     interior = out.nodes.reshape(ny + 1, nx + 1, 2)[1:-1, 1:-1]   # a view
     base = interior.copy()
     redo = np.ones(base.shape[:2], dtype=bool)
-    for _ in range(101):    # the first draw, then up to 100 redraw rounds
-        interior[redo] = base[redo] + step * rng.uniform(-0.5, 0.5, size=(redo.sum(), 2))
-        bad = np.any(_corner_jacobians(*out.corner_planes()) <= 0.0, axis=0).reshape(ny, nx)
-        if not bad.any():
-            return out
-        # interior node (i, j) is a corner of elements (i-1 or i, j-1 or j)
-        redo = bad[:-1, :-1] | bad[:-1, 1:] | bad[1:, :-1] | bad[1:, 1:]
+    # a factor so large that the nodes overflow gives NaN corner Jacobians,
+    # which count as tangled
+    with np.errstate(all="ignore"):
+        step = factor * np.array([mesh.L / nx, mesh.L / ny])
+        for _ in range(101):    # the first draw, then up to 100 redraw rounds
+            interior[redo] = base[redo] + step * rng.uniform(-0.5, 0.5, size=(redo.sum(), 2))
+            bad = ~np.all(_corner_jacobians(*out.corner_planes()) > 0.0, axis=0).reshape(ny, nx)
+            if not bad.any():
+                return out
+            # interior node (i, j) is a corner of elements (i-1 or i, j-1 or j)
+            redo = bad[:-1, :-1] | bad[:-1, 1:] | bad[1:, :-1] | bad[1:, 1:]
     raise MeshTangleError(f"{bad.sum()} elements still tangled after 100 "
                           f"redraw rounds (factor={factor})")
 

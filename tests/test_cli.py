@@ -315,6 +315,14 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
      "time step 1e+300 gives spectral radii that are not finite"),
     (["wave-test", "--solver", "fr4", "--dof", "40", "--gamma", "1e-40"],
      "10 cells expanding by 1e-40 do not have distinct boundaries in floating point"),
+    (["wave-test", "--solver", "fr4", "--dof", "40", "--gamma", "1e40"],
+     "10 cells expanding by 1e+40 do not have distinct boundaries in floating point"),
+    (["wave-test", "--solver", "fd4", "--dof", "40", "--gamma", "1e40"],
+     "40 cells expanding by 10000000000.0 do not have distinct boundaries in floating point"),
+    (["wave-test", "--solver", "fr3", "--dof", "33", "--window", "1e20"],
+     "wavenumber 6.283185307179586 has a measured factor of 0j over a window of 1e+20"),
+    (["mesh-gen", "--nx", "4", "--ny", "4", "--jitter", "1e308"],
+     "16 elements still tangled after 100 redraw rounds (factor=1e+308)"),
 ], ids=["wave-test-zero-cfl", "wave-test-negative-cfl", "wave-test-inf-cfl",
         "wave-test-nan-cfl", "wave-test-tiny-cfl", "icv-nan-cfl", "icv-inf-cfl", "icv-negative-cfl",
         "wave-test-no-bin", "wave-test-nan-k-hat-max", "wave-test-inf-k-hat-max",
@@ -328,7 +336,9 @@ def test_unapplied_mesh_input_rejected(tmp_path, capsys, argv, message):
         "cfl-table-nan-gamma", "cfl-table-order-1", "cfl-table-order-10",
         "kernel-nan-time", "kernel-unrepresentable-time", "wave-test-nan-gamma",
         "wave-test-inf-gamma", "wave-test-fd-nan-gamma", "wave-test-fd-negative-gamma",
-        "rho-sweep-overflowing-tau", "wave-test-unplaceable-gamma"])
+        "rho-sweep-overflowing-tau", "wave-test-unplaceable-gamma",
+        "wave-test-overflowing-gamma", "wave-test-fd-overflowing-gamma",
+        "wave-test-vanishing-window", "mesh-gen-overflowing-jitter"])
 def test_unmeasurable_input_rejected(tmp_path, capsys, argv, message):
     rc = main(argv + ["--outdir", str(tmp_path)])
     assert rc == 1
@@ -611,6 +621,35 @@ def test_runtime_imports_only_stdlib_numpy_and_frwave():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, (path.name, name)
+
+
+def _top_level_names(tree):
+    """The names a module's top level defines, and the names it imports."""
+    defined, imported = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name)}
+    return defined, imported
+
+
+def test_every_name_has_one_import_path():
+    # the package binds only its version, and each relative import names a
+    # definition of the module it reads, not a name that module imports
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(frwave.__file__).parent.glob("*.py")}
+    assert _top_level_names(trees["__init__"]) == ({"__version__"}, set())
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                source = node.module or "__init__"
+                for a in node.names:
+                    assert a.name in _top_level_names(trees[source])[0], (name, source, a.name)
 
 
 def test_kernel_time_checked_before_solving(tmp_path, capsys, monkeypatch):

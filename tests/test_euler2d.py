@@ -357,12 +357,13 @@ def test_fr_mapping_corner_consistency():
                                   lambda m: FREulerSolver2D(m, p=4),
                                   FVEulerSolver2D], ids=["fr2", "fr4", "fv"])
 @pytest.mark.parametrize("L, node", [(1.0, (0.9, 0.9)), (3.0, (1.51, 1.51)),
-                                     (3.0, (2.0, 2.0))],
-                         ids=["inverted", "mildly-nonconvex", "collapsed"])
+                                     (3.0, (2.0, 2.0)), (1.0, (np.nan, 0.5))],
+                         ids=["inverted", "mildly-nonconvex", "collapsed", "nan"])
 def test_fr_rejects_tangled_mesh(make, L, node):
     # on the 3x3 mesh of side 3, node 5 at (1.51, 1.51) makes one corner
     # Jacobian -0.02 while every Gauss point of p <= 4 still sees detJ > 0;
-    # at (2, 2) it lands on node 10 and one quad has zero area
+    # at (2, 2) it lands on node 10 and one quad has zero area; a NaN node
+    # gives NaN corner Jacobians, which are not positive either
     from frwave.mesh2d import QuadMesh2D
     mesh = uniform_quad_mesh(3, 3, L)
     nodes = mesh.nodes.copy()
@@ -526,6 +527,15 @@ def test_fv_free_stream_on_uniform_mesh():
     solver = FVEulerSolver2D(mesh)
     U = solver.project(free_stream)
     assert np.max(np.abs(solver.rhs(U))) < 1e-13
+
+
+@pytest.mark.parametrize("make", [lambda m: FREulerSolver2D(m, 2, riemann="hllc"),
+                                  lambda m: FVEulerSolver2D(m, riemann="hllc")],
+                         ids=["fr", "fv"])
+def test_unknown_riemann_solver_rejected(make):
+    with pytest.raises(ValueError, match=r"unknown Riemann solver 'hllc'; "
+                                         r"expected one of \('rusanov', 'roe'\)"):
+        make(uniform_quad_mesh(4, 4, 10.0))
 
 
 def test_fv_rejects_unknown_metric_mode():

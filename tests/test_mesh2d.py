@@ -163,6 +163,13 @@ def test_jitter_raises_when_rounds_run_out():
         jitter(uniform_quad_mesh(4, 4, 1.0), 20.0, seed=0)
 
 
+def test_jitter_counts_a_non_finite_jacobian_as_tangled():
+    # at factor 1e308 the nodes overflow and every corner Jacobian is NaN,
+    # which once passed the check and gave a mesh of non-finite nodes
+    with pytest.raises(MeshTangleError, match="16 elements still tangled"):
+        jitter(uniform_quad_mesh(4, 4, 10.0), 1e308, seed=0)
+
+
 def test_jitter_rejects_negative_factor():
     # a NaN factor once passed the check and gave NaN nodes
     for factor in (-0.1, np.nan, np.inf):
